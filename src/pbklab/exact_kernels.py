@@ -320,6 +320,13 @@ def hilbert_route_terms(cfg: SpectralConfig, z: ProjectivePoint,
     the Hilbert term integrates (prop(-t) - prop(t)) cot(t/2) over a half
     period.  Midpoint nodes never touch t = 0, where the bracket vanishes
     linearly against the cotangent.
+
+    The propagator samples at the midpoint nodes are DFTs of the level
+    coefficients: the k+1 frequencies are consecutive integers, fewer than
+    the node count, so each lands in its own bin and one inverse FFT per
+    term gives every sample in O(k log k).  Where no live level lies at or
+    above the cut, the value is the exact zero; where the cut level itself
+    is not live, so is the mean term.
     """
     k = cfg.k
     minimum = 8 * (k + 1)
@@ -337,41 +344,34 @@ def hilbert_route_terms(cfg: SpectralConfig, z: ProjectivePoint,
         return HilbertRouteTerms(zero, zero, zero, zero)
     top = logmag[live].max()
     coeffs = np.where(live, np.exp(logmag - top), 0.0) * np.exp(1j * phase)
-    freqs = np.arange(k + 1) - cfg.cut_index
+    cut = cfg.cut_index
+    freqs = np.arange(k + 1) - cut
 
-    # mean term over [-pi, pi], midpoint rule
-    h = 2.0 * math.pi / nodes
-    t_mean = -math.pi + (np.arange(nodes) + 0.5) * h
-    # Hilbert term over (0, pi), midpoint rule
+    # mean term over [-pi, pi], midpoint rule: t_j = t_0 + j*2pi/N
+    t0 = -math.pi + math.pi / nodes
+    bins = np.zeros(nodes, dtype=complex)
+    bins[freqs % nodes] = coeffs * np.exp(1j * freqs * t0)
+    samples = np.fft.ifft(bins) * nodes
+    mean = complex(math.fsum(samples.real), math.fsum(samples.imag)) / nodes
+
+    # Hilbert term over (0, pi), midpoint rule: t_j = t_0 + j*2pi/(2N),
+    # the first N samples of a length-2N transform
     hh = math.pi / nodes
-    t_hil = (np.arange(nodes) + 0.5) * hh
-    cot = 1.0 / np.tan(0.5 * t_hil)
+    t0 = 0.5 * hh
+    bins = np.zeros(2 * nodes, dtype=complex)
+    bins[-freqs % (2 * nodes)] += coeffs * np.exp(-1j * freqs * t0)
+    bins[freqs % (2 * nodes)] -= coeffs * np.exp(1j * freqs * t0)
+    bracket = np.fft.ifft(bins)[:nodes] * (2 * nodes)
+    bracket /= np.tan(0.5 * (np.arange(nodes) + 0.5) * hh)
+    hilbert = complex(math.fsum(bracket.real),
+                      math.fsum(bracket.imag)) * hh / (2.0 * math.pi)
 
-    mean_parts_re: list[float] = []
-    mean_parts_im: list[float] = []
-    hil_parts_re: list[float] = []
-    hil_parts_im: list[float] = []
-    chunk = 1024
-    for start in range(0, nodes, chunk):
-        tm = t_mean[start:start + chunk]
-        em = np.exp(1j * np.outer(freqs, tm))
-        vals = coeffs @ em
-        mean_parts_re.extend(vals.real)
-        mean_parts_im.extend(vals.imag)
-
-        th = t_hil[start:start + chunk]
-        eh = np.exp(1j * np.outer(freqs, th))
-        forward = coeffs @ eh
-        backward = coeffs @ np.conj(eh)
-        bracket = (backward - forward) * cot[start:start + chunk]
-        hil_parts_re.extend(bracket.real)
-        hil_parts_im.extend(bracket.imag)
-
-    mean = complex(math.fsum(mean_parts_re), math.fsum(mean_parts_im)) / nodes
-    hilbert = complex(math.fsum(hil_parts_re),
-                      math.fsum(hil_parts_im)) * hh / (2.0 * math.pi)
     full = complex(math.fsum(coeffs.real), math.fsum(coeffs.imag))
-    value = 0.5 * (1j * hilbert + full + mean)
+    # exact zeros where the level sum has no live term, not rounding noise
+    if not 0 <= cut <= k or not live[cut]:
+        mean = 0j
+    value = (0.5 * (1j * hilbert + full + mean)
+             if np.any(live[max(cut, 0):]) else 0j)
 
     def lift(v: complex) -> LogComplex:
         if v == 0:

@@ -67,7 +67,7 @@ def test_criterion_02_kernel_identity():
     rng = make_rng(7)
     energy = 0.5
     worst = 0.0
-    for k in (4, 20, 80, 200):
+    for k in (4, 20, 80, 200, 1000):
         cfg = SpectralConfig(k, energy)
         for _ in range(20):
             # random chart pairs drawn in the 1/sqrt(k) band around the

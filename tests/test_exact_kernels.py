@@ -18,6 +18,7 @@ from pbklab.exact_kernels import (LogComplex, bergman_coeff,
                                   toeplitz_diag)
 
 ONE_ONE = ProjectivePoint(1, 1)
+ORIGIN = ProjectivePoint(0, 1)
 
 
 def rand_chart_point(rng, lo=0.15, hi=0.85):
@@ -295,8 +296,9 @@ def test_hilbert_route_zero_energy_reproduces_bergman():
     rng = np.random.default_rng(9)
     z, w = rand_chart_point(rng), rand_chart_point(rng)
     cfg = SpectralConfig(10, 0.0)
-    assert logc_rel_difference(partial_via_hilbert(cfg, z, w),
-                               bergman_coeff(10, z, w)) <= 1e-11
+    for a in (z, ORIGIN):
+        assert logc_rel_difference(partial_via_hilbert(cfg, a, w),
+                                   bergman_coeff(10, a, w)) <= 1e-11
 
 
 def test_hilbert_route_mean_term_is_equivariant():
@@ -308,13 +310,15 @@ def test_hilbert_route_mean_term_is_equivariant():
     assert logc_rel_difference(terms.mean_term, target) <= 1e-11
 
 
-def test_hilbert_route_matches_nodewise_propagator_assembly():
-    # the vectorized quadrature must agree with an explicit midpoint sum of
-    # propagator_coeff calls
-    cfg = SpectralConfig(6, 0.4)
+@pytest.mark.parametrize("energy", [-0.25, 0.4, 1.0])
+@pytest.mark.parametrize("nodes", [56, 61, 100])
+def test_hilbert_route_matches_nodewise_propagator_assembly(nodes, energy):
+    # the FFT-evaluated quadrature must agree with an explicit midpoint sum
+    # of propagator_coeff calls: node counts at the minimum 8(k+1), odd and
+    # larger, and cuts below the spectrum (-1), inside it (3) and at k (6)
+    cfg = SpectralConfig(6, energy)
     rng = np.random.default_rng(11)
     z, w = rand_chart_point(rng), rand_chart_point(rng)
-    nodes = 8 * 7
     h = 2 * math.pi / nodes
     mean = sum(propagator_coeff(cfg, -math.pi + (j + 0.5) * h, z, w)
                .to_complex() for j in range(nodes)) / nodes
@@ -344,6 +348,21 @@ def test_hilbert_route_identity_random_band_pairs(k):
         direct = partial_coeff(cfg, z, w)
         assembled = partial_via_hilbert(cfg, z, w)
         assert logc_rel_difference(direct, assembled) <= 1e-9
+
+
+@pytest.mark.parametrize("energy, z, w", [
+    (1.5, level_point(0.4, 0.2), level_point(0.6, 1.0)),
+    (0.5, ORIGIN, level_point(0.5, 1.0)),
+    (1.0, ORIGIN, ORIGIN),
+], ids=["empty-cut", "origin-cut-5", "origin-pair-cut-9"])
+def test_hilbert_route_exact_zero_where_level_sum_is_zero(energy, z, w):
+    # a cut above the top level, or zeta = 0 (only level 0 live) under a
+    # cut >= 1: the level sum is the exact zero, and the assembly and its
+    # mean term must be too, not rounding noise
+    cfg = SpectralConfig(9, energy)
+    terms = hilbert_route_terms(cfg, z, w)
+    assert partial_coeff(cfg, z, w).is_zero
+    assert terms.value.is_zero and terms.mean_term.is_zero
 
 
 def test_hilbert_route_node_starvation():
