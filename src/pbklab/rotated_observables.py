@@ -15,12 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circle_spectral import (IntegerSpectrumOperator, expm_series,
-                              spectral_projector_eig)
+from .circle_spectral import IntegerSpectrumOperator, snapped_ceil
 from .exact_kernels import log_binomial
 
 UNITARY_TOL = 1e-12
-BINOMIAL_ROUTE_MAX_K = 32
 
 _SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 _SIGMA_Y = np.array([[0.0, -1j], [1j, 0.0]], dtype=complex)
@@ -105,7 +103,7 @@ def _rep_binomial(k: int, u: np.ndarray) -> np.ndarray:
     Column l collects the coefficients of (a z0 + b z1)^l (c z0 + d z1)^{k-l}
     with [a b; c d] = u^{-1}, rescaled by the orthonormal-basis weights.
     Alternating sums make this route ill-conditioned past k ~ 40, so it is
-    restricted to small k and kept as the oracle for the generator route.
+    kept only as the small-k test oracle for the generator route.
     """
     inv = u.conj().T
     a, b = inv[0, 0], inv[0, 1]
@@ -128,28 +126,27 @@ def _rep_generator(k: int, u: np.ndarray) -> np.ndarray:
 
     For u = exp(X) the action p -> p(u^{-1} z) is the flow of the linear
     field -(Xz).grad, whose matrix in the orthonormal basis is tridiagonal
-    with ladder entries -x01*sqrt(l(k-l+1)) and -x10*sqrt((l+1)(k-l));
-    exponentiating it is stable at every weight.
+    with ladder entries -x01*sqrt(l(k-l+1)) above and -x10*sqrt((l+1)(k-l))
+    below the diagonal.  The generator is skew-Hermitian, so exp(gen) =
+    V diag(e^{-iw}) V* from the Hermitian eigendecomposition i*gen = V w V*;
+    this is unitary to rounding at every weight.
     """
     x = _su2_log(u)
     levels = np.arange(k + 1)
-    gen = np.zeros((k + 1, k + 1), dtype=complex)
-    gen[levels, levels] = -(levels * x[0, 0] + (k - levels) * x[1, 1])
-    for l in range(1, k + 1):
-        gen[l - 1, l] = -x[0, 1] * math.sqrt(l * (k - l + 1))
-    for l in range(k):
-        gen[l + 1, l] = -x[1, 0] * math.sqrt((l + 1) * (k - l))
-    return expm_series(gen)
+    # sqrt((l+1)(k-l)), l = 0..k-1, sits at (l, l+1) and at (l+1, l)
+    ladder = np.sqrt((levels[:-1] + 1.0) * (k - levels[:-1]))
+    gen = np.diag(-(levels * x[0, 0] + (k - levels) * x[1, 1]))
+    gen[levels[:-1], levels[1:]] = -x[0, 1] * ladder
+    gen[levels[1:], levels[:-1]] = -x[1, 0] * ladder
+    w, v = np.linalg.eigh(1j * gen)
+    return (v * np.exp(-1j * w)) @ v.conj().T
 
 
 def su2_rep_matrix(k: int, u: np.ndarray) -> np.ndarray:
     """Matrix of p(z) -> p(u^{-1} z) on the weight-k orthonormal basis."""
     if k < 0 or int(k) != k:
         raise ValueError("k must be a nonnegative integer")
-    u = _validate_su2(u)
-    if k <= BINOMIAL_ROUTE_MAX_K:
-        return _rep_binomial(int(k), u)
-    return _rep_generator(int(k), u)
+    return _rep_generator(int(k), _validate_su2(u))
 
 
 def rotated_height_operator(k: int, axis: RotationAxis) -> IntegerSpectrumOperator:
@@ -165,32 +162,40 @@ def rotated_height_operator(k: int, axis: RotationAxis) -> IntegerSpectrumOperat
     return IntegerSpectrumOperator(0.5 * (m + m.conj().T))
 
 
+def _check_levels(*levels: float) -> None:
+    for e in levels:
+        if not 0.0 < e < 1.0:
+            raise ValueError("cap levels must lie strictly inside (0, 1)")
+
+
+def _cap_angles(u1: RotationAxis, e1: float, u2: RotationAxis,
+                e2: float) -> tuple[float, float]:
+    """The angle between the axes and the sum of the two cap radii.
+
+    Cap i has angular radius arccos(2 e_i - 1).
+    """
+    _check_levels(e1, e2)
+    dot = sum(a * b for a, b in zip(u1.u, u2.u))
+    angle = math.acos(max(-1.0, min(1.0, dot)))
+    return angle, math.acos(2.0 * e1 - 1.0) + math.acos(2.0 * e2 - 1.0)
+
+
 def caps_disjoint(u1: RotationAxis, e1: float,
                   u2: RotationAxis, e2: float) -> bool:
     """Whether the closed caps {H_u1 >= e1} and {H_u2 >= e2} are disjoint.
 
-    Cap i has angular radius arccos(2 e_i - 1); disjointness of the closed
-    caps requires the axis angle to strictly exceed the radius sum, so a
-    boundary tangency counts as intersecting.
+    Disjointness of the closed caps requires the axis angle to strictly
+    exceed the radius sum, so a boundary tangency counts as intersecting.
     """
-    for e in (e1, e2):
-        if not 0.0 < e < 1.0:
-            raise ValueError("cap levels must lie strictly inside (0, 1)")
-    dot = sum(a * b for a, b in zip(u1.u, u2.u))
-    angle = math.acos(max(-1.0, min(1.0, dot)))
-    radius1 = math.acos(2.0 * e1 - 1.0)
-    radius2 = math.acos(2.0 * e2 - 1.0)
-    return angle > radius1 + radius2
+    angle, radii = _cap_angles(u1, e1, u2, e2)
+    return angle > radii
 
 
 def caps_tangent(u1: RotationAxis, e1: float, u2: RotationAxis, e2: float,
                  tol: float = 1e-9) -> bool:
     """Whether the cap boundaries touch (within tol) without overlapping."""
-    dot = sum(a * b for a, b in zip(u1.u, u2.u))
-    angle = math.acos(max(-1.0, min(1.0, dot)))
-    radius1 = math.acos(2.0 * e1 - 1.0)
-    radius2 = math.acos(2.0 * e2 - 1.0)
-    return abs(angle - (radius1 + radius2)) <= tol
+    angle, radii = _cap_angles(u1, e1, u2, e2)
+    return abs(angle - radii) <= tol
 
 
 def _stable_norm(v: np.ndarray) -> float:
@@ -207,7 +212,8 @@ def operator_norm_power_iteration(m: np.ndarray, rng: np.random.Generator,
 
     Iterates are renormalized every step so singular values far below 1 do
     not underflow; several random restarts guard against starting vectors
-    orthogonal to the top singular space.
+    orthogonal to the top singular space.  No package route calls it: the
+    benchmark's per-layer trace (bench/layers.py) still wraps it by name.
     """
     m = np.asarray(m, dtype=complex)
     if np.max(np.abs(m)) < 1e-300:
@@ -239,20 +245,20 @@ def operator_norm_power_iteration(m: np.ndarray, rng: np.random.Generator,
 
 
 def projection_product_norm(k: int, u1: RotationAxis, e1: float,
-                            u2: RotationAxis, e2: float,
-                            seed: int = 20240801) -> float:
+                            u2: RotationAxis, e2: float) -> float:
     """Operator norm of the product of the two cap spectral projections.
 
-    Each projection keeps the rotated-height eigenvalues l/k >= e_i; the
-    norm of their product is the cosine of the smallest principal angle
-    between the ranges.
+    Projection i is R_i Q_i R_i*, where Q_i keeps the levels l >= k e_i
+    and R_i is the representation matrix of the SU(2) lift of axis i.
+    Unitary invariance gives |P_1 P_2| = |Q_1 R_1* R_2 Q_2|, and since the
+    representation is a unitary homomorphism, R_1* R_2 is the
+    representation matrix of U_1* U_2.  The norm is therefore the largest
+    singular value of that matrix's block with rows >= ceil(k e_1) and
+    columns >= ceil(k e_2): the cosine of the smallest principal angle
+    between the two ranges.
     """
-    for e in (e1, e2):
-        if not 0.0 < e < 1.0:
-            raise ValueError("cap levels must lie strictly inside (0, 1)")
-    op1 = rotated_height_operator(k, u1)
-    op2 = rotated_height_operator(k, u2)
-    p1 = spectral_projector_eig(op1, k * e1)
-    p2 = spectral_projector_eig(op2, k * e2)
-    rng = np.random.Generator(np.random.Philox(seed))
-    return operator_norm_power_iteration(p1 @ p2, rng)
+    _check_levels(e1, e2)
+    u = axis_to_su2(u1).conj().T @ axis_to_su2(u2)
+    rep = su2_rep_matrix(k, u)
+    block = rep[snapped_ceil(k * e1):, snapped_ceil(k * e2):]
+    return float(np.linalg.svd(block, compute_uv=False)[0])

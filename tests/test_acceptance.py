@@ -19,7 +19,7 @@ from pbklab.cp1_geometry import ProjectivePoint, level_point, xh_norm
 from pbklab.exact_kernels import (equivariant_coeff, logc_rel_difference,
                                   partial_coeff, partial_via_hilbert,
                                   toeplitz_diag)
-from pbklab.harness import make_rng
+from pbklab.harness import ExperimentConfig, make_rng
 from pbklab.rotated_observables import (RotationAxis, caps_disjoint,
                                         projection_product_norm)
 
@@ -30,19 +30,6 @@ def report(number, name, ok, detail):
     status = "PASS" if ok else "FAIL"
     print(f"ACCEPTANCE {number:2d} [{status}] {name}: {detail}")
     assert ok, f"criterion {number} ({name}): {detail}"
-
-
-def geometric_grid(lo, hi, ratio=1.25):
-    ks = []
-    value = float(lo)
-    while value <= hi + 1e-9:
-        k = int(round(value))
-        if not ks or k > ks[-1]:
-            ks.append(k)
-        value *= ratio
-    if ks[-1] != hi:
-        ks.append(hi)
-    return ks
 
 
 def test_criterion_01_hilbert_route_exactness():
@@ -88,7 +75,7 @@ def test_criterion_02_kernel_identity():
 
 def test_criterion_03_error_decay_slope():
     start = time.perf_counter()
-    ks = geometric_grid(10, 1000)
+    ks = ExperimentConfig(k_min=10, k_max=1000, k_ratio=1.25).k_grid()
     points = [(float(k), error_metric(k, 0.5, math.pi / 2, ONE_ONE))
               for k in ks]
     fit = loglog_fit(points)
@@ -149,7 +136,7 @@ def test_criterion_06_diagonal_trichotomy():
     fit_at = loglog_fit(pts)
 
     # H < E: superpolynomial decay of the diagonal value
-    ks = geometric_grid(50, 800, 1.5)
+    ks = ExperimentConfig(k_min=50, k_max=800, k_ratio=1.5).k_grid()
     logs = [partial_coeff(SpectralConfig(k, 0.7), z, z).logmag for k in ks]
     fit_lo = linear_fit(np.array(ks, dtype=float), np.array(logs))
 
@@ -165,7 +152,7 @@ def test_criterion_06_diagonal_trichotomy():
 def test_criterion_07_off_orbit_negligibility():
     z = ONE_ONE
     w = ProjectivePoint(2, 1)
-    ks = geometric_grid(50, 800, 1.5)
+    ks = ExperimentConfig(k_min=50, k_max=800, k_ratio=1.5).k_grid()
     logs = [partial_coeff(SpectralConfig(k, 0.5), z, w).logmag for k in ks]
     fit = linear_fit(np.array(ks, dtype=float), np.array(logs))
     ok = fit.slope < 0 and fit.r_squared >= 0.9

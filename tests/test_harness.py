@@ -202,6 +202,20 @@ def test_two_proj_disjoint_decay(tmp_path):
     assert report.summary["disjoint"] is True
     assert report.summary["slope"] < 0
     assert report.summary["r_squared"] >= 0.9
+    assert report.summary["floored"] == 0
+
+
+def test_two_proj_antipodal_caps_all_floored():
+    # antipodal axes give exactly orthogonal ranges: every norm is rounding
+    # noise, so every weight is counted at the resolution floor
+    cfg = ExperimentConfig(experiment="two-proj", u2=[0.0, 0.0, -1.0],
+                           k_list=[20, 40, 80])
+    report = run_two_proj(cfg)
+    assert report.exit_code == EXIT_OK
+    assert report.summary["disjoint"] is True
+    assert report.summary["floored"] == 3
+    assert "3 of 3 norms at or below the 1e-12 resolution floor" \
+        in report.message
 
 
 def test_two_proj_identical_axes_norm_one():
@@ -228,6 +242,14 @@ def test_two_proj_rejects_tangent_caps():
                            k_list=[10, 20, 30])
     report = run_experiment(cfg)
     assert report.exit_code == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("e1", [1.5, -0.2])
+def test_two_proj_rejects_levels_outside_unit_interval(e1):
+    report = run_experiment(ExperimentConfig(experiment="two-proj", e1=e1,
+                                             k_list=[10]))
+    assert report.exit_code == EXIT_CONFIG
+    assert "cap levels must lie strictly inside (0, 1)" in report.message
 
 
 # --- CLI ---------------------------------------------------------------------
