@@ -10,8 +10,14 @@ orthonormal sections have coefficient functions
 and the full / equivariant / partial kernels are assembled from products
 kappa_{k,l}(z) * conj(kappa_{k,l}(w)).  At large k these coefficients span
 an enormous dynamic range, so all values are carried in log-polar form
-(LogComplex) and sums are accumulated largest-magnitude-first after
-factoring out the leading scale.
+(LogComplex); a sum factors out its largest term and accumulates the
+rescaled parts with math.fsum, which is correctly rounded in any order.
+
+The kernel functions take their second point as one ProjectivePoint or a
+sequence of them, and return one LogComplex or a list.  A batch runs
+through one routine for kappa_{k,l} over a block of points x levels and
+one that sums each row, a chunk of about CHUNK_TERMS level terms at a
+time.
 
 The partial kernel (levels l >= ceil(kE)) also admits a Hilbert-transform
 assembly from the shifted propagator kernel
@@ -26,16 +32,23 @@ consistency check of both engines.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from .circle_spectral import NodeCountError, SpectralConfig
-from .cp1_geometry import ChartError, ProjectivePoint
+from .cp1_geometry import ProjectivePoint
 
 LOG_2PI = math.log(2.0 * math.pi)
+
+# a batch of points is evaluated a chunk of rows at a time, each chunk
+# holding about this many level terms, as one k = 10^6 level sum does
+CHUNK_TERMS = 1 << 20
+
+Points = ProjectivePoint | Sequence[ProjectivePoint]
 
 # cached ln(n!) table, grown on demand (math.lgamma per entry, exact to ulp)
 _LGAMMA_CACHE = np.zeros(0)
@@ -50,10 +63,14 @@ def _lgamma_table(n: int) -> np.ndarray:
     return _LGAMMA_CACHE
 
 
-def log_binomial(k: int, l: int) -> float:
-    """ln C(k, l) via log-gamma; avoids the float overflow of C near k ~ 1030."""
-    if not 0 <= l <= k:
-        raise ValueError("binomial index out of range")
+def log_binomial(k: int, l):
+    """ln C(k, l) via log-gamma, for one level l or an ascending array of them.
+
+    Avoids the float overflow of C near k ~ 1030.
+    """
+    l = np.asarray(l)
+    if l.size and not 0 <= l.flat[0] <= l.flat[-1] <= k:
+        raise ValueError("level index l must satisfy 0 <= l <= k")
     t = _lgamma_table(k + 2)
     return t[k + 1] - t[l + 1] - t[k - l + 1]
 
@@ -111,28 +128,44 @@ class LogComplex:
             return LogComplex.zero()
         return LogComplex(self.logmag - other.logmag, self.phase - other.phase)
 
-    def scaled(self, factor: complex) -> "LogComplex":
-        return self * LogComplex.from_complex(factor)
+
+def _lift(top: float, value: complex) -> LogComplex:
+    """exp(top) * value in log-polar form; the exact zero for value == 0."""
+    if value == 0:
+        return LogComplex.zero()
+    return LogComplex(top + math.log(abs(value)),
+                      math.atan2(value.imag, value.real))
+
+
+def _terms(logmag: np.ndarray, phase: np.ndarray) -> list[LogComplex]:
+    """Each entry exp(logmag + i*phase) as a LogComplex, -inf as the zero."""
+    return [LogComplex(m, p) if m > -math.inf else LogComplex.zero()
+            for m, p in zip(logmag.ravel().tolist(), phase.ravel().tolist())]
+
+
+def _level_sums(logmag: np.ndarray, phase: np.ndarray) -> list[LogComplex]:
+    """Each row of terms exp(logmag + i*phase) summed to one LogComplex.
+
+    The row's largest logmag is factored out and the real and imaginary
+    parts of the rescaled terms go through math.fsum, so the only error
+    left is the rounding of each term.  Dead terms (logmag -inf) add exact
+    zeros; a row without a live term is the exact zero.  fsum runs up to 4x
+    faster on falling magnitudes, so each row is fed from its top outward.
+    """
+    top = logmag.max(axis=1, initial=-math.inf)
+    mags = np.exp(logmag - np.where(top > -math.inf, top, 0.0)[:, None])
+    peaks = logmag.argmax(axis=1) if logmag.size else [0] * len(logmag)
+    re, im = ([math.fsum(itertools.chain(row[p::-1], row[p + 1:]))
+               for p, row in zip(peaks, mags * trig(phase))]
+              for trig in (np.cos, np.sin))
+    return [_lift(t, complex(r, i)) for t, r, i in zip(top, re, im)]
 
 
 def logc_sum(terms: Iterable[LogComplex]) -> LogComplex:
-    """Sum of LogComplex terms, largest logmag first, exact accumulation.
-
-    The maximum logmag is factored out, the rescaled addends are sorted by
-    descending magnitude, and real/imaginary parts go through math.fsum, so
-    the only error left is the representation rounding of each term.
-    """
-    live = [t for t in terms if not t.is_zero]
-    if not live:
-        return LogComplex.zero()
-    live.sort(key=lambda t: t.logmag, reverse=True)
-    top = live[0].logmag
-    re = math.fsum(math.exp(t.logmag - top) * math.cos(t.phase) for t in live)
-    im = math.fsum(math.exp(t.logmag - top) * math.sin(t.phase) for t in live)
-    total = complex(re, im)
-    if total == 0:
-        return LogComplex.zero()
-    return LogComplex(top + math.log(abs(total)), math.atan2(total.imag, total.real))
+    """Sum of LogComplex terms, exact accumulation after the top scale."""
+    terms = list(terms)
+    return _level_sums(np.array([[t.logmag for t in terms]]),
+                       np.array([[t.phase for t in terms]]))[0]
 
 
 def logc_rel_difference(a: LogComplex, b: LogComplex) -> float:
@@ -158,146 +191,126 @@ def _log1p_exp_sq(logabs: float) -> float:
     return math.log1p(math.exp(2.0 * logabs))
 
 
-def _require_chart(p: ProjectivePoint) -> None:
-    if not p.in_chart:
-        raise ChartError("kernel coefficients live on the chart z1 != 0")
+def _sections(k: int, levels: np.ndarray, points: Sequence[ProjectivePoint]
+              ) -> tuple[np.ndarray, np.ndarray]:
+    """(logmag, phase) of kappa_{k,l}(p): a row per point, a column per level.
 
-
-def section_coeff(k: int, l: int, p: ProjectivePoint) -> LogComplex:
-    """Frame coefficient of the (k, l) orthonormal section.
-
-    kappa_{k,l} = sqrt((k+1) C(k,l) / 2pi) zeta^l (1+|zeta|^2)^{-k/2}
-    with zeta the chart coordinate of p, evaluated in log-space.
+    log|zeta|, arg zeta and the (1+|zeta|^2)^{-k/2} lead stay in math calls,
+    which numpy's exp, log1p and atan2 miss by an ulp on a few % of inputs.
     """
-    if not 0 <= l <= k:
-        raise ValueError("level index l must satisfy 0 <= l <= k")
-    _require_chart(p)
-    logabs, phase = p.log_affine()
-    base = 0.5 * (math.log(k + 1.0) + log_binomial(k, l) - LOG_2PI)
-    lead = -0.5 * k * _log1p_exp_sq(logabs)
-    if l == 0:
-        return LogComplex(base + lead, 0.0)
-    if logabs == -math.inf:
-        return LogComplex.zero()
-    return LogComplex(base + lead + l * logabs, l * phase)
+    logabs, arg = np.array([p.log_affine() for p in points]).T
+    lead = np.array([-0.5 * k * _log1p_exp_sq(a) for a in logabs.tolist()])
+    base = 0.5 * (math.log(k + 1.0) + log_binomial(k, levels) - LOG_2PI)
+    # l log|zeta|, with zeta^0 = 1 also at zeta = 0, where log|zeta| = -inf
+    power = np.multiply(logabs[:, None], levels, where=levels > 0,
+                        out=np.zeros((len(points), levels.size)))
+    phase = np.multiply.outer(arg, levels)
+    return base + lead[:, None] + power, phase
 
 
-def _section_arrays(k: int, p: ProjectivePoint) -> tuple[np.ndarray, np.ndarray]:
-    """(logmag, phase) of kappa_{k,l}(p) for all l = 0..k at once."""
-    _require_chart(p)
-    logabs, phase = p.log_affine()
-    levels = np.arange(k + 1)
-    t = _lgamma_table(k + 2)
-    logbinom = t[k + 1] - t[levels + 1] - t[k - levels + 1]
-    base = 0.5 * (math.log(k + 1.0) + logbinom - LOG_2PI)
-    lead = -0.5 * k * _log1p_exp_sq(logabs)
-    if logabs == -math.inf:
-        logmag = np.full(k + 1, -math.inf)
-        logmag[0] = base[0] + lead
-        return logmag, np.zeros(k + 1)
-    return base + lead + levels * logabs, levels * phase
-
-
-def _pair_arrays(k: int, z: ProjectivePoint, w: ProjectivePoint
-                 ) -> tuple[np.ndarray, np.ndarray]:
-    """(logmag, phase) of kappa_{k,l}(z) * conj(kappa_{k,l}(w)) for all l."""
-    lm_z, ph_z = _section_arrays(k, z)
-    lm_w, ph_w = _section_arrays(k, w)
+def _pairs(k: int, levels: np.ndarray, z: ProjectivePoint,
+           ws: Sequence[ProjectivePoint]) -> tuple[np.ndarray, np.ndarray]:
+    """(logmag, phase) of kappa_{k,l}(z) conj(kappa_{k,l}(w)), a row per w."""
+    lm_z, ph_z = _sections(k, levels, [z])
+    lm_w, ph_w = _sections(k, levels, ws)
     return lm_z + lm_w, ph_z - ph_w
 
 
-def _logc_sum_arrays(logmag: np.ndarray, phase: np.ndarray) -> LogComplex:
-    live = logmag > -math.inf
-    if not np.any(live):
-        return LogComplex.zero()
-    lm = logmag[live]
-    ph = phase[live]
-    order = np.argsort(lm)[::-1]
-    lm = lm[order]
-    ph = ph[order]
-    top = lm[0]
-    mags = np.exp(lm - top)
-    re = math.fsum(mags * np.cos(ph))
-    im = math.fsum(mags * np.sin(ph))
-    total = complex(re, im)
-    if total == 0:
-        return LogComplex.zero()
-    return LogComplex(top + math.log(abs(total)), math.atan2(total.imag, total.real))
+def _per_point(w: Points, width: int,
+               block: Callable[[list[ProjectivePoint]], list[LogComplex]]):
+    """block(points) over w in chunks of rows of `width` levels: one result
+    for one point, a list for a sequence."""
+    if isinstance(w, ProjectivePoint):
+        return block([w])[0]
+    ws = list(w)
+    step = max(1, CHUNK_TERMS // max(width, 1))
+    return [v for i in range(0, len(ws), step) for v in block(ws[i:i + step])]
 
 
-def bergman_coeff(k: int, z: ProjectivePoint, w: ProjectivePoint) -> LogComplex:
+def section_coeff(k: int, l: int, p: Points) -> LogComplex | list[LogComplex]:
+    """Frame coefficient of the (k, l) orthonormal section.
+
+    kappa_{k,l} = sqrt((k+1) C(k,l) / 2pi) zeta^l (1+|zeta|^2)^{-k/2}
+    with zeta the chart coordinate of p, one point or a sequence, in log-space.
+    """
+    levels = np.arange(l, l + 1)
+    return _per_point(p, 1, lambda ps: _terms(*_sections(k, levels, ps)))
+
+
+def bergman_coeff(k: int, z: ProjectivePoint,
+                  w: Points) -> LogComplex | list[LogComplex]:
     """Full-kernel coefficient: sum over all levels of the section products.
 
-    The sum is accumulated largest-magnitude-first, which bounds the error
-    relative to the largest term; for pairs whose arguments differ by O(1)
-    the true value is exponentially smaller than that term scale and only
-    the closed form remains meaningful.
+    The sum bounds the error relative to the largest term; for pairs whose
+    arguments differ by O(1) the true value is exponentially smaller than
+    that term scale and only the closed form remains meaningful.
     """
-    logmag, phase = _pair_arrays(k, z, w)
-    return _logc_sum_arrays(logmag, phase)
+    levels = np.arange(k + 1)
+    return _per_point(w, levels.size,
+                      lambda ws: _level_sums(*_pairs(k, levels, z, ws)))
 
 
 def bergman_coeff_closed(k: int, z: ProjectivePoint,
-                         w: ProjectivePoint) -> LogComplex:
+                         w: Points) -> LogComplex | list[LogComplex]:
     """Closed form (k+1)/(2pi) (1+zeta*conj(omega))^k ((1+|zeta|^2)(1+|omega|^2))^{-k/2}.
 
     Kept alongside the level sum as an independent route; the binomial
     theorem makes the two identical.
     """
-    _require_chart(z)
-    _require_chart(w)
     lz, pz = z.log_affine()
-    lw, pw = w.log_affine()
-    # log(1 + zeta*conj(omega)) with the product carried in log-polar form
-    r = lz + lw
-    ph = pz - pw
-    if r == -math.inf:
-        cross = 0j
-    elif r <= 0:
-        inner = 1.0 + cmath.exp(complex(r, ph))
-        if inner == 0:
-            return LogComplex.zero()
-        cross = cmath.log(inner)
-    else:
-        inner = 1.0 + cmath.exp(complex(-r, -ph))
-        if inner == 0:
-            return LogComplex.zero()
-        cross = complex(r, ph) + cmath.log(inner)
-    logmag = (math.log(k + 1.0) - LOG_2PI + k * cross.real
-              - 0.5 * k * (_log1p_exp_sq(lz) + _log1p_exp_sq(lw)))
-    return LogComplex(logmag, k * cross.imag)
+
+    def block(ws: list[ProjectivePoint]) -> list[LogComplex]:
+        lw, pw = np.array([p.log_affine() for p in ws]).T
+        # log(1 + zeta*conj(omega)), expanded about the larger of 1 and
+        # |zeta*omega| so that the exponential cannot overflow
+        u = (lz + lw) + 1j * (pz - pw)
+        big = u.real > 0
+        with np.errstate(divide="ignore"):
+            cross = (np.log(1.0 + np.exp(np.where(big, -u, u)))
+                     + np.where(big, u, 0.0))
+        logmag = (math.log(k + 1.0) - LOG_2PI + k * cross.real
+                  - 0.5 * k * (np.logaddexp(0.0, 2.0 * lz)
+                               + np.logaddexp(0.0, 2.0 * lw)))
+        return _terms(logmag, k * cross.imag)
+
+    return _per_point(w, 1, block)
 
 
 def equivariant_coeff(k: int, l: int, z: ProjectivePoint,
-                      w: ProjectivePoint) -> LogComplex:
+                      w: Points) -> LogComplex | list[LogComplex]:
     """Single-eigenspace kernel coefficient kappa_{k,l}(z) conj(kappa_{k,l}(w))."""
-    return section_coeff(k, l, z) * section_coeff(k, l, w).conjugate()
+    kz = section_coeff(k, l, z)
+    return _per_point(w, 1, lambda ws: [kz * kw.conjugate()
+                                        for kw in section_coeff(k, l, ws)])
 
 
 def partial_coeff(cfg: SpectralConfig, z: ProjectivePoint,
-                  w: ProjectivePoint) -> LogComplex:
+                  w: Points) -> LogComplex | list[LogComplex]:
     """Partial-kernel coefficient: levels l >= ceil(kE) only.
 
     Empty cut (E above the top of the spectrum) gives the exact zero;
     nonpositive cut reproduces the full kernel.
     """
-    cut = max(cfg.cut_index, 0)
-    if cut > cfg.k:
-        return LogComplex.zero()
-    logmag, phase = _pair_arrays(cfg.k, z, w)
-    return _logc_sum_arrays(logmag[cut:], phase[cut:])
+    levels = np.arange(max(cfg.cut_index, 0), cfg.k + 1)
+    return _per_point(w, levels.size,
+                      lambda ws: _level_sums(*_pairs(cfg.k, levels, z, ws)))
 
 
 def propagator_coeff(cfg: SpectralConfig, t: float, z: ProjectivePoint,
-                     w: ProjectivePoint) -> LogComplex:
+                     w: Points) -> LogComplex | list[LogComplex]:
     """Kernel coefficient of the shifted propagator at time t.
 
     sum_l e^{it(l - ceil(kE))} kappa_{k,l}(z) conj(kappa_{k,l}(w)); t = 0
     and t = 2pi both reproduce the full kernel (integer frequencies).
     """
-    logmag, phase = _pair_arrays(cfg.k, z, w)
-    freqs = np.arange(cfg.k + 1) - cfg.cut_index
-    return _logc_sum_arrays(logmag, phase + freqs * t)
+    levels = np.arange(cfg.k + 1)
+    shift = (levels - cfg.cut_index) * t
+
+    def block(ws: list[ProjectivePoint]) -> list[LogComplex]:
+        logmag, phase = _pairs(cfg.k, levels, z, ws)
+        return _level_sums(logmag, phase + shift)
+
+    return _per_point(w, levels.size, block)
 
 
 @dataclass(frozen=True)
@@ -315,18 +328,18 @@ def hilbert_route_terms(cfg: SpectralConfig, z: ProjectivePoint,
                         nodes: int | None = None) -> HilbertRouteTerms:
     """Assemble partial = (i*H + full + mean)/2 by midpoint quadrature.
 
-    The mean term integrates the shifted propagator over a full period
-    (and therefore isolates the level-ceil(kE) equivariant coefficient);
-    the Hilbert term integrates (prop(-t) - prop(t)) cot(t/2) over a half
+    The mean term averages the shifted propagator over a full period; the
+    Hilbert term integrates (prop(-t) - prop(t)) cot(t/2) over a half
     period.  Midpoint nodes never touch t = 0, where the bracket vanishes
     linearly against the cotangent.
 
-    The propagator samples at the midpoint nodes are DFTs of the level
-    coefficients: the k+1 frequencies are consecutive integers, fewer than
-    the node count, so each lands in its own bin and one inverse FFT per
-    term gives every sample in O(k log k).  Where no live level lies at or
-    above the cut, the value is the exact zero; where the cut level itself
-    is not live, so is the mean term.
+    The k+1 frequencies are consecutive integers, fewer than the node
+    count, so the full-period midpoint sum keeps only frequency 0: the mean
+    term is the cut-level coefficient itself.  The Hilbert bracket at the
+    nodes is a DFT of the level coefficients with one bin per frequency, so
+    one inverse FFT gives every sample in O(k log k).  Where no live level
+    lies at or above the cut, the value is the exact zero; where the cut
+    level itself is not live, so is the mean term.
     """
     k = cfg.k
     minimum = 8 * (k + 1)
@@ -337,7 +350,7 @@ def hilbert_route_terms(cfg: SpectralConfig, z: ProjectivePoint,
             f"{nodes} quadrature nodes are insufficient for k={k}; "
             f"need at least {minimum}")
 
-    logmag, phase = _pair_arrays(k, z, w)
+    logmag, phase = (a[0] for a in _pairs(k, np.arange(k + 1), z, [w]))
     live = logmag > -math.inf
     if not np.any(live):
         zero = LogComplex.zero()
@@ -347,12 +360,8 @@ def hilbert_route_terms(cfg: SpectralConfig, z: ProjectivePoint,
     cut = cfg.cut_index
     freqs = np.arange(k + 1) - cut
 
-    # mean term over [-pi, pi], midpoint rule: t_j = t_0 + j*2pi/N
-    t0 = -math.pi + math.pi / nodes
-    bins = np.zeros(nodes, dtype=complex)
-    bins[freqs % nodes] = coeffs * np.exp(1j * freqs * t0)
-    samples = np.fft.ifft(bins) * nodes
-    mean = complex(math.fsum(samples.real), math.fsum(samples.imag)) / nodes
+    # a dead cut level has coefficient 0, hence an exact-zero mean term
+    mean = complex(coeffs[cut]) if 0 <= cut <= k else 0j
 
     # Hilbert term over (0, pi), midpoint rule: t_j = t_0 + j*2pi/(2N),
     # the first N samples of a length-2N transform
@@ -367,18 +376,11 @@ def hilbert_route_terms(cfg: SpectralConfig, z: ProjectivePoint,
                       math.fsum(bracket.imag)) * hh / (2.0 * math.pi)
 
     full = complex(math.fsum(coeffs.real), math.fsum(coeffs.imag))
-    # exact zeros where the level sum has no live term, not rounding noise
-    if not 0 <= cut <= k or not live[cut]:
-        mean = 0j
+    # the exact zero where the level sum has no live term, not rounding noise
     value = (0.5 * (1j * hilbert + full + mean)
              if np.any(live[max(cut, 0):]) else 0j)
-
-    def lift(v: complex) -> LogComplex:
-        if v == 0:
-            return LogComplex.zero()
-        return LogComplex(top + math.log(abs(v)), math.atan2(v.imag, v.real))
-
-    return HilbertRouteTerms(lift(mean), lift(hilbert), lift(full), lift(value))
+    return HilbertRouteTerms(_lift(top, mean), _lift(top, hilbert),
+                             _lift(top, full), _lift(top, value))
 
 
 def partial_via_hilbert(cfg: SpectralConfig, z: ProjectivePoint,

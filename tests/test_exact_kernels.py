@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from pbklab.circle_spectral import NodeCountError, SpectralConfig
 from pbklab.cp1_geometry import (ChartError, ProjectivePoint, level_point,
                                  rotate)
-from pbklab.exact_kernels import (LogComplex, bergman_coeff,
+from pbklab.exact_kernels import (CHUNK_TERMS, LogComplex, bergman_coeff,
                                   bergman_coeff_closed, equivariant_coeff,
                                   hilbert_route_terms, log_binomial,
                                   logc_rel_difference, logc_sum,
@@ -156,31 +156,63 @@ def test_bergman_cauchy_schwarz():
         assert lhs <= rhs * (1 + 1e-12)
 
 
+def log_polar(values):
+    """LogComplex values as one complex array of logmag + i*phase."""
+    return np.array([v.logmag + 1j * v.phase for v in values])
+
+
 def test_reproducing_property_small_k():
     # quadrature of kernel(z, .) against a section over the sphere in
     # (theta, H) coordinates returns the section value at z
-    rng = np.random.default_rng(3)
     z = ProjectivePoint(0.7 + 0.3j, 1)
     n_theta, n_h = 64, 2049
     thetas = np.linspace(0.0, 2 * math.pi, n_theta, endpoint=False)
     hs = np.linspace(0.0, 1.0, n_h)
     dh = hs[1] - hs[0]
+    # trapezoid weights in H; the row at the north pole H = 1 is left out,
+    # where the integrand -> 0 for l < k
+    weights = np.full(n_h - 1, dh)
+    weights[0] *= 0.5
+    ws = [level_point(h, th) for h in hs[:-1] for th in thetas]
     for k in (4, 12):
+        closed = log_polar(bergman_coeff_closed(k, z, ws))
         for l in (0, 1, k // 2):
-            acc = 0j
-            for h in hs:
-                weight = dh * (0.5 if h in (hs[0], hs[-1]) else 1.0)
-                if h == 1.0:
-                    continue  # integrand -> 0 for l < k at the north pole
-                row = 0j
-                for th in thetas:
-                    w = level_point(h, th)
-                    val = (bergman_coeff_closed(k, z, w)
-                           * section_coeff(k, l, w))
-                    row += val.to_complex()
-                acc += row * weight * (2 * math.pi / n_theta)
+            integrand = np.exp(closed + log_polar(section_coeff(k, l, ws)))
+            rows = integrand.reshape(n_h - 1, n_theta).sum(axis=1)
+            acc = (weights @ rows) * (2 * math.pi / n_theta)
             target = section_coeff(k, l, z).to_complex()
             assert abs(acc - target) <= 1e-4 * abs(target)
+
+
+def bits(values):
+    return [(float(v.logmag).hex(), float(v.phase).hex()) for v in values]
+
+
+@pytest.mark.parametrize("k, energy, count", [
+    (9, 0.4, 12), (9, 1.5, 12), (10 ** 4, 0.4, 200),
+], ids=["k9", "empty-cut", "k1e4-two-chunks"])
+def test_batched_calls_equal_per_point_calls(k, energy, count):
+    # a batch row holds zeta = 0 (only level 0 lives) and |zeta| = 1e8; at
+    # k = 10^4, 200 points span more than one chunk of level terms
+    rng = np.random.default_rng(12)
+    z = rand_chart_point(rng)
+    ws = ([ORIGIN, ProjectivePoint(1e8, 1), ProjectivePoint(-1e8j, 1)]
+          + [rand_chart_point(rng) for _ in range(count - 3)])
+    cfg = SpectralConfig(k, energy)
+    l = min(max(cfg.cut_index, 0), k)
+    assert k < 10 or count * (k + 1 - cfg.cut_index) > CHUNK_TERMS
+    kernels = {
+        "section": lambda w: section_coeff(k, l, w),
+        "equivariant": lambda w: equivariant_coeff(k, l, z, w),
+        "bergman": lambda w: bergman_coeff(k, z, w),
+        "closed": lambda w: bergman_coeff_closed(k, z, w),
+        "partial": lambda w: partial_coeff(cfg, z, w),
+        "propagator": lambda w: propagator_coeff(cfg, 0.7, z, w),
+    }
+    for name, kernel in kernels.items():
+        assert bits(kernel(ws)) == bits([kernel(w) for w in ws]), name
+        assert bits(kernel(tuple(ws[:2]))) == bits(kernel(ws[:2])), name
+    assert partial_coeff(cfg, z, []) == []
 
 
 # --- equivariant kernel -----------------------------------------------------

@@ -125,6 +125,18 @@ def test_heatmap_ridge_on_unit_circle(tmp_path, kind):
     assert (tmp_path / f"{kind}.svg").read_text().startswith("<svg")
 
 
+@pytest.mark.parametrize("fields, fragment", [
+    ({"z0": [1.0, 0.0, 0.0, 0.0]}, "off the chart"),
+    ({"grid_min": 0.5, "grid_max": 0.5}, "grid_min must be below grid_max"),
+], ids=["off-chart-base-point", "empty-grid-window"])
+def test_heatmap_rejects_bad_input_exit_2(fields, fragment):
+    cfg = ExperimentConfig(experiment="heatmap", kind="partial", k=12, e=0.5,
+                           grid_n=9, **fields)
+    report = run_experiment(cfg)
+    assert report.exit_code == EXIT_CONFIG
+    assert fragment in report.message
+
+
 def test_heatmap_small_k_matches_direct_calls(tmp_path):
     cfg = ExperimentConfig(experiment="heatmap", kind="partial", k=4, e=0.5,
                            grid_n=9, grid_min=-1.0, grid_max=1.0,
