@@ -2,13 +2,15 @@
 """Run every experiment with its default configuration.
 
 Writes one CSV per experiment into the output directory (default:
-results/) and exits nonzero if any experiment misses its threshold.
+results/), prints each experiment's verdict and wall time and the total,
+and exits nonzero if any experiment misses its threshold.
 
 Usage: python scripts/run_all_experiments.py [outdir]
 """
 import math
 import pathlib
 import sys
+import time
 
 from pbklab.harness import ExperimentConfig, run_experiment
 
@@ -40,10 +42,16 @@ def main() -> int:
                          seed=1, out=str(outdir / "two_proj_overlap.csv")),
     ]
     worst = 0
+    total = 0.0
     for cfg in jobs:
+        start = time.perf_counter()
         rpt = run_experiment(cfg)
-        print(f"[exit {rpt.exit_code}] {cfg.experiment}: {rpt.message}")
+        wall = time.perf_counter() - start
+        total += wall
+        print(f"[exit {rpt.exit_code}] {cfg.experiment} ({wall:.2f} s): "
+              f"{rpt.message}")
         worst = max(worst, rpt.exit_code)
+    print(f"total wall time {total:.2f} s over {len(jobs)} experiments")
     return worst
 
 

@@ -16,8 +16,27 @@ rescaled parts with math.fsum, which is correctly rounded in any order.
 The kernel functions take their second point as one ProjectivePoint or a
 sequence of them, and return one LogComplex or a list.  A batch runs
 through one routine for kappa_{k,l} over a block of points x levels and
-one that sums each row, a chunk of about CHUNK_TERMS level terms at a
-time.
+one that sums each row, a chunk of points of about CHUNK_TERMS level terms
+at a time.
+
+A level sum evaluates only the O(sqrt(k)) window of levels whose terms
+survive the rescaling exp(logmag - top); every level outside it rescales to
+exactly 0.0, so the window changes no bit of the sum.  The pair
+log-magnitude is f(l) = ln C(k,l) + l*s + const with s = ln|zeta| +
+ln|omega|.  Its second difference ln(l(k-l) / ((l+1)(k-l+1))) is at most
+-(1/(l+1) + 1/(k-l+1)) <= -4/(k+2), so f is strongly concave.  f(l+1) >=
+f(l) exactly when l <= c - (1 - c/k) with the real mode
+c = k/(1 + e^{-s}) (c = 0 at zeta = 0, where s = -inf), so the argmax M of
+f over the levels lo..k of the sum lies within 1 of clamp(c, lo, k).  A
+level j steps beyond M, on either side, sits below the top by at least
+(4/(k+2)) j(j-1)/2 = 2j(j-1)/(k+2).  A level farther than
+REACH = sqrt(DEAD_GAP (k+2)/2) + 2 from clamp(c, lo, k) has j - 1 >
+sqrt(DEAD_GAP (k+2)/2), hence a gap above DEAD_GAP = 760 nats, while
+np.exp returns exactly 0.0 below -1075 ln 2 = -745.13; the 15 nats between
+them absorb the rounding of logmag.  At k = 10^6 the window holds about
+39,000 levels instead of 10^6.  A batch chunk takes the hull of its rows'
+windows, so it gives the same bits as one call per point.  The Hilbert
+route keeps all k+1 levels, since its FFT needs every bin.
 
 The partial kernel (levels l >= ceil(kE)) also admits a Hilbert-transform
 assembly from the shifted propagator kernel
@@ -45,21 +64,30 @@ from .cp1_geometry import ProjectivePoint
 LOG_2PI = math.log(2.0 * math.pi)
 
 # a batch of points is evaluated a chunk of rows at a time, each chunk
-# holding about this many level terms, as one k = 10^6 level sum does
+# holding at most about this many level terms: its rows times the levels
+# of the full range, of which a level sum evaluates only a window
 CHUNK_TERMS = 1 << 20
+
+# a level whose pair term lies this many nats below its row's top rescales
+# to exactly 0.0: np.exp(x) == 0.0 for x < -1075 ln 2 = -745.13, and the 15
+# nats between absorb the rounding of logmag (see the module docstring)
+DEAD_GAP = 760.0
 
 Points = ProjectivePoint | Sequence[ProjectivePoint]
 
-# cached ln(n!) table, grown on demand (math.lgamma per entry, exact to ulp)
-_LGAMMA_CACHE = np.zeros(0)
+# cached ln(Gamma(i)) table, grown on demand (math.lgamma per entry, exact
+# to ulp); index 0 is unused
+_LGAMMA_CACHE = np.zeros(1)
 
 
 def _lgamma_table(n: int) -> np.ndarray:
-    """Table of ln(Gamma(i)) for i = 0..n (index 0 unused)."""
+    """ln(Gamma(i)) for i = 0..n (index 0 unused), grown append-only."""
     global _LGAMMA_CACHE
-    if _LGAMMA_CACHE.size < n + 1:
-        size = max(n + 1, 2 * _LGAMMA_CACHE.size, 256)
-        _LGAMMA_CACHE = np.array([0.0] + [math.lgamma(i) for i in range(1, size)])
+    old = _LGAMMA_CACHE.size
+    if old < n + 1:
+        size = max(n + 1, 2 * old, 256)
+        _LGAMMA_CACHE = np.concatenate((_LGAMMA_CACHE, np.fromiter(
+            map(math.lgamma, range(old, size)), float, size - old)))
     return _LGAMMA_CACHE
 
 
@@ -191,29 +219,54 @@ def _log1p_exp_sq(logabs: float) -> float:
     return math.log1p(math.exp(2.0 * logabs))
 
 
-def _sections(k: int, levels: np.ndarray, points: Sequence[ProjectivePoint]
+def _log_affine(points: Sequence[ProjectivePoint]) -> np.ndarray:
+    """Rows log|zeta| and arg zeta, a column per point."""
+    return np.array([p.log_affine() for p in points]).T
+
+
+def _sections(k: int, levels: np.ndarray, binom: np.ndarray,
+              logabs: np.ndarray, arg: np.ndarray
               ) -> tuple[np.ndarray, np.ndarray]:
     """(logmag, phase) of kappa_{k,l}(p): a row per point, a column per level.
 
-    log|zeta|, arg zeta and the (1+|zeta|^2)^{-k/2} lead stay in math calls,
-    which numpy's exp, log1p and atan2 miss by an ulp on a few % of inputs.
+    binom is log_binomial(k, levels); logabs and arg are the points'
+    log|zeta| and arg zeta.  Those and the (1+|zeta|^2)^{-k/2} lead stay in
+    math calls, which numpy's exp, log1p and atan2 miss by an ulp on a few %
+    of inputs.
     """
-    logabs, arg = np.array([p.log_affine() for p in points]).T
     lead = np.array([-0.5 * k * _log1p_exp_sq(a) for a in logabs.tolist()])
-    base = 0.5 * (math.log(k + 1.0) + log_binomial(k, levels) - LOG_2PI)
+    base = 0.5 * (math.log(k + 1.0) + binom - LOG_2PI)
     # l log|zeta|, with zeta^0 = 1 also at zeta = 0, where log|zeta| = -inf
     power = np.multiply(logabs[:, None], levels, where=levels > 0,
-                        out=np.zeros((len(points), levels.size)))
+                        out=np.zeros((logabs.size, levels.size)))
     phase = np.multiply.outer(arg, levels)
     return base + lead[:, None] + power, phase
 
 
-def _pairs(k: int, levels: np.ndarray, z: ProjectivePoint,
-           ws: Sequence[ProjectivePoint]) -> tuple[np.ndarray, np.ndarray]:
-    """(logmag, phase) of kappa_{k,l}(z) conj(kappa_{k,l}(w)), a row per w."""
-    lm_z, ph_z = _sections(k, levels, [z])
-    lm_w, ph_w = _sections(k, levels, ws)
+def _pairs(k: int, levels: np.ndarray, z: np.ndarray,
+           ws: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(logmag, phase) of kappa_{k,l}(z) conj(kappa_{k,l}(w)), a row per w;
+    z and ws are the _log_affine arrays of the first point and the others."""
+    binom = log_binomial(k, levels)
+    lm_z, ph_z = _sections(k, levels, binom, *z)
+    lm_w, ph_w = _sections(k, levels, binom, *ws)
     return lm_z + lm_w, ph_z - ph_w
+
+
+def _window(k: int, lo: int, s: np.ndarray) -> np.ndarray:
+    """Levels lo..k that can hold a nonzero term of the rescaled pair sums
+    whose log|zeta| + log|omega| are s: the hull of the rows' windows.
+
+    Each row's window is clamp(c, lo, k) +- REACH(k) with its real mode
+    c = k/(1 + e^{-s}); the module docstring proves that every level
+    outside it rescales to exactly 0.0.
+    """
+    reach = math.sqrt(DEAD_GAP * (k + 2) / 2.0) + 2.0
+    with np.errstate(over="ignore"):
+        centre = np.clip(k / (1.0 + np.exp(-s)), lo, k)
+    first = max(lo, math.floor(centre.min() - reach))
+    last = min(k, math.ceil(centre.max() + reach))
+    return np.arange(first, last + 1)
 
 
 def _per_point(w: Points, width: int,
@@ -227,6 +280,29 @@ def _per_point(w: Points, width: int,
     return [v for i in range(0, len(ws), step) for v in block(ws[i:i + step])]
 
 
+def _pair_sums(k: int, lo: int, z: ProjectivePoint, w: Points,
+               shift: Callable[[np.ndarray], np.ndarray] | None = None
+               ) -> LogComplex | list[LogComplex]:
+    """sum over levels l >= lo of kappa_{k,l}(z) conj(kappa_{k,l}(w)), each
+    term turned by e^{i shift(l)} if shift is given: one LogComplex per w.
+
+    Only the window of levels that can survive the rescaling by the row's
+    top term is evaluated; the sum is bit for bit the one over all levels.
+    """
+    lo = max(lo, 0)
+    z_aff = _log_affine([z])
+
+    def block(ws: list[ProjectivePoint]) -> list[LogComplex]:
+        w_aff = _log_affine(ws)
+        levels = _window(k, lo, z_aff[0] + w_aff[0])
+        logmag, phase = _pairs(k, levels, z_aff, w_aff)
+        if shift is not None:
+            phase = phase + shift(levels)
+        return _level_sums(logmag, phase)
+
+    return _per_point(w, k + 1 - lo, block)
+
+
 def section_coeff(k: int, l: int, p: Points) -> LogComplex | list[LogComplex]:
     """Frame coefficient of the (k, l) orthonormal section.
 
@@ -234,7 +310,9 @@ def section_coeff(k: int, l: int, p: Points) -> LogComplex | list[LogComplex]:
     with zeta the chart coordinate of p, one point or a sequence, in log-space.
     """
     levels = np.arange(l, l + 1)
-    return _per_point(p, 1, lambda ps: _terms(*_sections(k, levels, ps)))
+    binom = log_binomial(k, levels)
+    return _per_point(p, 1, lambda ps: _terms(
+        *_sections(k, levels, binom, *_log_affine(ps))))
 
 
 def bergman_coeff(k: int, z: ProjectivePoint,
@@ -245,9 +323,7 @@ def bergman_coeff(k: int, z: ProjectivePoint,
     arguments differ by O(1) the true value is exponentially smaller than
     that term scale and only the closed form remains meaningful.
     """
-    levels = np.arange(k + 1)
-    return _per_point(w, levels.size,
-                      lambda ws: _level_sums(*_pairs(k, levels, z, ws)))
+    return _pair_sums(k, 0, z, w)
 
 
 def bergman_coeff_closed(k: int, z: ProjectivePoint,
@@ -260,7 +336,7 @@ def bergman_coeff_closed(k: int, z: ProjectivePoint,
     lz, pz = z.log_affine()
 
     def block(ws: list[ProjectivePoint]) -> list[LogComplex]:
-        lw, pw = np.array([p.log_affine() for p in ws]).T
+        lw, pw = _log_affine(ws)
         # log(1 + zeta*conj(omega)), expanded about the larger of 1 and
         # |zeta*omega| so that the exponential cannot overflow
         u = (lz + lw) + 1j * (pz - pw)
@@ -291,9 +367,7 @@ def partial_coeff(cfg: SpectralConfig, z: ProjectivePoint,
     Empty cut (E above the top of the spectrum) gives the exact zero;
     nonpositive cut reproduces the full kernel.
     """
-    levels = np.arange(max(cfg.cut_index, 0), cfg.k + 1)
-    return _per_point(w, levels.size,
-                      lambda ws: _level_sums(*_pairs(cfg.k, levels, z, ws)))
+    return _pair_sums(cfg.k, cfg.cut_index, z, w)
 
 
 def propagator_coeff(cfg: SpectralConfig, t: float, z: ProjectivePoint,
@@ -303,14 +377,8 @@ def propagator_coeff(cfg: SpectralConfig, t: float, z: ProjectivePoint,
     sum_l e^{it(l - ceil(kE))} kappa_{k,l}(z) conj(kappa_{k,l}(w)); t = 0
     and t = 2pi both reproduce the full kernel (integer frequencies).
     """
-    levels = np.arange(cfg.k + 1)
-    shift = (levels - cfg.cut_index) * t
-
-    def block(ws: list[ProjectivePoint]) -> list[LogComplex]:
-        logmag, phase = _pairs(cfg.k, levels, z, ws)
-        return _level_sums(logmag, phase + shift)
-
-    return _per_point(w, levels.size, block)
+    return _pair_sums(cfg.k, 0, z, w,
+                      lambda levels: (levels - cfg.cut_index) * t)
 
 
 @dataclass(frozen=True)
@@ -350,7 +418,8 @@ def hilbert_route_terms(cfg: SpectralConfig, z: ProjectivePoint,
             f"{nodes} quadrature nodes are insufficient for k={k}; "
             f"need at least {minimum}")
 
-    logmag, phase = (a[0] for a in _pairs(k, np.arange(k + 1), z, [w]))
+    logmag, phase = (a[0] for a in _pairs(k, np.arange(k + 1),
+                                          _log_affine([z]), _log_affine([w])))
     live = logmag > -math.inf
     if not np.any(live):
         zero = LogComplex.zero()

@@ -172,6 +172,13 @@ def write_csv(path: str, columns: list[str], rows: list[tuple],
         fh.write("\n".join(lines) + "\n")
 
 
+def _emit_csv(config: ExperimentConfig, columns: list[str], rows: list[tuple],
+              meta: list[str]) -> None:
+    """write_csv to config.out, when the config names one."""
+    if config.out:
+        write_csv(config.out, columns, rows, meta, config.no_timestamp)
+
+
 # ---------------------------------------------------------------------------
 # minimal self-contained SVG plotting
 # ---------------------------------------------------------------------------
@@ -290,14 +297,12 @@ def run_hilbert_selftest(config: ExperimentConfig) -> RunReport:
         if deviation > worst:
             worst = deviation
             worst_trial = trial
-    if config.out:
-        write_csv(config.out,
-                  ["trial", "dim", "energy", "nodes", "max_abs_deviation"],
-                  rows,
-                  [f"experiment: selftest-hilbert", f"seed: {config.seed}",
-                   "columns: trial index, matrix dimension, energy level, "
-                   "quadrature nodes, max-norm deviation (dimensionless)"],
-                  config.no_timestamp)
+    _emit_csv(config,
+              ["trial", "dim", "energy", "nodes", "max_abs_deviation"],
+              rows,
+              [f"experiment: selftest-hilbert", f"seed: {config.seed}",
+               "columns: trial index, matrix dimension, energy level, "
+               "quadrature nodes, max-norm deviation (dimensionless)"])
     ok = worst <= 1e-9
     message = (f"max deviation {worst:.3e} over {config.trials} trials"
                + ("" if ok else f"; trial {worst_trial} exceeded 1e-9"))
@@ -341,15 +346,13 @@ def run_orbit_heatmap(config: ExperimentConfig) -> RunReport:
     # much), so a grid finer than the collar cannot localize the argmax
     # more sharply than the collar itself
     ridge_ok = ridge_dev <= math.hypot(cell, cell) + 2.0 / math.sqrt(k)
-    if config.out:
-        write_csv(config.out, ["re_zeta", "im_zeta", "abs_value", "logmag"],
-                  rows,
-                  [f"experiment: heatmap ({config.kind})", f"k: {k}",
-                   f"energy: {format_number(float(config.e))}",
-                   f"seed: {config.seed}",
-                   "columns: chart coordinate (re, im), |coefficient| "
-                   "(frame units), log magnitude"],
-                  config.no_timestamp)
+    _emit_csv(config, ["re_zeta", "im_zeta", "abs_value", "logmag"],
+              rows,
+              [f"experiment: heatmap ({config.kind})", f"k: {k}",
+               f"energy: {format_number(float(config.e))}",
+               f"seed: {config.seed}",
+               "columns: chart coordinate (re, im), |coefficient| "
+               "(frame units), log magnitude"])
     if config.svg:
         svg_heatmap(config.svg, values,
                     (config.grid_min, config.grid_max,
@@ -390,17 +393,15 @@ def run_error_scaling(config: ExperimentConfig) -> RunReport:
             rows.append((k, witness))
         stat = max(witnesses) / float(np.median(witnesses))
         ok = stat <= 5.0
-        if config.out:
-            write_csv(config.out, ["k", "witness"], rows,
-                      ["experiment: error-scaling (equivariant remainder)",
-                       f"energy: {format_number(energy)}",
-                       f"t0: {format_number(float(config.t0))}",
-                       f"probe offsets: a={format_number(float(config.a))}, "
-                       f"b={format_number(float(config.b))}",
-                       f"seed: {config.seed}",
-                       f"columns: weight k, |scaled coeff - leading| * "
-                       f"k^{power:g}"],
-                      config.no_timestamp)
+        _emit_csv(config, ["k", "witness"], rows,
+                  ["experiment: error-scaling (equivariant remainder)",
+                   f"energy: {format_number(energy)}",
+                   f"t0: {format_number(float(config.t0))}",
+                   f"probe offsets: a={format_number(float(config.a))}, "
+                   f"b={format_number(float(config.b))}",
+                   f"seed: {config.seed}",
+                   f"columns: weight k, |scaled coeff - leading| * "
+                   f"k^{power:g}"])
         message = (f"remainder witness max/median = {stat:.3f} over "
                    f"{len(ks)} weights")
         return RunReport(EXIT_OK if ok else EXIT_THRESHOLD, message,
@@ -415,16 +416,14 @@ def run_error_scaling(config: ExperimentConfig) -> RunReport:
         points.append((float(k), er))
     fit = loglog_fit(points)
     ok = -0.65 <= fit.slope <= -0.35 and fit.r_squared >= 0.95
-    if config.out:
-        write_csv(config.out, ["k", "er", "log_k", "log_er", "ref_line"],
-                  rows,
-                  ["experiment: error-scaling (partial leading term)",
-                   f"energy: {format_number(energy)}",
-                   f"t0: {format_number(float(config.t0))}",
-                   f"seed: {config.seed}",
-                   "columns: weight k, leading-term error (frame units), "
-                   "log k, log error, reference line -1.5 - 0.5 log k"],
-                  config.no_timestamp)
+    _emit_csv(config, ["k", "er", "log_k", "log_er", "ref_line"],
+              rows,
+              ["experiment: error-scaling (partial leading term)",
+               f"energy: {format_number(energy)}",
+               f"t0: {format_number(float(config.t0))}",
+               f"seed: {config.seed}",
+               "columns: weight k, leading-term error (frame units), "
+               "log k, log error, reference line -1.5 - 0.5 log k"])
     if config.svg:
         svg_line_plot(config.svg, [r[2] for r in rows], [r[3] for r in rows],
                       f"leading-term error decay, E={energy:g}, "
@@ -496,15 +495,13 @@ def run_diagonal_and_microsupport(config: ExperimentConfig) -> RunReport:
           and -0.65 <= checks["at_slope"] <= -0.35
           and checks["below_slope"] < 0 and checks["below_r2"] >= 0.9
           and checks["off_slope"] < 0 and checks["off_r2"] >= 0.9)
-    if config.out:
-        write_csv(config.out, ["regime", "k", "energy", "value", "detail"],
-                  rows,
-                  ["experiment: diagonal-microsupport",
-                   f"base height: {format_number(h)}",
-                   f"seed: {config.seed}",
-                   "columns: regime, weight k, energy, ratio or |value|, "
-                   "deviation or log magnitude"],
-                  config.no_timestamp)
+    _emit_csv(config, ["regime", "k", "energy", "value", "detail"],
+              rows,
+              ["experiment: diagonal-microsupport",
+               f"base height: {format_number(h)}",
+               f"seed: {config.seed}",
+               "columns: regime, weight k, energy, ratio or |value|, "
+               "deviation or log magnitude"])
     message = ("above-dev {above_dev:.2e}; at-slope {at_slope:.3f}; "
                "below-slope {below_slope:.4f} (r2 {below_r2:.3f}); "
                "off-orbit slope {off_slope:.4f} (r2 {off_r2:.3f})"
@@ -528,16 +525,14 @@ def run_two_proj(config: ExperimentConfig) -> RunReport:
         rows.append((k, norm,
                      math.log(norm) if norm > 0 else -math.inf))
         norms.append(norm)
-    if config.out:
-        write_csv(config.out, ["k", "norm", "log_norm"], rows,
-                  ["experiment: two-proj",
-                   f"axes: {list(u1.u)} / {list(u2.u)}",
-                   f"levels: {format_number(float(config.e1))}, "
-                   f"{format_number(float(config.e2))}",
-                   f"caps_disjoint: {disjoint}", f"seed: {config.seed}",
-                   "columns: weight k, operator norm of the projector "
-                   "product, its natural log"],
-                  config.no_timestamp)
+    _emit_csv(config, ["k", "norm", "log_norm"], rows,
+              ["experiment: two-proj",
+               f"axes: {list(u1.u)} / {list(u2.u)}",
+               f"levels: {format_number(float(config.e1))}, "
+               f"{format_number(float(config.e2))}",
+               f"caps_disjoint: {disjoint}", f"seed: {config.seed}",
+               "columns: weight k, operator norm of the projector "
+               "product, its natural log"])
     if config.svg:
         finite = [(k, math.log(n)) for k, n in zip(ks, norms) if n > 0]
         if finite:

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from pbklab import exact_kernels
 from pbklab.circle_spectral import NodeCountError, SpectralConfig
 from pbklab.cp1_geometry import (ChartError, ProjectivePoint, level_point,
                                  rotate)
@@ -115,6 +116,17 @@ def test_log_binomial_against_exact():
         assert abs(log_binomial(k, l) - exact) <= 1e-9 * max(1.0, exact)
 
 
+def test_lgamma_table_grows_append_only(monkeypatch):
+    monkeypatch.setattr(exact_kernels, "_LGAMMA_CACHE", np.zeros(1))
+    before = np.zeros(0)
+    for n in (10, 300, 700, 5000, 40000):
+        table = exact_kernels._lgamma_table(n)
+        assert table.size >= n + 1
+        assert table[:before.size].tolist() == before.tolist()
+        before = table.copy()
+    assert table[1:].tolist() == [math.lgamma(i) for i in range(1, table.size)]
+
+
 # --- full kernel ------------------------------------------------------------
 
 def test_bergman_diagonal_value():
@@ -213,6 +225,48 @@ def test_batched_calls_equal_per_point_calls(k, energy, count):
         assert bits(kernel(ws)) == bits([kernel(w) for w in ws]), name
         assert bits(kernel(tuple(ws[:2]))) == bits(kernel(ws[:2])), name
     assert partial_coeff(cfg, z, []) == []
+
+
+@pytest.mark.parametrize("k", [10, 10 ** 3, 10 ** 5])
+def test_level_sum_window_drops_only_exact_zeros(k):
+    # each kernel's windowed level sum against the sum over every level of
+    # its range, with cuts at, below and above each pair's mode, an empty
+    # cut (E > 1) and nonpositive ones
+    rng = np.random.default_rng(14)
+    big, rand = ProjectivePoint(1e8, 1), rand_chart_point(rng, 0.02, 0.98)
+    pairs = [(rand, ORIGIN), (ORIGIN, ORIGIN), (rand, big),
+             (big, ProjectivePoint(-1e8j, 1)),
+             (rand, rand_chart_point(rng, 0.02, 0.98)),
+             (rand_chart_point(rng), rand_chart_point(rng))]
+    dropped_levels = 0
+    for z, w in pairs:
+        z_aff, w_aff = (exact_kernels._log_affine([p]) for p in (z, w))
+        s = z_aff[0] + w_aff[0]
+        mode = float(k / (1.0 + np.exp(-s))[0])
+        energies = [-0.3, 0.0, 1.2] + [(mode + d * math.sqrt(k)) / k
+                                       for d in (-3.0, 0.0, 3.0)]
+        for energy in energies:
+            cfg = SpectralConfig(k, energy)
+            for lo, kernel, t in [
+                (cfg.cut_index, partial_coeff(cfg, z, w), None),
+                (0, bergman_coeff(k, z, w), None),
+                (0, propagator_coeff(cfg, 0.7, z, w), 0.7),
+            ]:
+                levels = np.arange(max(lo, 0), k + 1)
+                logmag, phase = exact_kernels._pairs(k, levels, z_aff, w_aff)
+                if t is not None:
+                    phase = phase + (levels - cfg.cut_index) * t
+                full = exact_kernels._level_sums(logmag, phase)
+                assert bits([kernel]) == bits(full), (z, w, energy, lo)
+                kept = exact_kernels._window(k, max(lo, 0), s)
+                dropped = logmag[0, ~np.isin(levels, kept)]
+                dropped_levels += dropped.size
+                top = logmag.max(initial=-math.inf)
+                # a row without a live term is rescaled by 1, as in the sum
+                scale = top if top > -math.inf else 0.0
+                assert np.all(np.exp(dropped - scale) == 0.0)
+    # the window reaches past both ends of every range at k = 10 only
+    assert (dropped_levels > 0) == (k > 10)
 
 
 # --- equivariant kernel -----------------------------------------------------
