@@ -18,7 +18,11 @@ evaluated at t = 0:
 
 Both integrands are trigonometric polynomials, so the open midpoint rule
 (which never touches the removable singularity at t = 0) integrates them
-exactly once the node count exceeds the frequency content.  This gives a
+exactly once the node count exceeds the frequency content.  With N nodes
+and B = A - ceil(E), every node propagator is a power of T = e^{i(pi/N)B}
+(times T^{1/2} for the Hilbert nodes), so both node sums are matrix
+polynomials in T.  They are evaluated by Paterson-Stockmeyer: ~4 sqrt(N)
+matrix products after one series exponential per projector.  This gives a
 route to the projector that never touches an eigendecomposition; the
 eigendecomposition route is kept alongside as an oracle.
 """
@@ -206,7 +210,11 @@ def spectral_projector_quadrature(a, energy: float,
 
     The mean and Hilbert integrals are discretized with the open midpoint
     rule; with enough nodes the rule is exact for the trigonometric
-    integrands, so the only error is rounding.
+    integrands, so the only error is rounding.  The node sums are the
+    polynomials (1/N) sum_{j<N} T^{2j+1} and (sum_{j<N} c_j T^j) T^{1/2} in
+    T = e^{i(pi/N)(A - ceil(E))}, with c_j the cotangent weights.  Only
+    T^{1/2} comes from the exponential series; T^0 .. T^{s-1} are stored,
+    s = isqrt(N), and each polynomial is summed by Horner's rule in T^s.
     """
     op = _as_operator(a)
     cut = snapped_ceil(energy)
@@ -221,34 +229,51 @@ def spectral_projector_quadrature(a, energy: float,
     d = op.dimension
     ident = np.eye(d, dtype=complex)
 
-    # mean term: (1/2pi) int_{-pi}^{pi} U(t) e^{-i cut t} dt, midpoint rule.
-    h = 2.0 * math.pi / nodes
-    u_step = expm_series(1j * h * op.matrix)
-    u = expm_series(1j * (-math.pi + 0.5 * h) * op.matrix)
-    mean_term = np.zeros((d, d), dtype=complex)
-    t = -math.pi + 0.5 * h
-    for _ in range(nodes):
-        mean_term += u * np.exp(-1j * cut * t)
-        u = u @ u_step
-        t += h
-    mean_term /= nodes
+    # U(t) e^{-i cut t} = e^{itB} with B = A - cut; every node is a power of
+    # T = e^{i(pi/N)B} = half_step^2, times half_step for the Hilbert nodes.
+    half_step = expm_series(1j * (0.5 * math.pi / nodes)
+                            * (op.matrix - cut * ident))
+    step = half_step @ half_step
+    s = math.isqrt(nodes)
+    powers = np.empty((s, d, d), dtype=complex)
+    powers[0] = ident
+    for r in range(1, s):
+        powers[r] = powers[r - 1] @ step
+    top = powers[-1] @ step
+
+    # mean term: (1/2pi) int U(t) e^{-i cut t} over the full period, midpoint
+    # rule on the nodes (2j+1)pi/N of [0, 2pi): (1/N) sum_{j<N} T^{2j+1}.
+    # Shifting a full-period grid leaves the exact rule unchanged.
+    mean_coeffs = np.zeros(2 * nodes)
+    mean_coeffs[1::2] = 1.0 / nodes
+    mean_term = _power_polynomial(mean_coeffs, powers, top)
 
     # Hilbert term: (1/2pi) int_0^pi (U(-t)e^{i cut t} - U(t)e^{-i cut t})
-    #               cot(t/2) dt, midpoint rule; U(-t) = U(t)^*.
-    hh = math.pi / nodes
-    u_step = expm_series(1j * hh * op.matrix)
-    u = expm_series(1j * 0.5 * hh * op.matrix)
-    hilbert_term = np.zeros((d, d), dtype=complex)
-    t = 0.5 * hh
-    for _ in range(nodes):
-        phase = np.exp(-1j * cut * t)
-        bracket = u.conj().T * np.conj(phase) - u * phase
-        hilbert_term += bracket * (1.0 / math.tan(0.5 * t))
-        u = u @ u_step
-        t += hh
-    hilbert_term *= hh / (2.0 * math.pi)
+    # cot(t/2) dt, midpoint rule on t_j = (j+1/2)pi/N, where e^{i t_j B} =
+    # T^j half_step; the U(-t) half is the adjoint X^H of the U(t) half X.
+    t = (np.arange(nodes) + 0.5) * (math.pi / nodes)
+    x = _power_polynomial(1.0 / (2 * nodes * np.tan(0.5 * t)), powers,
+                          top) @ half_step
+    hilbert_term = x.conj().T - x
 
     return 0.5 * (1j * hilbert_term + ident + mean_term)
+
+
+def _power_polynomial(coeffs: np.ndarray, powers: np.ndarray,
+                      top: np.ndarray) -> np.ndarray:
+    """sum_m coeffs[m] T^m, Paterson-Stockmeyer style.
+
+    powers holds T^0 .. T^{s-1} and top is T^s.  The coefficients split into
+    blocks of s; each block sum is one tensordot over the stored powers, and
+    the blocks are combined by Horner's rule in T^s, one block at a time.
+    """
+    s = len(powers)
+    result = None
+    for start in reversed(range(0, len(coeffs), s)):
+        block = coeffs[start:start + s]
+        block_sum = np.tensordot(block, powers[:len(block)], axes=1)
+        result = block_sum if result is None else result @ top + block_sum
+    return result
 
 
 def spectral_projector_eig(a, energy: float) -> np.ndarray:

@@ -304,10 +304,15 @@ def run_hilbert_selftest(config: ExperimentConfig) -> RunReport:
                "columns: trial index, matrix dimension, energy level, "
                "quadrature nodes, max-norm deviation (dimensionless)"])
     ok = worst <= 1e-9
-    message = (f"max deviation {worst:.3e} over {config.trials} trials"
+    total_nodes = sum(row[3] for row in rows)
+    max_nodes = max((row[3] for row in rows), default=0)
+    message = (f"max deviation {worst:.3e} over {config.trials} trials, "
+               f"{total_nodes} quadrature nodes (at most {max_nodes} per "
+               f"projector)"
                + ("" if ok else f"; trial {worst_trial} exceeded 1e-9"))
     return RunReport(EXIT_OK if ok else EXIT_THRESHOLD, message,
-                     {"max_deviation": worst, "trials": config.trials},
+                     {"max_deviation": worst, "trials": config.trials,
+                      "nodes": total_nodes, "max_nodes": max_nodes},
                      config.out)
 
 

@@ -177,6 +177,33 @@ def test_quadrature_matches_eig_oracle():
     assert np.max(np.abs(quad - oracle)) <= 1e-9
 
 
+def _node_count_cases():
+    # random operators, plus one-eigenvalue operators: max_q = 0 gives the
+    # smallest node count (needed = 4, one stored power beyond T^0)
+    for dim in (1, 2, 17, 64):
+        rng = np.random.default_rng(dim)
+        op = random_integer_spectrum_operator(dim, rng)
+        yield f"dim{dim}", op, float(rng.uniform(-5, 5))
+    yield "diag0-at-0", IntegerSpectrumOperator(np.diag([0.0])), 0.0
+    yield "diag3-at-2.5", IntegerSpectrumOperator(np.diag([3.0])), 2.5
+
+
+@pytest.mark.parametrize("case", list(_node_count_cases()),
+                         ids=lambda case: case[0])
+@pytest.mark.parametrize("scale", ["needed", "needed+1", "default",
+                                   "5needed+3"])
+def test_quadrature_matches_eig_oracle_at_node_counts(case, scale):
+    # odd counts and counts that are no multiple of isqrt(nodes) leave a
+    # short last block in the Horner evaluation of the node sums
+    _, op, energy = case
+    needed = default_node_count(op, energy) // 2
+    nodes = {"needed": needed, "needed+1": needed + 1, "default": 2 * needed,
+             "5needed+3": 5 * needed + 3}[scale]
+    quad = spectral_projector_quadrature(op, energy, nodes)
+    oracle = spectral_projector_eig(op, energy)
+    assert np.max(np.abs(quad - oracle)) <= 1e-9
+
+
 @pytest.mark.parametrize("dim", [1, 2, 8, 33, 64])
 def test_projector_idempotent_hermitian(dim):
     rng = np.random.default_rng(dim)

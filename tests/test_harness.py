@@ -96,6 +96,11 @@ def test_selftest_passes_and_reports(tmp_path):
     _, header, rows = read_rows(str(tmp_path / "self.csv"))
     assert header == ["trial", "dim", "energy", "nodes", "max_abs_deviation"]
     assert len(rows) == 25
+    nodes = [int(row[3]) for row in rows]
+    assert report.summary["nodes"] == sum(nodes)
+    assert report.summary["max_nodes"] == max(nodes)
+    assert (f"{sum(nodes)} quadrature nodes (at most {max(nodes)} per "
+            f"projector)") in report.message
 
 
 def test_selftest_dimension_one_always_passes():
