@@ -38,6 +38,15 @@ them absorb the rounding of logmag.  At k = 10^6 the window holds about
 windows, so it gives the same bits as one call per point.  The Hilbert
 route keeps all k+1 levels, since its FFT needs every bin.
 
+ln C(k,l) = ln Gamma(k+1) - ln Gamma(l+1) - ln Gamma(k-l+1) reads ln Gamma
+from a cache of blocks of LGAMMA_BLOCK consecutive arguments, each filled
+by math.lgamma the first time one of its entries is read.  The three
+argument ranges are read apart, so a window fills O(sqrt(k)) entries, and
+a cold level sum costs O(sqrt(k)) in time and memory, as a warm one does.
+The rescaled terms reach math.fsum as Python floats, which it sums about
+twice as fast as numpy scalars; being correctly rounded, fsum gives the
+same bits for either.
+
 The partial kernel (levels l >= ceil(kE)) also admits a Hilbert-transform
 assembly from the shifted propagator kernel
 
@@ -75,32 +84,58 @@ DEAD_GAP = 760.0
 
 Points = ProjectivePoint | Sequence[ProjectivePoint]
 
-# cached ln(Gamma(i)) table, grown on demand (math.lgamma per entry, exact
-# to ulp); index 0 is unused
-_LGAMMA_CACHE = np.zeros(1)
+# ln(Gamma(i)) is cached in blocks of this many consecutive i, block b
+# holding i = b*LGAMMA_BLOCK .. (b+1)*LGAMMA_BLOCK - 1
+LGAMMA_BLOCK = 1024
+
+# block index -> its ln(Gamma(i)) values, math.lgamma per entry (exact to
+# ulp); entry i = 0, the pole, holds inf and is never read
+_LGAMMA_BLOCKS: dict[int, np.ndarray] = {}
 
 
-def _lgamma_table(n: int) -> np.ndarray:
-    """ln(Gamma(i)) for i = 0..n (index 0 unused), grown append-only."""
-    global _LGAMMA_CACHE
-    old = _LGAMMA_CACHE.size
-    if old < n + 1:
-        size = max(n + 1, 2 * old, 256)
-        _LGAMMA_CACHE = np.concatenate((_LGAMMA_CACHE, np.fromiter(
-            map(math.lgamma, range(old, size)), float, size - old)))
-    return _LGAMMA_CACHE
+def _lgamma_block(b: int) -> np.ndarray:
+    """Block b of ln(Gamma(i)), filled the first time it is read."""
+    block = _LGAMMA_BLOCKS.get(b)
+    if block is None:
+        first = b * LGAMMA_BLOCK
+        block = np.fromiter(map(math.lgamma, range(max(first, 1),
+                                                   first + LGAMMA_BLOCK)),
+                            float)
+        if not first:
+            block = np.insert(block, 0, math.inf)
+        _LGAMMA_BLOCKS[b] = block
+    return block
+
+
+def _lgamma(i, first: int, last: int):
+    """ln(Gamma(i)) for an index or index array i within first..last.
+
+    Only the blocks covering first..last are read, so a call costs the
+    span of its indices, not their largest value.
+    """
+    lo, hi = first // LGAMMA_BLOCK, last // LGAMMA_BLOCK
+    cover = (_lgamma_block(lo) if lo == hi else
+             np.concatenate([_lgamma_block(b) for b in range(lo, hi + 1)]))
+    return cover[i - lo * LGAMMA_BLOCK]
 
 
 def log_binomial(k: int, l):
-    """ln C(k, l) via log-gamma, for one level l or an ascending array of them.
+    """ln C(k, l) via log-gamma, for one level l or an array of them.
 
-    Avoids the float overflow of C near k ~ 1030.
+    Avoids the float overflow of C near k ~ 1030.  ln Gamma comes from the
+    block cache, and each of the three index ranges k+1, l+1 and k-l+1 is
+    read on its own: at the window of a level sum, O(sqrt(k)) levels around
+    the mode, that fills O(sqrt(k)) entries of ln Gamma, not k of them.
     """
     l = np.asarray(l)
-    if l.size and not 0 <= l.flat[0] <= l.flat[-1] <= k:
+    if not l.size:
+        return np.zeros(l.shape)
+    low, high = int(l.min()), int(l.max())
+    if not 0 <= low <= high <= k:
         raise ValueError("level index l must satisfy 0 <= l <= k")
-    t = _lgamma_table(k + 2)
-    return t[k + 1] - t[l + 1] - t[k - l + 1]
+    return (_lgamma(k + 1, k + 1, k + 1)
+            - _lgamma(l + 1, low + 1, high + 1)
+            - _lgamma(k - l + 1, k - high + 1, k - low + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -158,10 +193,11 @@ class LogComplex:
 
 
 def _lift(top: float, value: complex) -> LogComplex:
-    """exp(top) * value in log-polar form; the exact zero for value == 0."""
+    """exp(top) * value in log-polar form, as Python floats also where top
+    is a numpy scalar; the exact zero for value == 0."""
     if value == 0:
         return LogComplex.zero()
-    return LogComplex(top + math.log(abs(value)),
+    return LogComplex(float(top) + math.log(abs(value)),
                       math.atan2(value.imag, value.real))
 
 
@@ -178,13 +214,16 @@ def _level_sums(logmag: np.ndarray, phase: np.ndarray) -> list[LogComplex]:
     parts of the rescaled terms go through math.fsum, so the only error
     left is the rounding of each term.  Dead terms (logmag -inf) add exact
     zeros; a row without a live term is the exact zero.  fsum runs up to 4x
-    faster on falling magnitudes, so each row is fed from its top outward.
+    faster on falling magnitudes, so each row is fed from its top outward,
+    and about 2x faster on Python floats than on numpy scalars, so the
+    rescaled terms and the peaks go in as lists.
     """
     top = logmag.max(axis=1, initial=-math.inf)
     mags = np.exp(logmag - np.where(top > -math.inf, top, 0.0)[:, None])
-    peaks = logmag.argmax(axis=1) if logmag.size else [0] * len(logmag)
+    peaks = (logmag.argmax(axis=1).tolist() if logmag.size
+             else [0] * len(logmag))
     re, im = ([math.fsum(itertools.chain(row[p::-1], row[p + 1:]))
-               for p, row in zip(peaks, mags * trig(phase))]
+               for p, row in zip(peaks, (mags * trig(phase)).tolist())]
               for trig in (np.cos, np.sin))
     return [_lift(t, complex(r, i)) for t, r, i in zip(top, re, im)]
 

@@ -396,7 +396,11 @@ def run_error_scaling(config: ExperimentConfig) -> RunReport:
             witness = abs(2.0 * math.pi / k * exact - lead) * k ** power
             witnesses.append(witness)
             rows.append((k, witness))
-        stat = max(witnesses) / float(np.median(witnesses))
+        # the median as np.median takes it, whose first call imports numpy.ma
+        ordered, mid = sorted(witnesses), len(witnesses) // 2
+        median = (ordered[mid] if len(ordered) % 2
+                  else (ordered[mid - 1] + ordered[mid]) / 2)
+        stat = max(witnesses) / median
         ok = stat <= 5.0
         _emit_csv(config, ["k", "witness"], rows,
                   ["experiment: error-scaling (equivariant remainder)",

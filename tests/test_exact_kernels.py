@@ -116,15 +116,70 @@ def test_log_binomial_against_exact():
         assert abs(log_binomial(k, l) - exact) <= 1e-9 * max(1.0, exact)
 
 
-def test_lgamma_table_grows_append_only(monkeypatch):
-    monkeypatch.setattr(exact_kernels, "_LGAMMA_CACHE", np.zeros(1))
-    before = np.zeros(0)
-    for n in (10, 300, 700, 5000, 40000):
-        table = exact_kernels._lgamma_table(n)
-        assert table.size >= n + 1
-        assert table[:before.size].tolist() == before.tolist()
-        before = table.copy()
-    assert table[1:].tolist() == [math.lgamma(i) for i in range(1, table.size)]
+def test_lgamma_blocks_hold_exact_values(monkeypatch):
+    monkeypatch.setattr(exact_kernels, "_LGAMMA_BLOCKS", {})
+    for k in (10, 300, 700, 5000, 40000):
+        log_binomial(k, np.arange(k + 1))
+    blocks = exact_kernels._LGAMMA_BLOCKS
+    assert blocks
+    size = exact_kernels.LGAMMA_BLOCK
+    for b, block in blocks.items():
+        assert block.size == size
+        values = [math.lgamma(i) if i else math.inf
+                  for i in range(b * size, (b + 1) * size)]
+        assert block.tolist() == values
+
+
+def test_log_binomial_bitwise_against_lgamma():
+    size = exact_kernels.LGAMMA_BLOCK
+    for k in (7, 3 * size - 1, 3 * size, 5000, 100000):
+        # ends of the range, and l + 1 or k - l + 1 on either side of a
+        # block edge
+        picks = {0, 1, k - 1, k, size - 2, size - 1, size,
+                 k - size, k - size + 1, k - size + 2}
+        ls = sorted(l for l in picks if 0 <= l <= k)
+        whole = log_binomial(k, np.arange(k + 1))
+        for l in ls:
+            exact = (math.lgamma(k + 1) - math.lgamma(l + 1)
+                     - math.lgamma(k - l + 1))
+            assert log_binomial(k, l) == exact
+            assert whole[l] == exact
+        assert log_binomial(k, np.array(ls)).tolist() == [
+            whole[l] for l in ls]
+
+
+def test_log_binomial_checks_every_level():
+    for levels in ([1, -1, 3], [1, 12, 3]):
+        with pytest.raises(ValueError):
+            log_binomial(10, np.array(levels))
+
+
+def test_cold_level_sum_fills_sqrt_k_of_lgamma(monkeypatch):
+    monkeypatch.setattr(exact_kernels, "_LGAMMA_BLOCKS", {})
+    k = 10 ** 7
+    z = level_point(0.5, 0.3)
+    w = level_point(0.5 + 0.3 / math.sqrt(k), 1.1)
+    assert not partial_coeff(SpectralConfig(k, 0.5), z, w).is_zero
+    # a dense table would hold k + 3 entries
+    assert sum(b.size for b in exact_kernels._LGAMMA_BLOCKS.values()) < 300000
+
+
+def test_kernel_results_hold_python_floats():
+    cfg = SpectralConfig(12, 0.5)
+    z, w = level_point(0.4, 0.3), level_point(0.6, 1.1)
+    results = [section_coeff(12, 5, z), equivariant_coeff(12, 6, z, w),
+               bergman_coeff(12, z, w), bergman_coeff_closed(12, z, w),
+               partial_coeff(cfg, z, w), propagator_coeff(cfg, 0.7, z, w),
+               partial_via_hilbert(cfg, z, w),
+               logc_sum([LogComplex(1.0, 2.0), LogComplex(-1.0, 0.5)]),
+               partial_coeff(SpectralConfig(12, 2.0), z, w)]
+    results += vars(hilbert_route_terms(cfg, z, w)).values()
+    for batch in (section_coeff(12, 5, [z, w]), bergman_coeff(12, z, [z, w]),
+                  partial_coeff(cfg, z, [z, w]),
+                  equivariant_coeff(12, 6, z, [z, w])):
+        results += batch
+    for value in results:
+        assert type(value.logmag) is float and type(value.phase) is float
 
 
 # --- full kernel ------------------------------------------------------------

@@ -1,8 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
+import numpy as np
 import pytest
 
+import pbklab
 from pbklab.cli import main
 from pbklab.circle_spectral import SpectralConfig
 from pbklab.cp1_geometry import ProjectivePoint
@@ -179,6 +184,34 @@ def test_error_scaling_equivariant_witness():
     report = run_error_scaling(cfg)
     assert report.exit_code == EXIT_OK
     assert report.summary["max_over_median"] <= 5.0
+
+
+@pytest.mark.parametrize("k_list", [[50, 100, 200, 400],
+                                    [50, 100, 200, 400, 800]])
+def test_error_scaling_equivariant_median_matches_numpy(tmp_path, k_list):
+    cfg = ExperimentConfig(experiment="error-scaling", kind="equivariant",
+                           k_list=k_list, e=0.5, t0=2.0,
+                           out=str(tmp_path / "w.csv"), no_timestamp=True)
+    report = run_error_scaling(cfg)
+    _, _, rows = read_rows(cfg.out)
+    witnesses = [float(row[1]) for row in rows]
+    assert report.summary["max_over_median"] == (
+        max(witnesses) / float(np.median(witnesses)))
+
+
+def test_error_scaling_equivariant_imports_no_numpy_ma():
+    # np.median imports numpy.ma on its first call, a cost every process
+    # running the experiment would pay
+    src = os.path.dirname(os.path.dirname(pbklab.__file__))
+    code = ("import sys\n"
+            "from pbklab.harness import ExperimentConfig, run_error_scaling\n"
+            "run_error_scaling(ExperimentConfig(experiment='error-scaling', "
+            "kind='equivariant', k_list=[50, 100, 200, 400], t0=2.0))\n"
+            "print('numpy.ma' in sys.modules)\n")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
 
 
 def test_error_scaling_needs_three_points():
