@@ -37,6 +37,9 @@ import numpy as np
 HERMITIAN_TOL = 1e-12
 INTEGER_SPECTRUM_TOL = 1e-8
 EIGENVALUE_TIE_TOL = 1e-9
+EXPM_TERM_TOL = 1e-16
+EXPM_MAX_SQUARINGS = 64
+RANDOM_SPECTRUM_BOUND = 8
 
 
 class NodeCountError(ValueError):
@@ -154,8 +157,7 @@ def _as_operator(a) -> IntegerSpectrumOperator:
     return IntegerSpectrumOperator(np.asarray(a, dtype=complex))
 
 
-def expm_series(m: np.ndarray, term_tol: float = 1e-16,
-                max_squarings: int = 64) -> np.ndarray:
+def expm_series(m: np.ndarray) -> np.ndarray:
     """Matrix exponential by scaling-and-squaring of the Taylor series.
 
     No eigendecomposition is involved, which keeps the quadrature route to
@@ -166,9 +168,9 @@ def expm_series(m: np.ndarray, term_tol: float = 1e-16,
     s = 0
     if norm > 0.5:
         s = int(math.ceil(math.log2(norm / 0.5)))
-        if s > max_squarings:
+        if s > EXPM_MAX_SQUARINGS:
             raise ValueError(f"matrix norm {norm:.3e} needs more than "
-                             f"{max_squarings} squarings")
+                             f"{EXPM_MAX_SQUARINGS} squarings")
     b = m / (2.0 ** s)
     result = np.eye(m.shape[0], dtype=complex)
     term = np.eye(m.shape[0], dtype=complex)
@@ -176,7 +178,7 @@ def expm_series(m: np.ndarray, term_tol: float = 1e-16,
     while True:
         term = term @ b / j
         result = result + term
-        if np.linalg.norm(term, 1) < term_tol:
+        if np.linalg.norm(term, 1) < EXPM_TERM_TOL:
             break
         j += 1
         if j > 128:
@@ -293,11 +295,11 @@ def spectral_projector_eig(a, energy: float) -> np.ndarray:
     return v @ v.conj().T
 
 
-def random_integer_spectrum_operator(dim: int, rng: np.random.Generator,
-                                     low: int = -8, high: int = 8
+def random_integer_spectrum_operator(dim: int, rng: np.random.Generator
                                      ) -> IntegerSpectrumOperator:
-    """A random Hermitian matrix with integer spectrum in [low, high]."""
-    ints = rng.integers(low, high + 1, size=dim)
+    """A random Hermitian matrix with integer spectrum in [-8, 8]."""
+    ints = rng.integers(-RANDOM_SPECTRUM_BOUND, RANDOM_SPECTRUM_BOUND + 1,
+                        size=dim)
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     q, r = np.linalg.qr(g)
     q = q * (np.diag(r) / np.abs(np.diag(r)))

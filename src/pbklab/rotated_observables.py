@@ -3,9 +3,9 @@
 On the unit sphere the height reads H(x) = (x3 + 1)/2, so a rotated copy
 H_u(x) = (x.u + 1)/2 has superlevel set {H_u >= E} equal to the spherical
 cap of angular radius arccos(2E - 1) around the axis u.  Quantizing H_u at
-weight k is exact here: conjugate the diagonal spectrum diag(0, 1/k, .., 1)
-by the degree-k representation matrix of the SU(2) element rotating the
-north pole to u.  Disjoint caps then make the two spectral projections
+weight k is exact here and needs no group element: k H_u = u.J + k/2, with
+J the spin-k/2 ladder on the weight-k orthonormal basis, a tridiagonal
+matrix in closed form.  Disjoint caps make the two spectral projections
 asymptotically orthogonal, and the product norm is measurable ground truth.
 """
 from __future__ import annotations
@@ -35,6 +35,8 @@ class RotationAxis:
         u = tuple(float(c) for c in self.u)
         if len(u) != 3:
             raise ValueError("axis must be a 3-vector")
+        if not all(math.isfinite(c) for c in u):
+            raise ValueError(f"axis {list(u)} has a non-finite component")
         if abs(math.sqrt(sum(c * c for c in u)) - 1.0) > UNITARY_TOL:
             raise ValueError("axis must be a unit vector to 1e-12")
         object.__setattr__(self, "u", u)
@@ -42,6 +44,8 @@ class RotationAxis:
     @classmethod
     def from_vector(cls, v) -> "RotationAxis":
         v = np.asarray(v, dtype=float)
+        if not np.all(np.isfinite(v)):
+            raise ValueError(f"axis {v.tolist()} has a non-finite component")
         n = np.linalg.norm(v)
         if n == 0:
             raise ValueError("cannot normalize the zero vector")
@@ -84,19 +88,6 @@ def _validate_su2(u: np.ndarray) -> np.ndarray:
     return u
 
 
-def _su2_log(u: np.ndarray) -> np.ndarray:
-    """A 2x2 skew-Hermitian X with exp(X) = u (any branch works)."""
-    c = float(np.real(u[0, 0] + u[1, 1])) / 2.0
-    c = max(-1.0, min(1.0, c))
-    if c <= -1.0 + 1e-12:
-        return np.diag([1j * math.pi, -1j * math.pi])
-    beta = 2.0 * math.acos(c)
-    s = math.sin(0.5 * beta)
-    if s < 1e-12:
-        return np.zeros((2, 2), dtype=complex)
-    return (u - c * np.eye(2)) * (0.5 * beta / s)
-
-
 def _rep_binomial(k: int, u: np.ndarray) -> np.ndarray:
     """Representation matrix by expanding the pulled-back monomials.
 
@@ -121,51 +112,54 @@ def _rep_binomial(k: int, u: np.ndarray) -> np.ndarray:
     return mat
 
 
-def _rep_generator(k: int, u: np.ndarray) -> np.ndarray:
-    """Representation matrix as exp of the induced derivation.
+def _spin(k: int, r) -> np.ndarray:
+    """r.J, the spin-k/2 ladder, on the weight-k orthonormal basis.
 
-    For u = exp(X) the action p -> p(u^{-1} z) is the flow of the linear
-    field -(Xz).grad, whose matrix in the orthonormal basis is tridiagonal
-    with ladder entries -x01*sqrt(l(k-l+1)) above and -x10*sqrt((l+1)(k-l))
-    below the diagonal.  The generator is skew-Hermitian, so exp(gen) =
-    V diag(e^{-iw}) V* from the Hermitian eigendecomposition i*gen = V w V*;
-    this is unitary to rounding at every weight.
+    For a real 3-vector r the matrix is tridiagonal: r_z (l - k/2) on the
+    diagonal, (r_x - i r_y)/2 sqrt((l+1)(k-l)) at (l, l+1) and its
+    conjugate at (l+1, l).  Its spectrum is |r| {-k/2, .., k/2}.
     """
-    x = _su2_log(u)
-    levels = np.arange(k + 1)
-    # sqrt((l+1)(k-l)), l = 0..k-1, sits at (l, l+1) and at (l+1, l)
-    ladder = np.sqrt((levels[:-1] + 1.0) * (k - levels[:-1]))
-    gen = np.diag(-(levels * x[0, 0] + (k - levels) * x[1, 1]))
-    gen[levels[:-1], levels[1:]] = -x[0, 1] * ladder
-    gen[levels[1:], levels[:-1]] = -x[1, 0] * ladder
-    w, v = np.linalg.eigh(1j * gen)
-    return (v * np.exp(-1j * w)) @ v.conj().T
+    rx, ry, rz = r
+    l = np.arange(k + 1)
+    ladder = 0.5 * (rx - 1j * ry) * np.sqrt((l[:-1] + 1.0) * (k - l[:-1]))
+    return (np.diag(rz * (l - 0.5 * k)) + np.diag(ladder, 1)
+            + np.diag(ladder.conj(), -1))
 
 
 def su2_rep_matrix(k: int, u: np.ndarray) -> np.ndarray:
-    """Matrix of p(z) -> p(u^{-1} z) on the weight-k orthonormal basis."""
+    """Matrix of p(z) -> p(u^{-1} z) on the weight-k orthonormal basis.
+
+    For u = cos(theta/2) - i sin(theta/2) n.sigma this is exp(i theta n.J),
+    taken as V diag(e^{iw}) V* from _spin(k, theta n) = V diag(w) V*, so it
+    is unitary to rounding at every weight; u = -I is theta n = (0, 0, 2pi).
+    """
     if k < 0 or int(k) != k:
         raise ValueError("k must be a nonnegative integer")
-    return _rep_generator(int(k), _validate_su2(u))
+    u = _validate_su2(u)
+    c = max(-1.0, min(1.0, float(np.real(u[0, 0] + u[1, 1])) / 2.0))
+    if c <= -1.0 + 1e-12:
+        theta_n = (0.0, 0.0, 2.0 * math.pi)
+    else:
+        theta = 2.0 * math.acos(c)
+        s = math.sin(0.5 * theta)
+        if s < 1e-12:
+            return np.eye(int(k) + 1, dtype=complex)
+        # u[0, 0] = c - i s n_z and u[0, 1] = -s (n_y + i n_x)
+        a, b = u[0, 0], u[0, 1]
+        theta_n = (theta / s) * np.array([-b.imag, -b.real, -a.imag])
+    w, v = np.linalg.eigh(_spin(int(k), theta_n))
+    return (v * np.exp(1j * w)) @ v.conj().T
 
 
 def rotated_height_operator(k: int, axis: RotationAxis) -> IntegerSpectrumOperator:
-    """k times the quantized rotated height: R diag(0, 1, .., k) R*.
+    """k times the quantized rotated height: u.J + k/2, in closed form.
 
-    The returned operator has exact spectrum {0, .., k}; dividing by k gives
-    the height observable itself, with eigenvalues {l/k}.  The axis (0,0,1)
-    returns the diagonal operator unchanged.
+    The matrix is tridiagonal and Hermitian by construction, with exact
+    spectrum {0, .., k}; dividing by k gives the height observable itself,
+    with eigenvalues {l/k}.  The axis (0,0,1) gives diag(0, 1, .., k).
     """
-    r = su2_rep_matrix(k, axis_to_su2(axis))
-    d = np.arange(k + 1, dtype=float)
-    m = (r * d) @ r.conj().T
-    return IntegerSpectrumOperator(0.5 * (m + m.conj().T))
-
-
-def _check_levels(*levels: float) -> None:
-    for e in levels:
-        if not 0.0 < e < 1.0:
-            raise ValueError("cap levels must lie strictly inside (0, 1)")
+    return IntegerSpectrumOperator(_spin(k, axis.u)
+                                   + 0.5 * k * np.eye(k + 1))
 
 
 def _cap_angles(u1: RotationAxis, e1: float, u2: RotationAxis,
@@ -174,7 +168,8 @@ def _cap_angles(u1: RotationAxis, e1: float, u2: RotationAxis,
 
     Cap i has angular radius arccos(2 e_i - 1).
     """
-    _check_levels(e1, e2)
+    if not (0.0 < e1 < 1.0 and 0.0 < e2 < 1.0):
+        raise ValueError("cap levels must lie strictly inside (0, 1)")
     dot = sum(a * b for a, b in zip(u1.u, u2.u))
     angle = math.acos(max(-1.0, min(1.0, dot)))
     return angle, math.acos(2.0 * e1 - 1.0) + math.acos(2.0 * e2 - 1.0)
@@ -248,17 +243,19 @@ def projection_product_norm(k: int, u1: RotationAxis, e1: float,
                             u2: RotationAxis, e2: float) -> float:
     """Operator norm of the product of the two cap spectral projections.
 
-    Projection i is R_i Q_i R_i*, where Q_i keeps the levels l >= k e_i
-    and R_i is the representation matrix of the SU(2) lift of axis i.
-    Unitary invariance gives |P_1 P_2| = |Q_1 R_1* R_2 Q_2|, and since the
-    representation is a unitary homomorphism, R_1* R_2 is the
-    representation matrix of U_1* U_2.  The norm is therefore the largest
-    singular value of that matrix's block with rows >= ceil(k e_1) and
-    columns >= ceil(k e_2): the cosine of the smallest principal angle
-    between the two ranges.
+    P_i = R_i Q_i R_i*, with Q_i keeping the levels l >= k e_i and R_i
+    representing an SU(2) lift U_i of axis i, so |P_1 P_2| = |Q_1 R Q_2 R*|
+    for R representing U_1* U_2.  R Q_2 R* is the cap projector about
+    U_1* u_2, whose polar angle is beta, the angle between the axes; its
+    azimuth enters only by a diagonal unitary, which commutes with Q_1 and
+    drops out.  eigh of the real symmetric _spin(k, (sin beta, 0, cos beta))
+    sorts its eigenvalues -k/2 .. k/2 ascending, so column j of V spans
+    tilted level j.  The norm is the largest singular value of the block
+    V[ceil(k e_1):, ceil(k e_2):], the cosine of the smallest principal
+    angle between the two ranges.
     """
-    _check_levels(e1, e2)
-    u = axis_to_su2(u1).conj().T @ axis_to_su2(u2)
-    rep = su2_rep_matrix(k, u)
-    block = rep[snapped_ceil(k * e1):, snapped_ceil(k * e2):]
+    beta, _ = _cap_angles(u1, e1, u2, e2)
+    tilted = _spin(k, (math.sin(beta), 0.0, math.cos(beta))).real
+    v = np.linalg.eigh(tilted)[1]
+    block = v[snapped_ceil(k * e1):, snapped_ceil(k * e2):]
     return float(np.linalg.svd(block, compute_uv=False)[0])

@@ -3,14 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from pbklab.circle_spectral import spectral_projector_eig
+from pbklab.circle_spectral import snapped_ceil, spectral_projector_eig
+from pbklab.cli import main
 from pbklab.rotated_observables import (RotationAxis, axis_to_su2,
                                         caps_disjoint, caps_tangent,
                                         operator_norm_power_iteration,
                                         projection_product_norm,
                                         rotated_height_operator,
-                                        su2_rep_matrix, _rep_binomial,
-                                        _rep_generator)
+                                        su2_rep_matrix, _rep_binomial)
 
 Z_AXIS = RotationAxis((0.0, 0.0, 1.0))
 
@@ -35,6 +35,19 @@ def test_axis_validation():
     assert abs(sum(c * c for c in axis.u) - 1.0) <= 1e-12
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_axis_rejects_non_finite_components(bad, capsys):
+    # nan slips past the unit-norm check (abs(nan - 1) > tol is False) and
+    # from_vector would divide inf by inf; the two-proj run must exit 2
+    with pytest.raises(ValueError, match="non-finite"):
+        RotationAxis((bad, 0.0, 0.0))
+    with pytest.raises(ValueError, match="non-finite"):
+        RotationAxis.from_vector([bad, 0.0, 1.0])
+    assert main(["two-proj", f"--u1={bad},0,1", "--k-max", "20"]) == 2
+    assert f"axis [{bad}, 0.0, 1.0] has a non-finite component" \
+        in capsys.readouterr().err
+
+
 def test_axis_to_su2_special_cases():
     assert np.allclose(axis_to_su2(Z_AXIS), np.eye(2))
     flip = axis_to_su2(RotationAxis((0.0, 0.0, -1.0)))
@@ -45,6 +58,13 @@ def test_axis_to_su2_special_cases():
 
 def test_rep_identity():
     assert np.allclose(su2_rep_matrix(6, np.eye(2, dtype=complex)), np.eye(7))
+
+
+@pytest.mark.parametrize("k", [3, 4])
+def test_rep_minus_identity_is_parity(k):
+    # p(-z) = (-1)^k p(z) on degree-k polynomials; u = -I has no axis n
+    mat = su2_rep_matrix(k, -np.eye(2, dtype=complex))
+    assert np.max(np.abs(mat - (-1) ** k * np.eye(k + 1))) <= 1e-12
 
 
 def test_rep_diagonal_phases_match_rotation_action():
@@ -86,7 +106,7 @@ def test_rep_binomial_and_generator_routes_agree(k):
     rng = np.random.default_rng(100 + k)
     u = random_su2(rng)
     a = _rep_binomial(k, u)
-    b = _rep_generator(k, u)
+    b = su2_rep_matrix(k, u)
     assert np.max(np.abs(a - b)) <= 1e-9
 
 
@@ -128,6 +148,18 @@ def test_rotated_operator_classical_symbol_direction():
     expectation = float(np.real(top @ op.matrix @ top)) / k
     classical = 0.5 * (math.cos(beta) + 1.0)
     assert abs(expectation - classical) <= 2.0 / k
+
+
+@pytest.mark.parametrize("k", [3, 12, 24])
+def test_rotated_operator_matches_binomial_conjugation(k):
+    # oracle sharing no code with the closed form: R diag(0..k) R* with R
+    # the monomial-expansion representation matrix of the axis lift
+    for axis in (RotationAxis.polar(0.7, 1.9), RotationAxis.polar(2.4, -0.6),
+                 RotationAxis.from_vector([-0.3, 0.8, -0.5])):
+        r = _rep_binomial(k, axis_to_su2(axis))
+        oracle = (r * np.arange(k + 1.0)) @ r.conj().T
+        op = rotated_height_operator(k, axis)
+        assert np.max(np.abs(op.matrix - oracle)) <= 1e-9
 
 
 def test_lift_sign_leaves_operator_invariant():
@@ -294,3 +326,35 @@ def test_product_norm_deterministic():
     a = projection_product_norm(60, Z_AXIS, 0.75, tilted, 0.75)
     b = projection_product_norm(60, Z_AXIS, 0.75, tilted, 0.75)
     assert a == b
+
+
+@pytest.mark.parametrize("k", [8, 17, 24])
+@pytest.mark.parametrize("u1, e1, u2, e2", [
+    # disjoint, overlapping, near-antipodal; every azimuth nonzero
+    (RotationAxis.polar(0.3, 0.5), 0.75, RotationAxis.polar(2.6, 2.1), 0.7),
+    (RotationAxis.polar(1.0, -0.8), 0.6, RotationAxis.polar(1.6, 2.9), 0.65),
+    (RotationAxis.polar(0.2, 1.3), 0.55, RotationAxis.polar(2.9, -1.8), 0.6),
+])
+def test_product_norm_matches_binomial_block(k, u1, e1, u2, e2):
+    # oracle: the block of the monomial-expansion representation matrix of
+    # U1* U2, which keeps both azimuths, so only-the-angle-matters is checked
+    u = axis_to_su2(u1).conj().T @ axis_to_su2(u2)
+    block = _rep_binomial(k, u)[snapped_ceil(k * e1):, snapped_ceil(k * e2):]
+    reference = np.linalg.svd(block, compute_uv=False)[0]
+    norm = projection_product_norm(k, u1, e1, u2, e2)
+    assert abs(norm - reference) <= 1e-9 * reference
+
+
+@pytest.mark.parametrize("k, reference, bound", [
+    (320, 6.2695287681765923e-04, 1e-12),
+    (640, 2.8805237726234997e-06, 2e-10),
+    (1000, 7.8742269250446494e-09, 1e-8),
+])
+def test_small_disjoint_norms_match_high_precision_reference(k, reference,
+                                                             bound):
+    # criterion 09's disjoint pair (beta = 2.2, levels 0.75); the reference
+    # is sigma_max of the Wigner-d block, its entries summed explicitly in
+    # 0.7k + 60 digits (equal to 17 digits at 40 digits more)
+    tilted = RotationAxis.polar(2.2)
+    norm = projection_product_norm(k, Z_AXIS, 0.75, tilted, 0.75)
+    assert abs(norm - reference) <= bound * reference
