@@ -74,6 +74,34 @@ def _parse_vector(text: str) -> list[float]:
         raise ConfigError(f"cannot parse vector '{text}'") from exc
 
 
+# the flags whose value is a comma-separated vector
+VECTOR_FLAGS = ("--z0", "--u1", "--u2")
+
+
+def _is_vector(text: str) -> bool:
+    try:
+        _parse_vector(text)
+    except ConfigError:
+        return False
+    return True
+
+
+def _attach_vector_values(argv: list[str]) -> list[str]:
+    """argv with '--u2 -0.5,0,-0.8' spelled '--u2=-0.5,0,-0.8'.
+
+    argparse reads an argument that starts with '-' as an option unless it
+    is one plain negative number, so a vector whose first component is
+    negative would not reach its flag.
+    """
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] in VECTOR_FLAGS and _is_vector(arg):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def build_config(args: argparse.Namespace) -> ExperimentConfig:
     if args.config:
         config = ExperimentConfig.from_file(args.config)
@@ -101,8 +129,8 @@ def build_config(args: argparse.Namespace) -> ExperimentConfig:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser().parse_args(_attach_vector_values(argv))
     try:
         config = build_config(args)
     except (ConfigError, OSError, ValueError) as exc:

@@ -13,8 +13,9 @@ an enormous dynamic range, so all values are carried in log-polar form
 (LogComplex); a sum factors out its largest term and accumulates the
 rescaled parts with math.fsum, which is correctly rounded in any order.
 
-The kernel functions take their second point as one ProjectivePoint or a
-sequence of them, and return one LogComplex or a list.  A batch runs
+The kernel functions take their second point as one ProjectivePoint, a
+sequence of them, or a 1-D complex array of chart coordinates zeta (the
+points [zeta:1]), and return one LogComplex or a list.  A batch runs
 through one routine for kappa_{k,l} over a block of points x levels and
 one that sums each row, a chunk of points of about CHUNK_TERMS level terms
 at a time.
@@ -82,7 +83,9 @@ CHUNK_TERMS = 1 << 20
 # nats between absorb the rounding of logmag (see the module docstring)
 DEAD_GAP = 760.0
 
-Points = ProjectivePoint | Sequence[ProjectivePoint]
+# one point, or a batch: a sequence of points or a 1-D complex array of
+# chart coordinates zeta, standing for the points [zeta:1]
+Points = ProjectivePoint | Sequence[ProjectivePoint] | np.ndarray
 
 # ln(Gamma(i)) is cached in blocks of this many consecutive i, block b
 # holding i = b*LGAMMA_BLOCK .. (b+1)*LGAMMA_BLOCK - 1
@@ -258,8 +261,20 @@ def _log1p_exp_sq(logabs: float) -> float:
     return math.log1p(math.exp(2.0 * logabs))
 
 
-def _log_affine(points: Sequence[ProjectivePoint]) -> np.ndarray:
-    """Rows log|zeta| and arg zeta, a column per point."""
+def _log_affine(points: Points) -> np.ndarray:
+    """Rows log|zeta| and arg zeta, a column per point.
+
+    points is a batch: a sequence of ProjectivePoints or an array of chart
+    coordinates zeta.  A coordinate is read with the math calls of
+    ProjectivePoint.log_affine, whose z1 = 1 terms subtract an exact 0.0,
+    so [zeta:1] gives the same bits either way (zeta = 0 gives -inf, 0.0).
+    """
+    if isinstance(points, np.ndarray):
+        zetas = points.tolist()
+        return np.array([[math.log(abs(v)) if v else -math.inf
+                          for v in zetas],
+                         [math.atan2(v.imag, v.real) if v else 0.0
+                          for v in zetas]])
     return np.array([p.log_affine() for p in points]).T
 
 
@@ -309,12 +324,12 @@ def _window(k: int, lo: int, s: np.ndarray) -> np.ndarray:
 
 
 def _per_point(w: Points, width: int,
-               block: Callable[[list[ProjectivePoint]], list[LogComplex]]):
+               block: Callable[[Points], list[LogComplex]]):
     """block(points) over w in chunks of rows of `width` levels: one result
-    for one point, a list for a sequence."""
+    for one point, a list for a batch."""
     if isinstance(w, ProjectivePoint):
         return block([w])[0]
-    ws = list(w)
+    ws = w if isinstance(w, np.ndarray) else list(w)
     step = max(1, CHUNK_TERMS // max(width, 1))
     return [v for i in range(0, len(ws), step) for v in block(ws[i:i + step])]
 
@@ -331,7 +346,7 @@ def _pair_sums(k: int, lo: int, z: ProjectivePoint, w: Points,
     lo = max(lo, 0)
     z_aff = _log_affine([z])
 
-    def block(ws: list[ProjectivePoint]) -> list[LogComplex]:
+    def block(ws: Points) -> list[LogComplex]:
         w_aff = _log_affine(ws)
         levels = _window(k, lo, z_aff[0] + w_aff[0])
         logmag, phase = _pairs(k, levels, z_aff, w_aff)
@@ -346,7 +361,7 @@ def section_coeff(k: int, l: int, p: Points) -> LogComplex | list[LogComplex]:
     """Frame coefficient of the (k, l) orthonormal section.
 
     kappa_{k,l} = sqrt((k+1) C(k,l) / 2pi) zeta^l (1+|zeta|^2)^{-k/2}
-    with zeta the chart coordinate of p, one point or a sequence, in log-space.
+    with zeta the chart coordinate of p, one point or a batch, in log-space.
     """
     levels = np.arange(l, l + 1)
     binom = log_binomial(k, levels)
@@ -374,7 +389,7 @@ def bergman_coeff_closed(k: int, z: ProjectivePoint,
     """
     lz, pz = z.log_affine()
 
-    def block(ws: list[ProjectivePoint]) -> list[LogComplex]:
+    def block(ws: Points) -> list[LogComplex]:
         lw, pw = _log_affine(ws)
         # log(1 + zeta*conj(omega)), expanded about the larger of 1 and
         # |zeta*omega| so that the exponential cannot overflow

@@ -147,25 +147,37 @@ class RunReport:
     csv_path: str | None = None
 
 
+def _conversion(kind: type) -> str:
+    """The % conversion for a value of this type: integers (numpy's and
+    bool included) in full, floats (np.float64 included) to 17 significant
+    digits, so they read back exactly, anything else as str."""
+    if issubclass(kind, (int, np.integer)):
+        return "%d"
+    if issubclass(kind, float):
+        return "%.17g"
+    return "%s"
+
+
 def format_number(value) -> str:
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, float):
-        return format(value, ".17g")
-    return str(value)
+    return _conversion(type(value)) % (value,)
 
 
 def write_csv(path: str, columns: list[str], rows: list[tuple],
               meta: list[str], no_timestamp: bool) -> None:
-    lines = []
-    for entry in meta:
-        lines.append(f"# {entry}")
+    lines = [f"# {entry}" for entry in meta]
     if not no_timestamp:
         stamp = datetime.datetime.now(datetime.timezone.utc).isoformat()
         lines.append(f"# timestamp: {stamp}")
     lines.append(",".join(columns))
+    # each row goes through one % template, built once per sequence of
+    # value types
+    templates: dict[tuple, str] = {}
     for row in rows:
-        lines.append(",".join(format_number(v) for v in row))
+        kinds = tuple(map(type, row))
+        template = templates.get(kinds)
+        if template is None:
+            template = templates[kinds] = ",".join(map(_conversion, kinds))
+        lines.append(template % tuple(row))
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
@@ -331,16 +343,19 @@ def run_orbit_heatmap(config: ExperimentConfig) -> RunReport:
     if not config.grid_min < config.grid_max:
         raise ConfigError("grid_min must be below grid_max")
     axis = np.linspace(config.grid_min, config.grid_max, n)
+    coords = axis.tolist()
     rows = []
-    # one kernel call per grid row; every cell [zeta:1] is in the chart
-    for im in axis:
-        ws = [ProjectivePoint(complex(re, im), 1.0) for re in axis]
+    # one kernel call per grid row, given as the chart coordinates of its
+    # cells [zeta:1]
+    for im in coords:
+        zetas = axis.astype(complex)
+        zetas.imag = im
         if config.kind == "equivariant":
-            vals = equivariant_coeff(k, cfg.cut_index, z, ws)
+            vals = equivariant_coeff(k, cfg.cut_index, z, zetas)
         else:
-            vals = partial_coeff(cfg, z, ws)
+            vals = partial_coeff(cfg, z, zetas)
         rows += [(re, im, val.abs(), val.logmag)
-                 for re, val in zip(axis, vals)]
+                 for re, val in zip(coords, vals)]
     values = np.array([row[2] for row in rows]).reshape(n, n)
     peak = np.unravel_index(np.argmax(values), values.shape)
     peak_zeta = complex(axis[peak[1]], axis[peak[0]])
@@ -526,7 +541,13 @@ def run_two_proj(config: ExperimentConfig) -> RunReport:
     if caps_tangent(u1, config.e1, u2, config.e2):
         raise ConfigError("tangent cap configuration is excluded")
     disjoint = caps_disjoint(u1, config.e1, u2, config.e2)
-    ks = config.k_grid()
+    # k_list, else one weight k, else the k_min..k_max sweep
+    if config.k_list or config.k is None:
+        ks = config.k_grid()
+    elif config.k < 1:
+        raise ConfigError("k must be a positive integer")
+    else:
+        ks = [int(config.k)]
     rows = []
     norms = []
     for k in ks:
@@ -558,9 +579,15 @@ def run_two_proj(config: ExperimentConfig) -> RunReport:
             return RunReport(EXIT_OK, message,
                              {"disjoint": True, "max_norm": max(norms),
                               "floored": floored}, config.out)
+        if len(positive) < 3:
+            message = (f"disjoint caps: the decay fit needs 3 norms above "
+                       f"the floor, got {len(positive)}; {floor_note}")
+            return RunReport(EXIT_THRESHOLD, message,
+                             {"disjoint": True, "max_norm": max(norms),
+                              "floored": floored}, config.out)
         fit = linear_fit(np.array([p[0] for p in positive], dtype=float),
                          np.log(np.array([p[1] for p in positive])))
-        ok = fit.slope < 0 and fit.r_squared >= 0.9 and len(positive) >= 3
+        ok = fit.slope < 0 and fit.r_squared >= 0.9
         message = (f"disjoint caps: log-norm slope {fit.slope:.4f} per unit "
                    f"k, r^2 {fit.r_squared:.4f}; {floor_note}, left out "
                    f"of the fit")

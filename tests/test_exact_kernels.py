@@ -260,11 +260,13 @@ def bits(values):
 ], ids=["k9", "empty-cut", "k1e4-two-chunks"])
 def test_batched_calls_equal_per_point_calls(k, energy, count):
     # a batch row holds zeta = 0 (only level 0 lives) and |zeta| = 1e8; at
-    # k = 10^4, 200 points span more than one chunk of level terms
+    # k = 10^4, 200 points span more than one chunk of level terms, which
+    # also splits the chart-coordinate array form of the batch
     rng = np.random.default_rng(12)
     z = rand_chart_point(rng)
-    ws = ([ORIGIN, ProjectivePoint(1e8, 1), ProjectivePoint(-1e8j, 1)]
-          + [rand_chart_point(rng) for _ in range(count - 3)])
+    ws = ([ORIGIN, ProjectivePoint(1e8, 1), ProjectivePoint(-1e8j, 1),
+           ProjectivePoint(-1e8, 1)]
+          + [rand_chart_point(rng) for _ in range(count - 4)])
     cfg = SpectralConfig(k, energy)
     l = min(max(cfg.cut_index, 0), k)
     assert k < 10 or count * (k + 1 - cfg.cut_index) > CHUNK_TERMS
@@ -276,8 +278,12 @@ def test_batched_calls_equal_per_point_calls(k, energy, count):
         "partial": lambda w: partial_coeff(cfg, z, w),
         "propagator": lambda w: propagator_coeff(cfg, 0.7, z, w),
     }
+    # the same points as chart coordinates: every w here is [zeta:1]
+    zetas = np.array([w.z0 for w in ws])
+    assert all(w.z1 == 1 for w in ws)
     for name, kernel in kernels.items():
         assert bits(kernel(ws)) == bits([kernel(w) for w in ws]), name
+        assert bits(kernel(zetas)) == bits(kernel(ws)), name
         assert bits(kernel(tuple(ws[:2]))) == bits(kernel(ws[:2])), name
     assert partial_coeff(cfg, z, []) == []
 

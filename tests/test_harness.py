@@ -11,7 +11,7 @@ import pbklab
 from pbklab.cli import main
 from pbklab.circle_spectral import SpectralConfig
 from pbklab.cp1_geometry import ProjectivePoint
-from pbklab.exact_kernels import partial_coeff
+from pbklab.exact_kernels import equivariant_coeff, partial_coeff
 from pbklab.harness import (EXIT_CONFIG, EXIT_OK, ConfigError,
                             ExperimentConfig, format_number, make_rng,
                             run_diagonal_and_microsupport, run_error_scaling,
@@ -64,6 +64,28 @@ def test_format_number_round_trips():
     for _ in range(50):
         x = float(rng.standard_normal() * 10.0 ** int(rng.integers(-12, 12)))
         assert float(format_number(x)) == x
+
+
+def test_write_csv_rows_match_format_number(tmp_path):
+    # each row's % template prints every value as format_number does; the
+    # second row shares the first one's types, the third reverses them
+    row = (3, np.int64(-7), True, 10 ** 30, 0.1, np.float64(2.0 / 3.0),
+           math.inf, -math.inf, math.nan, -0.0, 5e-324, "above",
+           np.float32(0.1), np.uint64(2 ** 64 - 1), np.bool_(True))
+    same_types = (0, np.int64(2 ** 62), False, -10 ** 40, 1e300,
+                  np.float64(-1e-300), 2.5, -2.5, 0.0, 1.0, -5e-324, "",
+                  np.float32(-3.5), np.uint64(0), np.bool_(False))
+    rows = [row, same_types, row[::-1]]
+    path = tmp_path / "mixed.csv"
+    write_csv(str(path), [f"c{i}" for i in range(len(row))], rows,
+              ["experiment: demo"], True)
+    lines = path.read_text().splitlines()
+    assert lines[2:] == [",".join(map(format_number, r)) for r in rows]
+    # the rule itself: integers in full, floats to 17 digits, others as str
+    assert lines[2] == ("3,-7,1,1000000000000000000000000000000,"
+                        "0.10000000000000001,0.66666666666666663,inf,-inf,"
+                        "nan,-0,4.9406564584124654e-324,above,0.1,"
+                        "18446744073709551615,True")
 
 
 # --- CSV determinism ---------------------------------------------------------
@@ -160,6 +182,34 @@ def test_heatmap_small_k_matches_direct_calls(tmp_path):
         w = ProjectivePoint(complex(float(re_s), float(im_s)), 1)
         direct = partial_coeff(spectral, z, w).abs()
         assert abs(float(absval) - direct) <= 1e-14 * max(direct, 1.0)
+
+
+@pytest.mark.parametrize("kind", ["partial", "equivariant"])
+def test_heatmap_csv_bytes_match_per_point_calls(tmp_path, kind):
+    # bit for bit: the grid, which holds zeta = 0, rebuilt from one kernel
+    # call per cell [zeta:1]; a base point off the real axis makes the map
+    # change under zeta -> conj(zeta)
+    cfg = ExperimentConfig(experiment="heatmap", kind=kind, k=12, e=0.5,
+                           grid_n=9, grid_min=-1.0, grid_max=1.0,
+                           z0=[0.6, 0.3], out=str(tmp_path / "g.csv"),
+                           no_timestamp=True)
+    run_orbit_heatmap(cfg)
+    spectral = SpectralConfig(12, 0.5)
+    z = cfg.base_point()
+    axis = np.linspace(-1.0, 1.0, 9)
+    assert 0.0 in axis
+    lines = ["re_zeta,im_zeta,abs_value,logmag"]
+    for im in axis:
+        for re in axis:
+            w = ProjectivePoint(complex(re, im), 1)
+            val = (equivariant_coeff(12, spectral.cut_index, z, w)
+                   if kind == "equivariant" else partial_coeff(spectral, z, w))
+            lines.append(",".join(map(format_number,
+                                      (re, im, val.abs(), val.logmag))))
+    text = (tmp_path / "g.csv").read_text()
+    assert text.endswith("\n" + "\n".join(lines) + "\n")
+    if kind == "equivariant":
+        assert lines[41] == "0,0,0,-inf"
 
 
 # --- error scaling -------------------------------------------------------------
@@ -302,7 +352,63 @@ def test_two_proj_rejects_levels_outside_unit_interval(e1):
     assert "cap levels must lie strictly inside (0, 1)" in report.message
 
 
+def test_two_proj_single_weight_k(tmp_path):
+    # k_list first, then k, then the k_min..k_max sweep
+    out = tmp_path / "tp.csv"
+    cfg = ExperimentConfig(experiment="two-proj",
+                           u2=[math.sin(0.8), 0.0, math.cos(0.8)], k=10,
+                           out=str(out), no_timestamp=True)
+    report = run_two_proj(cfg)
+    assert report.exit_code == EXIT_OK
+    assert [r[0] for r in read_rows(str(out))[2]] == ["10"]
+    assert "0 of 1 norms" in report.message
+    cfg.k_list = [20, 40]
+    run_two_proj(cfg)
+    assert [r[0] for r in read_rows(str(out))[2]] == ["20", "40"]
+    # one weight cannot show a decay on disjoint caps, and says so
+    report = run_two_proj(ExperimentConfig(
+        experiment="two-proj", u2=[math.sin(2.2), 0.0, math.cos(2.2)], k=10))
+    assert report.exit_code == 1
+    assert "the decay fit needs 3 norms above the floor, got 1" \
+        in report.message
+
+
+@pytest.mark.parametrize("k", [0, -3])
+def test_two_proj_rejects_nonpositive_k(k):
+    report = run_experiment(ExperimentConfig(experiment="two-proj", k=k))
+    assert report.exit_code == EXIT_CONFIG
+    assert "k must be a positive integer" in report.message
+
+
 # --- CLI ---------------------------------------------------------------------
+
+@pytest.mark.parametrize("argv", [
+    ["two-proj", "--u1", "-1,0,0", "--u2", "-0.5,0,-0.8660254037844386",
+     "--k", "10"],
+    ["heatmap", "--z0", "-0.5,0.3", "--k", "12", "--grid-n", "9"],
+], ids=["two-proj", "heatmap"])
+def test_cli_vector_flag_with_negative_first_component(tmp_path, argv):
+    # '--u2 -0.5,...' means what '--u2=-0.5,...' means
+    joined = []
+    for arg in argv:
+        if joined and joined[-1] in ("--u1", "--u2", "--z0"):
+            joined[-1] += "=" + arg
+        else:
+            joined.append(arg)
+    outs = [tmp_path / "spaced.csv", tmp_path / "joined.csv"]
+    codes = [main(args + ["--out", str(out), "--no-timestamp"])
+             for args, out in zip((argv, joined), outs)]
+    assert codes[0] == codes[1] != EXIT_CONFIG
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+    if argv[0] == "two-proj":
+        assert "# axes: [-1.0, 0.0, 0.0] / [-0.5" in outs[0].read_text()
+
+
+def test_cli_vector_flag_missing_value_still_rejected():
+    with pytest.raises(SystemExit) as exc:
+        main(["heatmap", "--z0", "--k", "12"])
+    assert exc.value.code == EXIT_CONFIG
+
 
 def test_cli_selftest_roundtrip(tmp_path, capsys):
     out = tmp_path / "cli.csv"
