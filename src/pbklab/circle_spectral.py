@@ -16,13 +16,16 @@ evaluated at t = 0:
     H_term   = (1/2pi) integral_0^pi (U_A(-t) e^{i ceil(E) t}
                                       - U_A(t) e^{-i ceil(E) t}) cot(t/2) dt.
 
-Both integrands are trigonometric polynomials, so the open midpoint rule
-(which never touches the removable singularity at t = 0) integrates them
-exactly once the node count exceeds the frequency content.  With N nodes
-and B = A - ceil(E), every node propagator is a power of T = e^{i(pi/N)B}
-(times T^{1/2} for the Hilbert nodes), so both node sums are matrix
-polynomials in T.  They are evaluated by Paterson-Stockmeyer: ~4 sqrt(N)
-matrix products after one series exponential per projector.  This gives a
+Both integrands are trigonometric polynomials, so an equispaced rule
+integrates them exactly once the node count exceeds the frequency content:
+the open midpoint rule for the Hilbert term (it never touches the
+removable singularity at t = 0), the rectangle rule on the full period for
+the mean term.  With N nodes and B = A - ceil(E), every node propagator is
+a power of T = e^{i(pi/N)B} (times T^{1/2} for the Hilbert nodes), so both
+node sums are matrix polynomials in T.  After one series exponential per
+projector, the Hilbert sum takes ~2 sqrt(N) matrix products by
+Paterson-Stockmeyer and the mean sum, a geometric series in T^2, at most
+3 log2(N) by binary doubling.  This gives a
 route to the projector that never touches an eigendecomposition; the
 eigendecomposition route is kept alongside as an oracle.
 """
@@ -52,6 +55,8 @@ def snapped_ceil(x: float, tol: float = EIGENVALUE_TIE_TOL) -> int:
     Keeps an eigenvalue sitting exactly at the spectral cut inside the
     projector (the cut interval is closed on the left).
     """
+    if not math.isfinite(x):
+        raise ValueError(f"spectral cut level {x} must be finite")
     r = round(x)
     if abs(x - r) <= tol:
         return int(r)
@@ -120,7 +125,8 @@ def szego_via_hilbert(series: FourierSeries) -> FourierSeries:
 class IntegerSpectrumOperator:
     """Hermitian matrix whose unitary group e^{itA} is 2*pi-periodic.
 
-    Construction validates Hermitian symmetry (max-norm 1e-12) and that
+    Construction validates finite entries, Hermitian symmetry (max-norm
+    1e-12) and that
     every eigenvalue is within 1e-8 of an integer; the rounded integer
     spectrum is cached for node-count bookkeeping only, never for the
     quadrature values themselves.
@@ -133,6 +139,8 @@ class IntegerSpectrumOperator:
         m = np.asarray(self.matrix, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError("matrix must be square")
+        if not np.all(np.isfinite(m)):
+            raise ValueError("matrix entries must be finite")
         if np.max(np.abs(m - m.conj().T)) > HERMITIAN_TOL:
             raise ValueError("matrix is not Hermitian to 1e-12 in max-norm")
         m = 0.5 * (m + m.conj().T)
@@ -160,29 +168,34 @@ def _as_operator(a) -> IntegerSpectrumOperator:
 def expm_series(m: np.ndarray) -> np.ndarray:
     """Matrix exponential by scaling-and-squaring of the Taylor series.
 
-    No eigendecomposition is involved, which keeps the quadrature route to
-    spectral projectors independent of the eigen-oracle.
+    m is scaled by 2^-s so that b = m / 2^s has ||b||_1 <= 1/2.  The Taylor
+    degree is fixed in advance as the smallest n with
+    ||b||_1^(n+1) / (n+1)! < EXPM_TERM_TOL, a bound on the first omitted
+    term; the degree-n polynomial is summed by _power_polynomial and then
+    squared s times.  No eigendecomposition is involved, which keeps the
+    quadrature route to spectral projectors independent of the eigen-oracle.
     """
     m = np.asarray(m, dtype=complex)
-    norm = np.linalg.norm(m, 1)
+    norm = float(np.linalg.norm(m, 1))
+    if not math.isfinite(norm):
+        raise ValueError("matrix exponential needs finite entries")
     s = 0
     if norm > 0.5:
         s = int(math.ceil(math.log2(norm / 0.5)))
         if s > EXPM_MAX_SQUARINGS:
             raise ValueError(f"matrix norm {norm:.3e} needs more than "
                              f"{EXPM_MAX_SQUARINGS} squarings")
-    b = m / (2.0 ** s)
-    result = np.eye(m.shape[0], dtype=complex)
-    term = np.eye(m.shape[0], dtype=complex)
-    j = 1
-    while True:
-        term = term @ b / j
-        result = result + term
-        if np.linalg.norm(term, 1) < EXPM_TERM_TOL:
-            break
-        j += 1
-        if j > 128:
-            raise RuntimeError("exponential series failed to converge")
+    b_norm = norm / 2.0 ** s
+    degree = 0
+    omitted = b_norm
+    while omitted >= EXPM_TERM_TOL:
+        degree += 1
+        omitted *= b_norm / (degree + 1)
+    inv_factorials = np.empty(degree + 1)
+    inv_factorials[0] = 1.0
+    for j in range(1, degree + 1):
+        inv_factorials[j] = inv_factorials[j - 1] / j
+    result = _power_polynomial(inv_factorials, m / 2.0 ** s)
     for _ in range(s):
         result = result @ result
     return result
@@ -210,13 +223,17 @@ def spectral_projector_quadrature(a, energy: float,
                                   nodes: int | None = None) -> np.ndarray:
     """1_{[E,inf)}(A) via the Hilbert-transform representation.
 
-    The mean and Hilbert integrals are discretized with the open midpoint
-    rule; with enough nodes the rule is exact for the trigonometric
-    integrands, so the only error is rounding.  The node sums are the
-    polynomials (1/N) sum_{j<N} T^{2j+1} and (sum_{j<N} c_j T^j) T^{1/2} in
+    The Hilbert integral is discretized with the open midpoint rule and
+    the mean integral with the full-period rectangle rule; with enough
+    nodes both are exact for the trigonometric integrands, so the only
+    error is rounding.  The node sums are the
+    polynomials (1/N) sum_{j<N} T^{2j} and (sum_{j<N} c_j T^j) T^{1/2} in
     T = e^{i(pi/N)(A - ceil(E))}, with c_j the cotangent weights.  Only
-    T^{1/2} comes from the exponential series; T^0 .. T^{s-1} are stored,
-    s = isqrt(N), and each polynomial is summed by Horner's rule in T^s.
+    T^{1/2} comes from the exponential series.  The mean sum is
+    G_N(T^2) / N with G_N(S) = sum_{j<N} S^j, summed by binary doubling
+    (14 matrix products at N = 112, T^2 included); the Hilbert sum is
+    summed by _power_polynomial (22 at N = 112, the factor T^{1/2}
+    included).
     """
     op = _as_operator(a)
     cut = snapped_ceil(energy)
@@ -236,46 +253,78 @@ def spectral_projector_quadrature(a, energy: float,
     half_step = expm_series(1j * (0.5 * math.pi / nodes)
                             * (op.matrix - cut * ident))
     step = half_step @ half_step
-    s = math.isqrt(nodes)
-    powers = np.empty((s, d, d), dtype=complex)
-    powers[0] = ident
-    for r in range(1, s):
-        powers[r] = powers[r - 1] @ step
-    top = powers[-1] @ step
 
-    # mean term: (1/2pi) int U(t) e^{-i cut t} over the full period, midpoint
-    # rule on the nodes (2j+1)pi/N of [0, 2pi): (1/N) sum_{j<N} T^{2j+1}.
-    # Shifting a full-period grid leaves the exact rule unchanged.
-    mean_coeffs = np.zeros(2 * nodes)
-    mean_coeffs[1::2] = 1.0 / nodes
-    mean_term = _power_polynomial(mean_coeffs, powers, top)
+    # mean term: (1/2pi) int U(t) e^{-i cut t} over the full period, by the
+    # rectangle rule on the nodes 2j pi/N of [0, 2pi): (1/N) sum_{j<N} T^{2j}.
+    # The integrand has frequencies |q| < N, so this rule is exact like the
+    # midpoint rule on (2j+1)pi/N, whose sum is the same one times T.
+    mean_term = _geometric_sum(step @ step, nodes) / nodes
 
     # Hilbert term: (1/2pi) int_0^pi (U(-t)e^{i cut t} - U(t)e^{-i cut t})
     # cot(t/2) dt, midpoint rule on t_j = (j+1/2)pi/N, where e^{i t_j B} =
     # T^j half_step; the U(-t) half is the adjoint X^H of the U(t) half X.
     t = (np.arange(nodes) + 0.5) * (math.pi / nodes)
-    x = _power_polynomial(1.0 / (2 * nodes * np.tan(0.5 * t)), powers,
-                          top) @ half_step
+    x = _power_polynomial(1.0 / (2 * nodes * np.tan(0.5 * t)),
+                          step) @ half_step
     hilbert_term = x.conj().T - x
 
     return 0.5 * (1j * hilbert_term + ident + mean_term)
 
 
-def _power_polynomial(coeffs: np.ndarray, powers: np.ndarray,
-                      top: np.ndarray) -> np.ndarray:
-    """sum_m coeffs[m] T^m, Paterson-Stockmeyer style.
+def _power_polynomial(coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """sum_m coeffs[m] X^m for real coeffs, Paterson-Stockmeyer style.
 
-    powers holds T^0 .. T^{s-1} and top is T^s.  The coefficients split into
-    blocks of s; each block sum is one tensordot over the stored powers, and
-    the blocks are combined by Horner's rule in T^s, one block at a time.
+    With s = isqrt(len(coeffs)), X^0 .. X^{s-1} are stored and the
+    coefficients, zero-padded to nb blocks of s, form an (nb x s) array.
+    One real matrix product of that array with the stored powers, viewed
+    as (s x 2d^2) reals, gives every block sum at once; the block sums are
+    then combined by Horner's rule in X^s.  Besides that product: s - 1
+    matrix products for the table and, when nb > 1, one for X^s and
+    nb - 1 Horner steps.
     """
-    s = len(powers)
-    result = None
-    for start in reversed(range(0, len(coeffs), s)):
-        block = coeffs[start:start + s]
-        block_sum = np.tensordot(block, powers[:len(block)], axes=1)
-        result = block_sum if result is None else result @ top + block_sum
+    coeffs = np.asarray(coeffs, dtype=float)
+    d = x.shape[0]
+    s = math.isqrt(len(coeffs))
+    nb = -(-len(coeffs) // s)
+    powers = np.empty((s, d, d), dtype=complex)
+    powers[0] = np.eye(d)
+    for r in range(1, s):
+        np.matmul(powers[r - 1], x, out=powers[r])
+    blocks = np.zeros(nb * s)
+    blocks[:len(coeffs)] = coeffs
+    block_sums = (blocks.reshape(nb, s)
+                  @ powers.reshape(s, d * d).view(float)).view(complex)
+    block_sums = block_sums.reshape(nb, d, d)
+    result = block_sums[-1]
+    if nb > 1:
+        top = powers[-1] @ x
+        for block_sum in block_sums[-2::-1]:
+            result = result @ top + block_sum
     return result
+
+
+def _geometric_sum(s_mat: np.ndarray, n: int) -> np.ndarray:
+    """G_n = sum_{j<n} S^j by binary doubling, for n >= 1.
+
+    Walks the bits of n below the leading one, carrying S^m alongside G_m:
+    G_2m = G_m + S^m G_m, and a set bit adds G_2m+1 = G_2m + S^2m.  Each
+    bit takes the doubling product and the squaring S^2m, and a set bit
+    one more product for S^2m+1; the last bit skips what no bit after it
+    needs.
+    """
+    g = np.eye(s_mat.shape[0], dtype=complex)
+    power = s_mat
+    bits = bin(n)[3:]
+    for i, bit in enumerate(bits):
+        g = g + power @ g
+        last = i == len(bits) - 1
+        if bit == "1" or not last:
+            power = power @ power
+        if bit == "1":
+            g = g + power
+            if not last:
+                power = power @ s_mat
+    return g
 
 
 def spectral_projector_eig(a, energy: float) -> np.ndarray:

@@ -292,6 +292,8 @@ def svg_heatmap(path: str, grid: np.ndarray, extent: tuple, title: str) -> None:
 
 def run_hilbert_selftest(config: ExperimentConfig) -> RunReport:
     """Quadrature projector vs eigen-oracle on random integer-spectrum trials."""
+    if config.trials < 1 or config.dim < 1:
+        raise ConfigError("selftest needs trials >= 1 and dim >= 1")
     rng = make_rng(config.seed)
     rows = []
     worst = 0.0

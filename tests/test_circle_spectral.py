@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pbklab.circle_spectral as circle_spectral
 from pbklab.circle_spectral import (FourierSeries, IntegerSpectrumOperator,
                                     NodeCountError, SpectralConfig,
-                                    default_node_count, hilbert_multiplier,
+                                    default_node_count, expm_series,
+                                    hilbert_multiplier,
                                     propagator_matrix,
                                     random_integer_spectrum_operator,
                                     snapped_ceil, spectral_projector_eig,
@@ -112,6 +114,12 @@ def test_rejects_non_integer_spectrum():
         IntegerSpectrumOperator(np.diag([0.5, 1.0]))
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_rejects_non_finite_entries(value):
+    with pytest.raises(ValueError, match="finite"):
+        IntegerSpectrumOperator(np.diag([value, 1.0]))
+
+
 def test_spectrum_is_cached():
     op = IntegerSpectrumOperator(np.diag([3.0, -2.0, 0.0]))
     assert op.spectrum == (-2, 0, 3)
@@ -123,6 +131,12 @@ def test_snapped_ceil():
     assert snapped_ceil(2.0 - 1e-12) == 2
     assert snapped_ceil(2.1) == 3
     assert snapped_ceil(-0.5) == 0
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_snapped_ceil_rejects_non_finite(value):
+    with pytest.raises(ValueError, match="must be finite"):
+        snapped_ceil(value)
 
 
 # --- propagator -----------------------------------------------------------
@@ -148,6 +162,41 @@ def test_propagator_group_law_and_unitarity():
     ust = propagator_matrix(op, s + t)
     assert np.max(np.abs(us @ ut - ust)) <= 1e-9
     assert np.max(np.abs(us @ us.conj().T - np.eye(6))) <= 1e-10
+
+
+def _hermitian(dim, seed):
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    return 0.5 * (g + g.conj().T)
+
+
+@pytest.mark.parametrize("dim", [1, 6])
+@pytest.mark.parametrize("norm", [0.0, 1e-3, 0.5, 0.5 * (1 + 2.0 ** -52),
+                                  40.0],
+                         ids=["zero", "1e-3", "half", "above-half", "40"])
+def test_expm_series_matches_eigh_exponential(dim, norm):
+    # ||i theta H||_1 = norm: exactly 1/2 is the largest norm summed without
+    # squaring, the next double above it takes one squaring
+    h = _hermitian(dim, 3)
+    theta = norm / np.linalg.norm(1j * h, 1)
+    m = 1j * theta * h
+    if norm in (0.5, 0.5 * (1 + 2.0 ** -52)):
+        assert np.linalg.norm(m, 1) == norm
+    w, v = np.linalg.eigh(h)
+    exact = (v * np.exp(1j * theta * w)) @ v.conj().T
+    # rounding of the reference and of the squarings, well below the
+    # first omitted Taylor term at one degree less
+    assert np.max(np.abs(expm_series(m) - exact)) <= 4e-15 + 1e-15 * norm
+
+
+def test_expm_series_rejects_non_finite():
+    with pytest.raises(ValueError, match="finite"):
+        expm_series(np.array([[math.nan, 0.0], [0.0, 1.0]]))
+    with pytest.raises(ValueError, match="finite"):
+        expm_series(np.array([[math.inf]]))
+    op = IntegerSpectrumOperator(np.diag([1.0, 2.0]))
+    with pytest.raises(ValueError, match="finite"):
+        propagator_matrix(op, math.nan)
 
 
 def test_propagator_rejects_non_hermitian():
@@ -191,16 +240,42 @@ def _node_count_cases():
 @pytest.mark.parametrize("case", list(_node_count_cases()),
                          ids=lambda case: case[0])
 @pytest.mark.parametrize("scale", ["needed", "needed+1", "default",
-                                   "5needed+3"])
+                                   "5needed+3", 63, 64, 127, 128])
 def test_quadrature_matches_eig_oracle_at_node_counts(case, scale):
     # odd counts and counts that are no multiple of isqrt(nodes) leave a
-    # short last block in the Horner evaluation of the node sums
+    # short last block in the Horner evaluation of the Hilbert sum; powers
+    # of two take only doubling steps in the mean sum, all-ones bit patterns
+    # take the set-bit step after every doubling, odd counts after the last
     _, op, energy = case
     needed = default_node_count(op, energy) // 2
-    nodes = {"needed": needed, "needed+1": needed + 1, "default": 2 * needed,
-             "5needed+3": 5 * needed + 3}[scale]
+    nodes = scale if isinstance(scale, int) else {
+        "needed": needed, "needed+1": needed + 1, "default": 2 * needed,
+        "5needed+3": 5 * needed + 3}[scale]
+    assert nodes >= needed
     quad = spectral_projector_quadrature(op, energy, nodes)
     oracle = spectral_projector_eig(op, energy)
+    assert np.max(np.abs(quad - oracle)) <= 1e-9
+
+
+def test_quadrature_needs_no_eigendecomposition(monkeypatch):
+    op = random_integer_spectrum_operator(12, np.random.default_rng(8))
+    oracle = spectral_projector_eig(op, 0.4)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("eigendecomposition on the quadrature route")
+
+    for name in ("eig", "eigh", "eigvals", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, forbidden)
+    calls = []
+    series = circle_spectral.expm_series
+
+    def counted(m):
+        calls.append(m.shape)
+        return series(m)
+
+    monkeypatch.setattr(circle_spectral, "expm_series", counted)
+    quad = spectral_projector_quadrature(op, 0.4)
+    assert len(calls) == 1
     assert np.max(np.abs(quad - oracle)) <= 1e-9
 
 

@@ -136,6 +136,15 @@ def test_selftest_dimension_one_always_passes():
     assert run_hilbert_selftest(cfg).exit_code == EXIT_OK
 
 
+@pytest.mark.parametrize("field", ["trials", "dim"])
+@pytest.mark.parametrize("value", [0, -3])
+def test_selftest_rejects_nonpositive_trials_and_dim(field, value, capsys):
+    # a selftest over no trials, or over no matrices, checks nothing
+    code = main(["selftest-hilbert", f"--{field}", str(value)])
+    assert code == EXIT_CONFIG
+    assert "trials >= 1 and dim >= 1" in capsys.readouterr().err
+
+
 def test_selftest_starved_nodes_exit_code_2():
     cfg = ExperimentConfig(experiment="selftest-hilbert", dim=8, trials=3,
                            seed=42, nodes=2)
@@ -167,6 +176,13 @@ def test_heatmap_rejects_bad_input_exit_2(fields, fragment):
     report = run_experiment(cfg)
     assert report.exit_code == EXIT_CONFIG
     assert fragment in report.message
+
+
+@pytest.mark.parametrize("energy", ["inf", "nan"])
+def test_cli_heatmap_rejects_non_finite_energy(energy, capsys):
+    code = main(["heatmap", "--e", energy, "--k", "10"])
+    assert code == EXIT_CONFIG
+    assert "must be finite" in capsys.readouterr().err
 
 
 def test_heatmap_small_k_matches_direct_calls(tmp_path):
