@@ -141,6 +141,8 @@ def error_metric(k: int, energy: float, t0: float,
     Compares the raw (unscaled) coefficient at (z0, rotate(t0, z0)) against
     the unscaled leading term; z0 must sit on the level set {H = energy}.
     """
+    if not math.isfinite(energy):
+        raise ValueError(f"energy level {energy} must be finite")
     if abs(height(z0) - energy) > 1e-9:
         raise ValueError("base point must lie on the level set of the energy")
     cfg = SpectralConfig(k, energy)

@@ -204,6 +204,8 @@ def expm_series(m: np.ndarray) -> np.ndarray:
 def propagator_matrix(a, t: float) -> np.ndarray:
     """U_A(t) = e^{itA}, computed without eigendecomposition."""
     op = _as_operator(a)
+    if not math.isfinite(t):
+        raise ValueError(f"propagator time {t} must be finite")
     return expm_series(1j * t * op.matrix)
 
 

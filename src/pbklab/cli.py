@@ -14,7 +14,6 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--k-min", type=int, dest="k_min")
     sub.add_argument("--k-max", type=int, dest="k_max")
     sub.add_argument("--k-ratio", type=float, dest="k_ratio")
-    sub.add_argument("--e", type=float, dest="e")
     sub.add_argument("--t0", type=float)
     sub.add_argument("--a", type=float)
     sub.add_argument("--b", type=float)
@@ -42,8 +41,10 @@ def build_parser() -> argparse.ArgumentParser:
     st.add_argument("--dim", type=int, help="max matrix dimension")
     st.add_argument("--trials", type=int)
 
+    # --e only where the experiment reads the energy level
     hm = subs.add_parser("heatmap", help="|coefficient| over a chart grid")
     _add_common(hm)
+    hm.add_argument("--e", type=float)
     hm.add_argument("--grid-min", type=float, dest="grid_min")
     hm.add_argument("--grid-max", type=float, dest="grid_max")
     hm.add_argument("--grid-n", type=int, dest="grid_n")
@@ -51,6 +52,7 @@ def build_parser() -> argparse.ArgumentParser:
     es = subs.add_parser("error-scaling",
                          help="leading-term error decay along a k sweep")
     _add_common(es)
+    es.add_argument("--e", type=float)
 
     dm = subs.add_parser("diagonal-microsupport",
                          help="diagonal ratio trichotomy and off-orbit decay")

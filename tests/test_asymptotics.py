@@ -172,6 +172,12 @@ def test_stirling_agreement_witness_bounded():
 
 # --- error metric and fits ----------------------------------------------------
 
+@pytest.mark.parametrize("energy", [math.inf, -math.inf, math.nan])
+def test_error_metric_rejects_non_finite_energy_first(energy):
+    with pytest.raises(ValueError, match="energy level .* must be finite"):
+        error_metric(50, energy, math.pi / 2, ONE_ONE)
+
+
 def test_error_metric_nonnegative_and_small():
     er = error_metric(200, 0.5, math.pi / 2, ONE_ONE)
     assert er >= 0.0

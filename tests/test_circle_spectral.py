@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -197,6 +198,17 @@ def test_expm_series_rejects_non_finite():
     op = IntegerSpectrumOperator(np.diag([1.0, 2.0]))
     with pytest.raises(ValueError, match="finite"):
         propagator_matrix(op, math.nan)
+
+
+@pytest.mark.parametrize("t", [math.inf, -math.inf, math.nan])
+def test_propagator_rejects_non_finite_time_without_warning(t):
+    # i t A would meet inf with zero entries and warn before any check
+    op = IntegerSpectrumOperator(np.diag([1.0]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="propagator time .* must be "
+                                             "finite"):
+            propagator_matrix(op, t)
 
 
 def test_propagator_rejects_non_hermitian():

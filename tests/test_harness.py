@@ -185,6 +185,27 @@ def test_cli_heatmap_rejects_non_finite_energy(energy, capsys):
     assert "must be finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("energy", ["inf", "nan"])
+def test_cli_error_scaling_names_non_finite_energy(energy, capsys):
+    # the level-set check on the base point must not speak first
+    assert main(["error-scaling", "--e", energy]) == EXIT_CONFIG
+    assert f"energy level {energy} must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("experiment", ["diagonal-microsupport",
+                                        "selftest-hilbert", "two-proj"])
+def test_cli_rejects_energy_flag_where_unread(experiment, capsys):
+    # these experiments never read the energy level, so --e would be
+    # silently ignored; argparse exits 2 on the unknown (for two-proj:
+    # ambiguous, --e1 or --e2) flag
+    with pytest.raises(SystemExit) as exc:
+        main([experiment, "--e", "nan", "--k", "50"])
+    assert exc.value.code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert ("unrecognized arguments: --e nan" in err
+            or "ambiguous option: --e could match --e1, --e2" in err)
+
+
 def test_heatmap_small_k_matches_direct_calls(tmp_path):
     cfg = ExperimentConfig(experiment="heatmap", kind="partial", k=4, e=0.5,
                            grid_n=9, grid_min=-1.0, grid_max=1.0,

@@ -10,7 +10,8 @@ from pbklab.rotated_observables import (RotationAxis, axis_to_su2,
                                         operator_norm_power_iteration,
                                         projection_product_norm,
                                         rotated_height_operator,
-                                        su2_rep_matrix, _rep_binomial)
+                                        su2_rep_matrix, _cap_angles,
+                                        _rep_binomial)
 
 Z_AXIS = RotationAxis((0.0, 0.0, 1.0))
 
@@ -256,6 +257,14 @@ def test_caps_disjoint_matches_grid_oracle_randomly():
             (not _caps_overlap_grid_oracle(u1, e1, u2, e2))
 
 
+def test_axis_angle_keeps_relative_accuracy_at_small_angles():
+    # arccos of the dot product would read 0 at 1e-9 and keep only about
+    # half the digits of 1e-5
+    for beta in (1e-9, 1e-5, 0.3, 2.2):
+        angle, _ = _cap_angles(Z_AXIS, 0.75, RotationAxis.polar(beta), 0.75)
+        assert abs(angle - beta) <= 1e-15 * beta
+
+
 def test_caps_reject_degenerate_levels():
     for e1, e2 in ((0.0, 0.5), (0.5, 1.0), (1.5, 0.5), (0.5, -0.2)):
         for check in (caps_disjoint, caps_tangent):
@@ -308,17 +317,47 @@ def test_overlapping_caps_norm_floor():
         assert norm >= 0.5
 
 
-@pytest.mark.parametrize("beta, k", [(0.8, 20), (0.8, 40), (0.8, 80),
-                                     (2.2, 113), (2.2, 320)])
-def test_product_norm_matches_eigen_projector_svd(beta, k):
+def _eigen_projector_norm(k, tilted):
     # oracle: both projections built densely by the eigen route, then the
     # largest singular value of their product
-    tilted = RotationAxis.polar(beta)
     p1 = spectral_projector_eig(rotated_height_operator(k, Z_AXIS), k * 0.75)
     p2 = spectral_projector_eig(rotated_height_operator(k, tilted), k * 0.75)
-    reference = np.linalg.svd(p1 @ p2, compute_uv=False)[0]
+    return np.linalg.svd(p1 @ p2, compute_uv=False)[0]
+
+
+@pytest.mark.parametrize("beta, k", [(0.8, 20), (0.8, 40), (0.8, 80),
+                                     (0.3, 160), (2.2, 113), (2.2, 320)])
+def test_product_norm_matches_eigen_projector_svd(beta, k):
+    # for the overlaps the top columns' junction
+    # round(k/2 + (m - k/2) cos beta) lies above ceil(0.75 k), so their rows
+    # below it come from the upward pass (at beta = 0.3, k = 160: 38 columns)
+    tilted = RotationAxis.polar(beta)
+    reference = _eigen_projector_norm(k, tilted)
     norm = projection_product_norm(k, Z_AXIS, 0.75, tilted, 0.75)
     assert abs(norm - reference) <= 1e-9 * reference
+
+
+@pytest.mark.parametrize("k", [40, 100])
+def test_product_norm_at_degenerate_angles(k):
+    # beta = 0 is the identity: exactly 1; beta = 1e-9 runs the recurrence
+    # with off-diagonals ~1e-9 and must still give two equal projections
+    assert projection_product_norm(k, Z_AXIS, 0.75, Z_AXIS, 0.75) == 1.0
+    assert projection_product_norm(k, Z_AXIS, 0.75, RotationAxis.polar(0.0),
+                                   0.75) == 1.0
+    tiny = RotationAxis.polar(1e-9)
+    assert abs(projection_product_norm(k, Z_AXIS, 0.75, tiny, 0.75)
+               - _eigen_projector_norm(k, tiny)) <= 1e-10
+
+
+def test_product_norm_needs_no_eigensolver(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("eigensolver called")
+
+    for name in ("eig", "eigh", "eigvals", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    for beta in (0.3, 0.8, 2.2):
+        projection_product_norm(160, Z_AXIS, 0.75, RotationAxis.polar(beta),
+                                0.75)
 
 
 def test_product_norm_deterministic():
@@ -346,9 +385,9 @@ def test_product_norm_matches_binomial_block(k, u1, e1, u2, e2):
 
 
 @pytest.mark.parametrize("k, reference, bound", [
-    (320, 6.2695287681765923e-04, 1e-12),
-    (640, 2.8805237726234997e-06, 2e-10),
-    (1000, 7.8742269250446494e-09, 1e-8),
+    (320, 6.2695287681765923e-04, 1e-13),
+    (640, 2.8805237726234997e-06, 1e-13),
+    (1000, 7.8742269250446494e-09, 1e-13),
 ])
 def test_small_disjoint_norms_match_high_precision_reference(k, reference,
                                                              bound):
@@ -358,3 +397,18 @@ def test_small_disjoint_norms_match_high_precision_reference(k, reference,
     tilted = RotationAxis.polar(2.2)
     norm = projection_product_norm(k, Z_AXIS, 0.75, tilted, 0.75)
     assert abs(norm - reference) <= bound * reference
+
+
+def test_disjoint_norms_decay_past_the_double_rounding_floor():
+    # a dense eigensolver stalls near 1e-15; the recurrence keeps the decay:
+    # the log-norms at k = 1500 and 2000 continue the slope through
+    # k = 640 and 1000 to 1%
+    tilted = RotationAxis.polar(2.2)
+    logs = {k: math.log(projection_product_norm(k, Z_AXIS, 0.75, tilted,
+                                                0.75))
+            for k in (640, 1000, 1500, 2000)}
+    slope = (logs[1000] - logs[640]) / 360
+    assert logs[2000] < logs[1500] < logs[1000]
+    for k in (1500, 2000):
+        predicted = logs[1000] + slope * (k - 1000)
+        assert abs(logs[k] - predicted) <= 0.01 * abs(logs[k])
