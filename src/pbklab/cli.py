@@ -8,24 +8,56 @@ from .harness import (EXIT_CONFIG, ConfigError, ExperimentConfig,
                       run_experiment)
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--config", help="JSON config file")
-    sub.add_argument("--k", type=int)
-    sub.add_argument("--k-min", type=int, dest="k_min")
-    sub.add_argument("--k-max", type=int, dest="k_max")
-    sub.add_argument("--k-ratio", type=float, dest="k_ratio")
-    sub.add_argument("--t0", type=float)
-    sub.add_argument("--a", type=float)
-    sub.add_argument("--b", type=float)
-    sub.add_argument("--z0", help="comma-separated re,im (affine) or "
-                                  "re0,im0,re1,im1 (homogeneous)")
-    sub.add_argument("--nodes", type=int)
-    sub.add_argument("--out", help="CSV output path")
-    sub.add_argument("--svg", help="SVG plot output path")
-    sub.add_argument("--seed", type=int)
-    sub.add_argument("--no-timestamp", action="store_true", default=None,
-                     dest="no_timestamp")
-    sub.add_argument("--kind", choices=["partial", "equivariant"])
+# every flag with its argparse settings; argparse names each destination
+# after its flag, dashes turned into underscores
+FLAGS = {
+    "--config": dict(help="JSON config file"),
+    "--out": dict(help="CSV output path"),
+    "--svg": dict(help="SVG plot output path"),
+    "--seed": dict(type=int),
+    "--no-timestamp": dict(action="store_true", default=None),
+    "--k": dict(type=int),
+    "--k-min": dict(type=int),
+    "--k-max": dict(type=int),
+    "--k-ratio": dict(type=float),
+    "--z0": dict(help="comma-separated re,im (affine) or "
+                      "re0,im0,re1,im1 (homogeneous)"),
+    "--kind": dict(choices=["partial", "equivariant"]),
+    "--e": dict(type=float),
+    "--t0": dict(type=float),
+    "--a": dict(type=float),
+    "--b": dict(type=float),
+    "--nodes": dict(type=int),
+    "--dim": dict(type=int, help="max matrix dimension"),
+    "--trials": dict(type=int),
+    "--grid-min": dict(type=float),
+    "--grid-max": dict(type=float),
+    "--grid-n": dict(type=int),
+    "--u1": dict(help="comma-separated axis vector"),
+    "--u2": dict(help="comma-separated axis vector"),
+    "--e1": dict(type=float),
+    "--e2": dict(type=float),
+}
+
+COMMON_FLAGS = ("--config", "--out", "--svg", "--seed", "--no-timestamp")
+K_SWEEP = ("--k-min", "--k-max", "--k-ratio")
+
+# each experiment's help and the flags its runner reads besides the common
+# ones: a flag it would ignore exits 2 instead of running at the default
+EXPERIMENT_FLAGS = {
+    "selftest-hilbert": ("quadrature vs eigen spectral projectors",
+                         ("--dim", "--trials", "--nodes")),
+    "heatmap": ("|coefficient| over a chart grid",
+                ("--k", "--z0", "--kind", "--e", "--grid-min", "--grid-max",
+                 "--grid-n")),
+    "error-scaling": ("leading-term error decay along a k sweep",
+                      K_SWEEP + ("--z0", "--kind", "--e", "--t0", "--a",
+                                 "--b")),
+    "diagonal-microsupport": ("diagonal ratio trichotomy and off-orbit decay",
+                              ("--k",) + K_SWEEP + ("--z0",)),
+    "two-proj": ("norm of a product of two cap projections",
+                 ("--k",) + K_SWEEP + ("--u1", "--u2", "--e1", "--e2")),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -34,38 +66,10 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact and asymptotic kernel experiments on the "
                     "projective line")
     subs = parser.add_subparsers(dest="experiment", required=True)
-
-    st = subs.add_parser("selftest-hilbert",
-                         help="quadrature vs eigen spectral projectors")
-    _add_common(st)
-    st.add_argument("--dim", type=int, help="max matrix dimension")
-    st.add_argument("--trials", type=int)
-
-    # --e only where the experiment reads the energy level
-    hm = subs.add_parser("heatmap", help="|coefficient| over a chart grid")
-    _add_common(hm)
-    hm.add_argument("--e", type=float)
-    hm.add_argument("--grid-min", type=float, dest="grid_min")
-    hm.add_argument("--grid-max", type=float, dest="grid_max")
-    hm.add_argument("--grid-n", type=int, dest="grid_n")
-
-    es = subs.add_parser("error-scaling",
-                         help="leading-term error decay along a k sweep")
-    _add_common(es)
-    es.add_argument("--e", type=float)
-
-    dm = subs.add_parser("diagonal-microsupport",
-                         help="diagonal ratio trichotomy and off-orbit decay")
-    _add_common(dm)
-
-    tp = subs.add_parser("two-proj",
-                         help="norm of a product of two cap projections")
-    _add_common(tp)
-    tp.add_argument("--u1", help="comma-separated axis vector")
-    tp.add_argument("--u2", help="comma-separated axis vector")
-    tp.add_argument("--e1", type=float)
-    tp.add_argument("--e2", type=float)
-
+    for name, (help_text, flags) in EXPERIMENT_FLAGS.items():
+        sub = subs.add_parser(name, help=help_text)
+        for flag in COMMON_FLAGS + flags:
+            sub.add_argument(flag, **FLAGS[flag])
     return parser
 
 

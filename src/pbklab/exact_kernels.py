@@ -10,8 +10,8 @@ orthonormal sections have coefficient functions
 and the full / equivariant / partial kernels are assembled from products
 kappa_{k,l}(z) * conj(kappa_{k,l}(w)).  At large k these coefficients span
 an enormous dynamic range, so all values are carried in log-polar form
-(LogComplex); a sum factors out its largest term and accumulates the
-rescaled parts with math.fsum, which is correctly rounded in any order.
+(LogComplex); a sum factors out its largest term and sums the rescaled
+parts correctly rounded, the value math.fsum gives in any order.
 
 The kernel functions take their second point as one ProjectivePoint, a
 sequence of them, or a 1-D complex array of chart coordinates zeta (the
@@ -44,9 +44,17 @@ from a cache of blocks of LGAMMA_BLOCK consecutive arguments, each filled
 by math.lgamma the first time one of its entries is read.  The three
 argument ranges are read apart, so a window fills O(sqrt(k)) entries, and
 a cold level sum costs O(sqrt(k)) in time and memory, as a warm one does.
-The rescaled terms reach math.fsum as Python floats, which it sums about
-twice as fast as numpy scalars; being correctly rounded, fsum gives the
-same bits for either.
+
+A block of level sums is summed row by row correctly rounded in numpy
+(_row_sums): two error-free extraction passes split each row into parts
+whose sums are exact and a residual far below the row's largest term, a
+rounding certificate checks that the combined value is the correctly
+rounded one, and only a row that fails it (a near-tie, or cancellation
+below the residual's scale) goes to math.fsum.  The
+result is math.fsum's bit for bit, by proof rather than by test, so the
+sums stay deterministic and independent of numpy's summation order.  The
+Hilbert-route assembly below keeps its own math.fsum calls: it is the
+independent oracle for the level sum, and so also checks _row_sums.
 
 The partial kernel (levels l >= ceil(kE)) also admits a Hilbert-transform
 assembly from the shifted propagator kernel
@@ -61,7 +69,6 @@ consistency check of both engines.
 from __future__ import annotations
 
 import cmath
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
@@ -72,6 +79,9 @@ from .circle_spectral import NodeCountError, SpectralConfig
 from .cp1_geometry import ProjectivePoint
 
 LOG_2PI = math.log(2.0 * math.pi)
+
+# unit roundoff of double precision, round to nearest
+EPS = 2.0 ** -53
 
 # a batch of points is evaluated a chunk of rows at a time, each chunk
 # holding at most about this many level terms: its rows times the levels
@@ -210,25 +220,94 @@ def _terms(logmag: np.ndarray, phase: np.ndarray) -> list[LogComplex]:
             for m, p in zip(logmag.ravel().tolist(), phase.ravel().tolist())]
 
 
+def _two_sum(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """s = fl(a + b) and the error e with a + b = s + e exactly (Knuth)."""
+    s = a + b
+    bb = s - a
+    return s, (a - (s - bb)) + (b - bb)
+
+
+def _up(v: np.ndarray) -> np.ndarray:
+    """v pushed one ulp toward +inf: an upper bound of the exact value that
+    rounded to v, also where it underflowed to zero."""
+    return np.nextafter(v, math.inf)
+
+
+def _extract(x: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each row of x split as x = q + p, returned as (row sums of q, p).
+
+    With 2^e > max|x| over the row (from frexp) and sigma = 2^(e+m), the
+    high part q = (sigma + x) - sigma is exact by Sterbenz's lemma, and the
+    residual p = x - q is the rounding error of sigma + x, so exact as well,
+    with |p| <= 2^(e+m-53).  Every q is a multiple of 2^(e+m-53) with
+    |q| <= 2^e, as rounding is monotone; for 2^m >= n, m >= 1, every
+    partial sum of a row's n values q is a multiple of 2^(e+m-53) of size
+    at most sigma = 2^53 * 2^(e+m-53), so a float: numpy sums them exactly
+    in whatever order it takes.
+    """
+    sigma = np.ldexp(1.0, np.frexp(np.abs(x).max(axis=1))[1] + m)[:, None]
+    q = sigma + x
+    q -= sigma
+    return q.sum(axis=1), x - q
+
+
+def _row_sums(x: np.ndarray) -> np.ndarray:
+    """The correctly rounded sum of each row of the 2-D block x: the value
+    math.fsum(row) gives, sign of zero included.
+
+    Two extraction passes (Rump, Ogita & Oishi, SIAM J. Sci. Comput. 31,
+    2008) write a row of n terms as t1 + t2 + sum(p): t1 and t2 are exact,
+    and |p| is below 2^(2m-104) times the row's largest term.  numpy sums
+    p to t3 within gamma_{n-1} sum|p| <= 2n eps fl(sum|p|) (n eps <= 1/4).
+    TwoSum writes t1 + t2 = a + e0 exactly, and two more write
+    e0 + t3 = c + e1 and a + c = r + e2, so the exact sum lies within
+    err = |e1| + |e2| + that bound of r; err is evaluated with each rounded
+    step pushed one ulp up.  r is the correctly rounded sum when 2 err is
+    below the smaller of the gaps from r to its neighbours, or when e1, e2
+    and p are all zero, so that r is the sum itself.  No q is -0.0, since
+    x - x is +0.0 when rounding to nearest, so neither are t1, a and an
+    exact-zero r, which is +0.0 as fsum's is.  A row that fails the
+    certificate (a near-tie, cancellation below the residual's scale, NaN
+    or inf) is summed by math.fsum.
+    """
+    rows, n = x.shape
+    if not n:
+        return np.zeros(rows)
+    m = max(1, (n - 1).bit_length())
+    with np.errstate(invalid="ignore", over="ignore"):
+        t1, p = _extract(x, m)
+        t2, p = _extract(p, m)
+        mass = np.abs(p).sum(axis=1)
+        a, e0 = _two_sum(t1, t2)
+        c, e1 = _two_sum(e0, p.sum(axis=1))
+        r, e2 = _two_sum(a, c)
+        err = _up(_up(np.abs(e1) + np.abs(e2)) + _up(2 * n * EPS * mass))
+        gap = np.minimum(np.nextafter(r, math.inf) - r,
+                         r - np.nextafter(r, -math.inf))
+        exact = (e1 == 0) & (e2 == 0) & (mass == 0)
+        rejected = ~((2.0 * err < gap) | exact)
+    for i in np.flatnonzero(rejected).tolist():
+        r[i] = math.fsum(x[i].tolist())
+    return r
+
+
 def _level_sums(logmag: np.ndarray, phase: np.ndarray) -> list[LogComplex]:
     """Each row of terms exp(logmag + i*phase) summed to one LogComplex.
 
     The row's largest logmag is factored out and the real and imaginary
-    parts of the rescaled terms go through math.fsum, so the only error
-    left is the rounding of each term.  Dead terms (logmag -inf) add exact
-    zeros; a row without a live term is the exact zero.  fsum runs up to 4x
-    faster on falling magnitudes, so each row is fed from its top outward,
-    and about 2x faster on Python floats than on numpy scalars, so the
-    rescaled terms and the peaks go in as lists.
+    parts of the rescaled terms are each summed correctly rounded by
+    _row_sums, so the only error left is the rounding of each term.  Dead
+    terms (logmag -inf) add exact zeros; a row without a live term is the
+    exact zero.  _row_sums works on the whole block at once and hands only
+    the rows its certificate rejects to math.fsum; both give the same bits.
+    hilbert_route_terms sums with math.fsum alone, so that as the level
+    sum's independent oracle it checks _row_sums too.
     """
     top = logmag.max(axis=1, initial=-math.inf)
     mags = np.exp(logmag - np.where(top > -math.inf, top, 0.0)[:, None])
-    peaks = (logmag.argmax(axis=1).tolist() if logmag.size
-             else [0] * len(logmag))
-    re, im = ([math.fsum(itertools.chain(row[p::-1], row[p + 1:]))
-               for p, row in zip(peaks, (mags * trig(phase)).tolist())]
+    re, im = (_row_sums(mags * trig(phase)).tolist()
               for trig in (np.cos, np.sin))
-    return [_lift(t, complex(r, i)) for t, r, i in zip(top, re, im)]
+    return [_lift(t, complex(r, i)) for t, r, i in zip(top.tolist(), re, im)]
 
 
 def logc_sum(terms: Iterable[LogComplex]) -> LogComplex:

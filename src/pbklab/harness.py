@@ -36,9 +36,9 @@ EXIT_OK = 0
 EXIT_THRESHOLD = 1
 EXIT_CONFIG = 2
 
-# two-proj norms at or below this are rounding noise of the block SVD, not
-# a measured decay; the disjoint fit leaves them out and the summary counts
-# them
+# the disjoint two-proj fit's cut-off: it leaves norms at or below this
+# out of the log-linear fit, and the summary counts them.  It is not the
+# norm route's resolution, which reaches 8.8e-23 at k = 3000
 NORM_FLOOR = 1e-12
 
 EXPERIMENTS = ("selftest-hilbert", "heatmap", "error-scaling",
@@ -573,7 +573,7 @@ def run_two_proj(config: ExperimentConfig) -> RunReport:
                           "projection product norm decay", "k", "log norm")
     floored = sum(n <= NORM_FLOOR for n in norms)
     floor_note = (f"{floored} of {len(norms)} norms at or below the "
-                  f"{NORM_FLOOR:.0e} resolution floor")
+                  f"{NORM_FLOOR:.0e} fit cut-off")
     if disjoint:
         positive = [(k, n) for k, n in zip(ks, norms) if n > NORM_FLOOR]
         if not positive:
@@ -583,7 +583,7 @@ def run_two_proj(config: ExperimentConfig) -> RunReport:
                               "floored": floored}, config.out)
         if len(positive) < 3:
             message = (f"disjoint caps: the decay fit needs 3 norms above "
-                       f"the floor, got {len(positive)}; {floor_note}")
+                       f"the cut-off, got {len(positive)}; {floor_note}")
             return RunReport(EXIT_THRESHOLD, message,
                              {"disjoint": True, "max_norm": max(norms),
                               "floored": floored}, config.out)

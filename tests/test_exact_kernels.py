@@ -17,6 +17,7 @@ from pbklab.exact_kernels import (CHUNK_TERMS, LogComplex, bergman_coeff,
                                   partial_coeff, partial_via_hilbert,
                                   propagator_coeff, section_coeff,
                                   toeplitz_diag)
+from pbklab.harness import ExperimentConfig, run_experiment
 
 ONE_ONE = ProjectivePoint(1, 1)
 ORIGIN = ProjectivePoint(0, 1)
@@ -69,6 +70,102 @@ def test_logc_sum_huge_dynamic_range():
     terms = [LogComplex(5000.0, 0.0), LogComplex(-5000.0, 0.0)]
     total = logc_sum(terms)
     assert abs(total.logmag - 5000.0) < 1e-12
+
+
+# --- correctly rounded row sums ---------------------------------------------
+
+def row_sum_hex(rows):
+    """_row_sums of a block of equal-length rows, and math.fsum of each
+    row, as hex strings: equal bits, sign of zero included."""
+    block = np.array(rows, dtype=float).reshape(len(rows), -1)
+    return ([v.hex() for v in exact_kernels._row_sums(block).tolist()],
+            [math.fsum(row).hex() for row in rows])
+
+
+# finite terms small enough that no partial sum of a row overflows
+summand = st.floats(min_value=-1e300, max_value=1e300, allow_nan=False)
+
+
+@st.composite
+def row_blocks(draw):
+    """Blocks of rows of one length; a row may repeat its terms negated,
+    possibly nudged by an ulp, for deep cancellation."""
+    n, count = draw(st.integers(1, 40)), draw(st.integers(1, 4))
+    rows = []
+    for _ in range(count):
+        row = draw(st.lists(summand, min_size=n, max_size=n))
+        if draw(st.booleans()):
+            half = row[:(n + 1) // 2]
+            nudge = draw(st.sampled_from([0.0, 1.0, -1.0]))
+            row = half + [-math.nextafter(v, nudge * math.inf)
+                          if nudge else -v for v in half][:n // 2]
+        rows.append(row)
+    return rows
+
+
+@given(row_blocks())
+def test_row_sums_equal_fsum_bitwise(rows):
+    got, want = row_sum_hex(rows)
+    assert got == want
+
+
+@pytest.mark.parametrize("row, expected", [
+    # exact ties, both rounded to the even neighbour
+    ([1.0, 2.0 ** -53], 1.0),
+    ([1.0, -2.0 ** -54], 1.0),
+    # cancellation far below the largest term
+    ([1.0, 1e-16, -1.0], 1e-16),
+    ([1.0, -1.0, 2.0 ** -60], 2.0 ** -60),
+    # the residual after both extractions rounds in numpy's sum: a + b is
+    # a tie, so only the error bound of that sum rejects r = a
+    ([1.0, -1.0, 2.0 ** -52, -2.0 ** -52, 2.0 ** -103, 2.0 ** -156,
+      2.0 ** -170], 2.0 ** -103 + 2.0 ** -155),
+    # four terms of one sign, at odd multiples of the extraction grid: one
+    # binade less of sigma and their partial sums round
+    ([-(2 - 2.0 ** -51), -(2 - 3 * 2.0 ** -51), -(2 - 2.0 ** -51),
+      -(2 - 5 * 2.0 ** -51)], -(8 - 10 * 2.0 ** -51)),
+    ([5e-324, 1e-323, -1.5e-323], 0.0),
+    ([2.5e-323, -5e-324, 1e-322], 24 * 5e-324),
+    ([-0.0], 0.0),
+    ([-0.0, -0.0, -0.0], 0.0),
+    ([0.0, -0.0], 0.0),
+    ([-3.5], -3.5),
+    ([], 0.0),
+], ids=["tie-up", "tie-down", "cancel-1e-16", "cancel-2^-60",
+        "residual-tie", "sigma-binade", "subnormal-zero", "subnormal",
+        "negative-zero", "negative-zeros", "signed-zeros", "single",
+        "empty"])
+def test_row_sums_pinned_cases(row, expected):
+    got, want = row_sum_hex([row])
+    assert got == want == [expected.hex()]
+
+
+def test_row_sums_long_row_and_mixed_block():
+    rng = np.random.default_rng(3)
+    long = (rng.standard_normal(39000) * np.exp(-np.linspace(-9, 9, 39000)
+                                                 ** 2)).tolist()
+    got, want = row_sum_hex([long])
+    assert got == want
+    # rows of one block: plain, all zero, subnormal, NaN, cancelling
+    block = [rng.standard_normal(6).tolist(), [0.0] * 6,
+             [5e-324, -1e-323, 0.0, 5e-324, 2e-323, -0.0],
+             [1.0, math.nan, 0.0, 0.0, 0.0, 0.0],
+             [0.1, 0.2, 0.3, -0.3, -0.2, -0.1]]
+    got, want = row_sum_hex(block)
+    assert got == want
+
+
+def test_heatmap_grid_sums_rarely_reach_fsum(monkeypatch, tmp_path):
+    # a k = 80 heatmap: its level sums go to math.fsum only where the
+    # rounding certificate rejects a row, on fewer than 1% of its cells
+    calls = []
+    fsum = math.fsum
+    monkeypatch.setattr(math, "fsum",
+                        lambda terms: calls.append(1) or fsum(terms))
+    cfg = ExperimentConfig(experiment="heatmap", kind="partial", k=80,
+                           e=0.5, grid_n=81, out=str(tmp_path / "h.csv"))
+    assert run_experiment(cfg).exit_code == 0
+    assert len(calls) < 0.01 * 81 * 81
 
 
 # --- section coefficients ---------------------------------------------------

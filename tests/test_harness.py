@@ -206,6 +206,38 @@ def test_cli_rejects_energy_flag_where_unread(experiment, capsys):
             or "ambiguous option: --e could match --e1, --e2" in err)
 
 
+# every flag an experiment never reads, with a value it would accept
+UNREAD_FLAGS = (
+    [(e, flag, "1") for e in ("selftest-hilbert", "heatmap",
+                              "diagonal-microsupport", "two-proj")
+     for flag in ("--t0", "--a", "--b")]
+    + [(e, "--kind", "equivariant") for e in ("selftest-hilbert",
+                                              "diagonal-microsupport",
+                                              "two-proj")]
+    + [(e, "--z0", "0.5,0.5") for e in ("selftest-hilbert", "two-proj")]
+    + [(e, "--nodes", "500") for e in ("heatmap", "error-scaling",
+                                       "diagonal-microsupport", "two-proj")]
+    + [("selftest-hilbert", flag, "20")
+       for flag in ("--k", "--k-min", "--k-max", "--k-ratio")]
+    + [("error-scaling", "--k", "20")]
+    + [("heatmap", flag, "20") for flag in ("--k-min", "--k-max",
+                                            "--k-ratio")])
+
+
+@pytest.mark.parametrize("experiment,flag,value", UNREAD_FLAGS,
+                         ids=[f"{e}{f}" for e, f, _ in UNREAD_FLAGS])
+def test_cli_rejects_flags_an_experiment_never_reads(experiment, flag,
+                                                     value, capsys):
+    # a flag the runner never reads would run silently at the default;
+    # argparse exits 2 on it (unrecognized, or an ambiguous prefix)
+    with pytest.raises(SystemExit) as exc:
+        main([experiment, flag, value])
+    assert exc.value.code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert (f"unrecognized arguments: {flag}" in err
+            or f"ambiguous option: {flag} could match" in err)
+
+
 def test_heatmap_small_k_matches_direct_calls(tmp_path):
     cfg = ExperimentConfig(experiment="heatmap", kind="partial", k=4, e=0.5,
                            grid_n=9, grid_min=-1.0, grid_max=1.0,
@@ -344,14 +376,14 @@ def test_two_proj_disjoint_decay(tmp_path):
 
 def test_two_proj_antipodal_caps_all_floored():
     # antipodal axes give exactly orthogonal ranges: every norm is rounding
-    # noise, so every weight is counted at the resolution floor
+    # noise, so every weight is counted at the fit's cut-off
     cfg = ExperimentConfig(experiment="two-proj", u2=[0.0, 0.0, -1.0],
                            k_list=[20, 40, 80])
     report = run_two_proj(cfg)
     assert report.exit_code == EXIT_OK
     assert report.summary["disjoint"] is True
     assert report.summary["floored"] == 3
-    assert "3 of 3 norms at or below the 1e-12 resolution floor" \
+    assert "3 of 3 norms at or below the 1e-12 fit cut-off" \
         in report.message
 
 
@@ -406,7 +438,7 @@ def test_two_proj_single_weight_k(tmp_path):
     report = run_two_proj(ExperimentConfig(
         experiment="two-proj", u2=[math.sin(2.2), 0.0, math.cos(2.2)], k=10))
     assert report.exit_code == 1
-    assert "the decay fit needs 3 norms above the floor, got 1" \
+    assert "the decay fit needs 3 norms above the cut-off, got 1" \
         in report.message
 
 
