@@ -10,15 +10,22 @@ orthonormal sections have coefficient functions
 and the full / equivariant / partial kernels are assembled from products
 kappa_{k,l}(z) * conj(kappa_{k,l}(w)).  At large k these coefficients span
 an enormous dynamic range, so all values are carried in log-polar form
-(LogComplex); a sum factors out its largest term and sums the rescaled
-parts correctly rounded, the value math.fsum gives in any order.
+(a LogComplex, or arrays of logmags and phases); a sum factors out its
+largest term and sums the rescaled parts correctly rounded, the value
+math.fsum gives in any order.
 
 The kernel functions take their second point as one ProjectivePoint, a
 sequence of them, or a 1-D complex array of chart coordinates zeta (the
-points [zeta:1]), and return one LogComplex or a list.  A batch runs
-through one routine for kappa_{k,l} over a block of points x levels and
-one that sums each row, a chunk of points of about CHUNK_TERMS level terms
-at a time.
+points [zeta:1]).  A batch returns a pair (logmag, phase) of 1-D float64
+arrays, one entry per point, (-inf, 0.0) for the exact zero; one point
+returns a LogComplex of Python floats, the entry of a batch of one.  A
+batch runs through one routine for kappa_{k,l} over a block of points x
+levels and one that sums each row, a chunk of points of about CHUNK_TERMS
+level terms at a time.  It stays in arrays from the row sums to the
+caller, with no LogComplex per point: _lift turns a whole block of row
+sums into log-polar form, with math.log of the complex abs and
+math.atan2 per value, since numpy's arctan2 and complex abs miss those
+by an ulp on a share of inputs.
 
 A level sum evaluates only the O(sqrt(k)) window of levels whose terms
 survive the rescaling exp(logmag - top); every level outside it rescales to
@@ -96,6 +103,10 @@ DEAD_GAP = 760.0
 # one point, or a batch: a sequence of points or a 1-D complex array of
 # chart coordinates zeta, standing for the points [zeta:1]
 Points = ProjectivePoint | Sequence[ProjectivePoint] | np.ndarray
+
+# the values at a batch of points: 1-D arrays (logmag, phase), an entry
+# (-inf, 0.0) for the exact zero
+Batch = tuple[np.ndarray, np.ndarray]
 
 # ln(Gamma(i)) is cached in blocks of this many consecutive i, block b
 # holding i = b*LGAMMA_BLOCK .. (b+1)*LGAMMA_BLOCK - 1
@@ -205,19 +216,17 @@ class LogComplex:
         return LogComplex(self.logmag - other.logmag, self.phase - other.phase)
 
 
-def _lift(top: float, value: complex) -> LogComplex:
-    """exp(top) * value in log-polar form, as Python floats also where top
-    is a numpy scalar; the exact zero for value == 0."""
-    if value == 0:
-        return LogComplex.zero()
-    return LogComplex(float(top) + math.log(abs(value)),
-                      math.atan2(value.imag, value.real))
-
-
-def _terms(logmag: np.ndarray, phase: np.ndarray) -> list[LogComplex]:
-    """Each entry exp(logmag + i*phase) as a LogComplex, -inf as the zero."""
-    return [LogComplex(m, p) if m > -math.inf else LogComplex.zero()
-            for m, p in zip(logmag.ravel().tolist(), phase.ravel().tolist())]
+def _lift(top, re: np.ndarray, im: np.ndarray) -> Batch:
+    """(logmag, phase) of each exp(top) * (re + i*im), (-inf, 0.0) where
+    re + i*im is zero.  Magnitude and angle come from math.log of the
+    complex abs and math.atan2 per value, which numpy's versions miss by an
+    ulp on a share of inputs."""
+    re, im = re.tolist(), im.tolist()
+    logabs = np.array([math.log(abs(complex(r, i))) if r or i else -math.inf
+                       for r, i in zip(re, im)])
+    phase = np.array([math.atan2(i, r) if r or i else 0.0
+                      for r, i in zip(re, im)])
+    return top + logabs, phase
 
 
 def _two_sum(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -291,8 +300,9 @@ def _row_sums(x: np.ndarray) -> np.ndarray:
     return r
 
 
-def _level_sums(logmag: np.ndarray, phase: np.ndarray) -> list[LogComplex]:
-    """Each row of terms exp(logmag + i*phase) summed to one LogComplex.
+def _level_sums(logmag: np.ndarray, phase: np.ndarray) -> Batch:
+    """Each row of terms exp(logmag + i*phase) summed, as the arrays
+    (logmag, phase) of the row sums.
 
     The row's largest logmag is factored out and the real and imaginary
     parts of the rescaled terms are each summed correctly rounded by
@@ -305,16 +315,20 @@ def _level_sums(logmag: np.ndarray, phase: np.ndarray) -> list[LogComplex]:
     """
     top = logmag.max(axis=1, initial=-math.inf)
     mags = np.exp(logmag - np.where(top > -math.inf, top, 0.0)[:, None])
-    re, im = (_row_sums(mags * trig(phase)).tolist()
-              for trig in (np.cos, np.sin))
-    return [_lift(t, complex(r, i)) for t, r, i in zip(top.tolist(), re, im)]
+    return _lift(top, _row_sums(mags * np.cos(phase)),
+                 _row_sums(mags * np.sin(phase)))
+
+
+def _first(logmag: np.ndarray, phase: np.ndarray) -> LogComplex:
+    """The first entry of a (logmag, phase) batch, as Python floats."""
+    return LogComplex(float(logmag[0]), float(phase[0]))
 
 
 def logc_sum(terms: Iterable[LogComplex]) -> LogComplex:
     """Sum of LogComplex terms, exact accumulation after the top scale."""
     terms = list(terms)
-    return _level_sums(np.array([[t.logmag for t in terms]]),
-                       np.array([[t.phase for t in terms]]))[0]
+    return _first(*_level_sums(np.array([[t.logmag for t in terms]]),
+                               np.array([[t.phase for t in terms]])))
 
 
 def logc_rel_difference(a: LogComplex, b: LogComplex) -> float:
@@ -402,22 +416,32 @@ def _window(k: int, lo: int, s: np.ndarray) -> np.ndarray:
     return np.arange(first, last + 1)
 
 
-def _per_point(w: Points, width: int,
-               block: Callable[[Points], list[LogComplex]]):
-    """block(points) over w in chunks of rows of `width` levels: one result
-    for one point, a list for a batch."""
+def _per_point(w: Points, width: int, block: Callable[[Points], Batch]
+               ) -> LogComplex | Batch:
+    """block(points) over w in chunks of rows of `width` levels: one
+    LogComplex for one point, the arrays (logmag, phase) for a batch."""
     if isinstance(w, ProjectivePoint):
-        return block([w])[0]
+        return _first(*block([w]))
     ws = w if isinstance(w, np.ndarray) else list(w)
     step = max(1, CHUNK_TERMS // max(width, 1))
-    return [v for i in range(0, len(ws), step) for v in block(ws[i:i + step])]
+    parts = ([block(ws[i:i + step]) for i in range(0, len(ws), step)]
+             or [(np.empty(0), np.empty(0))])
+    return tuple(map(np.concatenate, zip(*parts)))
+
+
+def _zero_rule(logmag: np.ndarray, phase: np.ndarray) -> Batch:
+    """The batch with every entry that is not live (logmag -inf or NaN)
+    made the exact zero (-inf, 0.0), as LogComplex.zero() encodes it."""
+    live = logmag > -math.inf
+    return (np.where(live, logmag, -math.inf).ravel(),
+            np.where(live, phase, 0.0).ravel())
 
 
 def _pair_sums(k: int, lo: int, z: ProjectivePoint, w: Points,
                shift: Callable[[np.ndarray], np.ndarray] | None = None
-               ) -> LogComplex | list[LogComplex]:
+               ) -> LogComplex | Batch:
     """sum over levels l >= lo of kappa_{k,l}(z) conj(kappa_{k,l}(w)), each
-    term turned by e^{i shift(l)} if shift is given: one LogComplex per w.
+    term turned by e^{i shift(l)} if shift is given: one value per w.
 
     Only the window of levels that can survive the rescaling by the row's
     top term is evaluated; the sum is bit for bit the one over all levels.
@@ -425,7 +449,7 @@ def _pair_sums(k: int, lo: int, z: ProjectivePoint, w: Points,
     lo = max(lo, 0)
     z_aff = _log_affine([z])
 
-    def block(ws: Points) -> list[LogComplex]:
+    def block(ws: Points) -> Batch:
         w_aff = _log_affine(ws)
         levels = _window(k, lo, z_aff[0] + w_aff[0])
         logmag, phase = _pairs(k, levels, z_aff, w_aff)
@@ -436,7 +460,7 @@ def _pair_sums(k: int, lo: int, z: ProjectivePoint, w: Points,
     return _per_point(w, k + 1 - lo, block)
 
 
-def section_coeff(k: int, l: int, p: Points) -> LogComplex | list[LogComplex]:
+def section_coeff(k: int, l: int, p: Points) -> LogComplex | Batch:
     """Frame coefficient of the (k, l) orthonormal section.
 
     kappa_{k,l} = sqrt((k+1) C(k,l) / 2pi) zeta^l (1+|zeta|^2)^{-k/2}
@@ -444,12 +468,12 @@ def section_coeff(k: int, l: int, p: Points) -> LogComplex | list[LogComplex]:
     """
     levels = np.arange(l, l + 1)
     binom = log_binomial(k, levels)
-    return _per_point(p, 1, lambda ps: _terms(
+    return _per_point(p, 1, lambda ps: _zero_rule(
         *_sections(k, levels, binom, *_log_affine(ps))))
 
 
 def bergman_coeff(k: int, z: ProjectivePoint,
-                  w: Points) -> LogComplex | list[LogComplex]:
+                  w: Points) -> LogComplex | Batch:
     """Full-kernel coefficient: sum over all levels of the section products.
 
     The sum bounds the error relative to the largest term; for pairs whose
@@ -460,7 +484,7 @@ def bergman_coeff(k: int, z: ProjectivePoint,
 
 
 def bergman_coeff_closed(k: int, z: ProjectivePoint,
-                         w: Points) -> LogComplex | list[LogComplex]:
+                         w: Points) -> LogComplex | Batch:
     """Closed form (k+1)/(2pi) (1+zeta*conj(omega))^k ((1+|zeta|^2)(1+|omega|^2))^{-k/2}.
 
     Kept alongside the level sum as an independent route; the binomial
@@ -468,7 +492,7 @@ def bergman_coeff_closed(k: int, z: ProjectivePoint,
     """
     lz, pz = z.log_affine()
 
-    def block(ws: Points) -> list[LogComplex]:
+    def block(ws: Points) -> Batch:
         lw, pw = _log_affine(ws)
         # log(1 + zeta*conj(omega)), expanded about the larger of 1 and
         # |zeta*omega| so that the exponential cannot overflow
@@ -480,21 +504,30 @@ def bergman_coeff_closed(k: int, z: ProjectivePoint,
         logmag = (math.log(k + 1.0) - LOG_2PI + k * cross.real
                   - 0.5 * k * (np.logaddexp(0.0, 2.0 * lz)
                                + np.logaddexp(0.0, 2.0 * lw)))
-        return _terms(logmag, k * cross.imag)
+        return _zero_rule(logmag, k * cross.imag)
 
     return _per_point(w, 1, block)
 
 
 def equivariant_coeff(k: int, l: int, z: ProjectivePoint,
-                      w: Points) -> LogComplex | list[LogComplex]:
-    """Single-eigenspace kernel coefficient kappa_{k,l}(z) conj(kappa_{k,l}(w))."""
+                      w: Points) -> LogComplex | Batch:
+    """Single-eigenspace kernel coefficient kappa_{k,l}(z) conj(kappa_{k,l}(w)).
+
+    The product takes LogComplex.__mul__'s rule: the exact zero where
+    either factor is zero, else the sums of logmags and of phases.
+    """
     kz = section_coeff(k, l, z)
-    return _per_point(w, 1, lambda ws: [kz * kw.conjugate()
-                                        for kw in section_coeff(k, l, ws)])
+
+    def block(ws: Points) -> Batch:
+        # -inf + logmag is -inf, so a zero factor on either side gives zero
+        logmag, phase = section_coeff(k, l, ws)
+        return _zero_rule(kz.logmag + logmag, kz.phase - phase)
+
+    return _per_point(w, 1, block)
 
 
 def partial_coeff(cfg: SpectralConfig, z: ProjectivePoint,
-                  w: Points) -> LogComplex | list[LogComplex]:
+                  w: Points) -> LogComplex | Batch:
     """Partial-kernel coefficient: levels l >= ceil(kE) only.
 
     Empty cut (E above the top of the spectrum) gives the exact zero;
@@ -504,7 +537,7 @@ def partial_coeff(cfg: SpectralConfig, z: ProjectivePoint,
 
 
 def propagator_coeff(cfg: SpectralConfig, t: float, z: ProjectivePoint,
-                     w: Points) -> LogComplex | list[LogComplex]:
+                     w: Points) -> LogComplex | Batch:
     """Kernel coefficient of the shifted propagator at time t.
 
     sum_l e^{it(l - ceil(kE))} kappa_{k,l}(z) conj(kappa_{k,l}(w)); t = 0
@@ -581,8 +614,10 @@ def hilbert_route_terms(cfg: SpectralConfig, z: ProjectivePoint,
     # the exact zero where the level sum has no live term, not rounding noise
     value = (0.5 * (1j * hilbert + full + mean)
              if np.any(live[max(cut, 0):]) else 0j)
-    return HilbertRouteTerms(_lift(top, mean), _lift(top, hilbert),
-                             _lift(top, full), _lift(top, value))
+    values = np.array([mean, hilbert, full, value])
+    logmag, phase = _lift(top, values.real, values.imag)
+    return HilbertRouteTerms(*map(LogComplex, logmag.tolist(),
+                                  phase.tolist()))
 
 
 def partial_via_hilbert(cfg: SpectralConfig, z: ProjectivePoint,

@@ -112,6 +112,8 @@ class ExperimentConfig:
         if self.z0 is None:
             return ProjectivePoint(1.0, 1.0)
         vals = [float(v) for v in self.z0]
+        if not all(map(math.isfinite, vals)):
+            raise ConfigError(f"z0 entries must be finite, got {vals}")
         if len(vals) == 2:
             return ProjectivePoint(complex(vals[0], vals[1]), 1.0)
         if len(vals) == 4:
@@ -330,6 +332,15 @@ def run_hilbert_selftest(config: ExperimentConfig) -> RunReport:
                      config.out)
 
 
+def _check_equivariant_level(k: int, energy: float) -> None:
+    """The equivariant kernel's level ceil(kE) must be one of 0..k."""
+    level = SpectralConfig(k, energy).cut_index
+    if not 0 <= level <= k:
+        raise ConfigError(f"equivariant level ceil(kE) = {level} lies outside "
+                          f"0..{k} at E = {format_number(float(energy))}, "
+                          f"k = {k}")
+
+
 def run_orbit_heatmap(config: ExperimentConfig) -> RunReport:
     """|kernel coefficient| over a chart grid; the ridge must sit on |zeta|=1."""
     if config.kind not in ("partial", "equivariant"):
@@ -339,26 +350,36 @@ def run_orbit_heatmap(config: ExperimentConfig) -> RunReport:
     z = config.base_point()
     if not z.in_chart:
         raise ChartError("heatmap base point z0 lies off the chart z1 != 0")
+    if config.kind == "equivariant":
+        _check_equivariant_level(k, config.e)
     n = int(config.grid_n)
     if n < 8:
         raise ConfigError("grid_n must be at least 8")
+    for name in ("grid_min", "grid_max"):
+        if not math.isfinite(getattr(config, name)):
+            raise ConfigError(f"{name} must be finite, got "
+                              f"{getattr(config, name)}")
     if not config.grid_min < config.grid_max:
         raise ConfigError("grid_min must be below grid_max")
     axis = np.linspace(config.grid_min, config.grid_max, n)
-    coords = axis.tolist()
+    # each axis value is formatted once; write_csv prints strings as they are
+    labels = list(map(format_number, axis.tolist()))
+    values = np.empty((n, n))
     rows = []
     # one kernel call per grid row, given as the chart coordinates of its
     # cells [zeta:1]
-    for im in coords:
+    for i, im in enumerate(labels):
         zetas = axis.astype(complex)
-        zetas.imag = im
+        zetas.imag = axis[i]
         if config.kind == "equivariant":
-            vals = equivariant_coeff(k, cfg.cut_index, z, zetas)
+            logmag, _ = equivariant_coeff(k, cfg.cut_index, z, zetas)
         else:
-            vals = partial_coeff(cfg, z, zetas)
-        rows += [(re, im, val.abs(), val.logmag)
-                 for re, val in zip(coords, vals)]
-    values = np.array([row[2] for row in rows]).reshape(n, n)
+            logmag, _ = partial_coeff(cfg, z, zetas)
+        # |K| as LogComplex.abs gives it: math.exp(-inf) is the 0.0 of zero
+        logmag = logmag.tolist()
+        absval = list(map(math.exp, logmag))
+        values[i] = absval
+        rows += zip(labels, [im] * n, absval, logmag)
     peak = np.unravel_index(np.argmax(values), values.shape)
     peak_zeta = complex(axis[peak[1]], axis[peak[0]])
     cell = float(axis[1] - axis[0])
@@ -399,6 +420,8 @@ def run_error_scaling(config: ExperimentConfig) -> RunReport:
         raise ConfigError("t0 lies in the stabilizer exclusion zone")
     energy = float(config.e)
     if config.kind == "equivariant":
+        for k in ks:
+            _check_equivariant_level(k, energy)
         # remainder is k^-3/2 on the orbit (a = b = 0) and k^-1 once the
         # Gaussian offsets are on, so the witness power adapts
         power = 1.5 if config.a == 0.0 and config.b == 0.0 else 1.0

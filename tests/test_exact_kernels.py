@@ -155,6 +155,25 @@ def test_row_sums_long_row_and_mixed_block():
     assert got == want
 
 
+def test_lift_matches_logcomplex_from_complex():
+    # a block of sums goes to log-polar form as LogComplex.from_complex
+    # takes one value, bit for bit; numpy's arctan2 and complex abs differ
+    # from those math calls in the last bit on a share of these inputs
+    rng = np.random.default_rng(5)
+    re, im = rng.standard_normal((2, 2000))
+    re[-100:] *= 1e300
+    im[-200:-100] *= 1e-300
+    # signed zeros, which are the exact zero, and values next to them
+    re[:6] = [0.0, -0.0, 0.0, -0.0, 1e-300, -0.0]
+    im[:6] = [0.0, 0.0, -0.0, -0.0, 0.0, 5e-324]
+    top = rng.uniform(-50, 50, 2000)
+    want = [LogComplex.from_complex(complex(r, i))
+            for r, i in zip(re.tolist(), im.tolist())]
+    assert batch_bits(exact_kernels._lift(top, re, im)) == bits(
+        [LogComplex(t + w.logmag, w.phase)
+         for t, w in zip(top.tolist(), want)])
+
+
 def test_heatmap_grid_sums_rarely_reach_fsum(monkeypatch, tmp_path):
     # a k = 80 heatmap: its level sums go to math.fsum only where the
     # rounding certificate rejects a row, on fewer than 1% of its cells
@@ -271,12 +290,18 @@ def test_kernel_results_hold_python_floats():
                logc_sum([LogComplex(1.0, 2.0), LogComplex(-1.0, 0.5)]),
                partial_coeff(SpectralConfig(12, 2.0), z, w)]
     results += vars(hilbert_route_terms(cfg, z, w)).values()
-    for batch in (section_coeff(12, 5, [z, w]), bergman_coeff(12, z, [z, w]),
-                  partial_coeff(cfg, z, [z, w]),
-                  equivariant_coeff(12, 6, z, [z, w])):
-        results += batch
     for value in results:
         assert type(value.logmag) is float and type(value.phase) is float
+    # a batch is two float64 arrays, one entry per point
+    for batch in (section_coeff(12, 5, [z, w]), bergman_coeff(12, z, [z, w]),
+                  bergman_coeff_closed(12, z, [z, w]),
+                  partial_coeff(cfg, z, [z, w]),
+                  propagator_coeff(cfg, 0.7, z, [z, w]),
+                  equivariant_coeff(12, 6, z, [z, w])):
+        assert type(batch) is tuple and len(batch) == 2
+        for array in batch:
+            assert type(array) is np.ndarray and array.dtype == np.float64
+            assert array.shape == (2,)
 
 
 # --- full kernel ------------------------------------------------------------
@@ -320,9 +345,10 @@ def test_bergman_cauchy_schwarz():
         assert lhs <= rhs * (1 + 1e-12)
 
 
-def log_polar(values):
-    """LogComplex values as one complex array of logmag + i*phase."""
-    return np.array([v.logmag + 1j * v.phase for v in values])
+def log_polar(batch):
+    """A batch (logmag, phase) as one complex array of logmag + i*phase."""
+    logmag, phase = batch
+    return logmag + 1j * phase
 
 
 def test_reproducing_property_small_k():
@@ -349,7 +375,18 @@ def test_reproducing_property_small_k():
 
 
 def bits(values):
+    """(logmag, phase) of each LogComplex in values, as exact hex strings."""
     return [(float(v.logmag).hex(), float(v.phase).hex()) for v in values]
+
+
+def batch_bits(batch):
+    """bits of a batch, after checking that it is two 1-D float64 arrays of
+    one length."""
+    logmag, phase = batch
+    assert logmag.dtype == phase.dtype == np.float64
+    assert logmag.ndim == phase.ndim == 1 and logmag.size == phase.size
+    return [(m.hex(), p.hex()) for m, p in zip(logmag.tolist(),
+                                                phase.tolist())]
 
 
 @pytest.mark.parametrize("k, energy, count", [
@@ -379,10 +416,12 @@ def test_batched_calls_equal_per_point_calls(k, energy, count):
     zetas = np.array([w.z0 for w in ws])
     assert all(w.z1 == 1 for w in ws)
     for name, kernel in kernels.items():
-        assert bits(kernel(ws)) == bits([kernel(w) for w in ws]), name
-        assert bits(kernel(zetas)) == bits(kernel(ws)), name
-        assert bits(kernel(tuple(ws[:2]))) == bits(kernel(ws[:2])), name
-    assert partial_coeff(cfg, z, []) == []
+        assert batch_bits(kernel(ws)) == bits([kernel(w) for w in ws]), name
+        assert batch_bits(kernel(zetas)) == batch_bits(kernel(ws)), name
+        assert (batch_bits(kernel(tuple(ws[:2])))
+                == batch_bits(kernel(ws[:2]))), name
+        for empty in ([], np.array([], dtype=complex)):
+            assert batch_bits(kernel(empty)) == [], name
 
 
 @pytest.mark.parametrize("k", [10, 10 ** 3, 10 ** 5])
@@ -415,7 +454,7 @@ def test_level_sum_window_drops_only_exact_zeros(k):
                 if t is not None:
                     phase = phase + (levels - cfg.cut_index) * t
                 full = exact_kernels._level_sums(logmag, phase)
-                assert bits([kernel]) == bits(full), (z, w, energy, lo)
+                assert bits([kernel]) == batch_bits(full), (z, w, energy, lo)
                 kept = exact_kernels._window(k, max(lo, 0), s)
                 dropped = logmag[0, ~np.isin(levels, kept)]
                 dropped_levels += dropped.size
@@ -452,6 +491,18 @@ def test_equivariant_rotation_covariance():
         plain = equivariant_coeff(k, l, z, w)
         assert abs(rotated.logmag - plain.logmag) <= 1e-12
         assert phase_distance(rotated.phase, plain.phase + l * t) <= 1e-10
+
+
+def test_batch_zeros_are_logcomplex_zero():
+    # every exact zero of a batch is (-inf, 0.0), as LogComplex.zero(),
+    # also where the phase arithmetic gives another angle, as for
+    # kappa_{k,l}(0) = 0 times conj(kappa_{k,l}(w)) with w off the real axis
+    ws = [level_point(0.3, 1.1), ProjectivePoint(-1, 1), ORIGIN]
+    zero = bits([LogComplex.zero()])
+    assert batch_bits(equivariant_coeff(12, 5, ORIGIN, ws)) == zero * 3
+    assert batch_bits(section_coeff(12, 5, ws))[2:] == zero
+    assert batch_bits(partial_coeff(SpectralConfig(12, 2.0), ONE_ONE,
+                                    ws)) == zero * 3
 
 
 # --- partial kernel ---------------------------------------------------------

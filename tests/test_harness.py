@@ -1,13 +1,16 @@
+import hashlib
 import json
 import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
 
 import pbklab
+from pbklab import harness
 from pbklab.cli import main
 from pbklab.circle_spectral import SpectralConfig
 from pbklab.cp1_geometry import ProjectivePoint
@@ -253,11 +256,18 @@ def test_heatmap_small_k_matches_direct_calls(tmp_path):
         assert abs(float(absval) - direct) <= 1e-14 * max(direct, 1.0)
 
 
-@pytest.mark.parametrize("kind", ["partial", "equivariant"])
-def test_heatmap_csv_bytes_match_per_point_calls(tmp_path, kind):
+@pytest.mark.parametrize("kind, digest", [
+    ("partial",
+     "e7eb92fe6339a905a3b1c2c7be40ae4d65d2e38fd4de92d7d52781ff08c3f64b"),
+    ("equivariant",
+     "61cd0e0d6ec91830c5a1c8c20b3d83e9484871b913d272c11a39a1b1479a7bbd"),
+], ids=["partial", "equivariant"])
+def test_heatmap_csv_bytes_match_per_point_calls(tmp_path, kind, digest):
     # bit for bit: the grid, which holds zeta = 0, rebuilt from one kernel
     # call per cell [zeta:1]; a base point off the real axis makes the map
-    # change under zeta -> conj(zeta)
+    # change under zeta -> conj(zeta).  The SHA-256 pins both routes to the
+    # bytes the per-cell LogComplex route wrote, so a drift shared by the
+    # grid and the per-point calls fails too
     cfg = ExperimentConfig(experiment="heatmap", kind=kind, k=12, e=0.5,
                            grid_n=9, grid_min=-1.0, grid_max=1.0,
                            z0=[0.6, 0.3], out=str(tmp_path / "g.csv"),
@@ -279,6 +289,57 @@ def test_heatmap_csv_bytes_match_per_point_calls(tmp_path, kind):
     assert text.endswith("\n" + "\n".join(lines) + "\n")
     if kind == "equivariant":
         assert lines[41] == "0,0,0,-inf"
+    assert hashlib.sha256((tmp_path / "g.csv").read_bytes()).hexdigest() \
+        == digest
+
+
+@pytest.mark.parametrize("experiment, z0", [
+    ("heatmap", "nan,1"), ("error-scaling", "nan,1"),
+    ("diagonal-microsupport", "inf,0"), ("heatmap", "1,0,-inf,0"),
+])
+def test_cli_rejects_non_finite_base_point(experiment, z0, capsys):
+    # named as z0, not as a failed float-to-integer conversion deep in the
+    # level window or as a non-finite spectral cut
+    assert main([experiment, f"--z0={z0}"]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "z0 entries must be finite" in err
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--grid-max", "inf"), ("--grid-max", "nan"), ("--grid-min", "-inf"),
+    ("--grid-min", "nan"),
+])
+def test_cli_heatmap_rejects_non_finite_grid_bound(flag, value, capsys):
+    # rejected before np.linspace, which would warn on an infinite bound
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["heatmap", f"{flag}={value}", "--k", "12",
+                     "--grid-n", "9"])
+    assert code == EXIT_CONFIG
+    assert caught == []
+    name = flag[2:].replace("-", "_")
+    assert f"{name} must be finite, got {value}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, fragment", [
+    (["heatmap", "--kind", "equivariant", "--e", "2", "--k", "12"],
+     "ceil(kE) = 24 lies outside 0..12 at E = 2, k = 12"),
+    (["heatmap", "--kind", "equivariant", "--e", "-0.25", "--k", "12"],
+     "ceil(kE) = -3 lies outside 0..12 at E = -0.25, k = 12"),
+    (["error-scaling", "--kind", "equivariant", "--e", "2", "--k-max",
+      "100"], "ceil(kE) = 20 lies outside 0..10 at E = 2, k = 10"),
+    (["error-scaling", "--kind", "equivariant", "--e", "-0.25"],
+     "ceil(kE) = -2 lies outside 0..10 at E = -0.25, k = 10"),
+], ids=["heatmap-above", "heatmap-below", "error-scaling-above",
+        "error-scaling-below"])
+def test_cli_equivariant_level_outside_levels(argv, fragment, capsys,
+                                              monkeypatch):
+    # the check names E, k and the level, and runs before any kernel call
+    def no_kernel(*args):
+        raise AssertionError("kernel called before the level check")
+    monkeypatch.setattr(harness, "equivariant_coeff", no_kernel)
+    assert main(argv) == EXIT_CONFIG
+    assert f"equivariant level {fragment}" in capsys.readouterr().err
 
 
 # --- error scaling -------------------------------------------------------------
