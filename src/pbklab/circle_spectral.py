@@ -6,10 +6,11 @@ nonnegative frequencies and satisfies
 
     P(g) = (i*Hg + g + ghat(0)) / 2.
 
-For a Hermitian matrix A whose one-parameter group U_A(t) = e^{itA} is
-2*pi-periodic (equivalently: integer spectrum), the spectral projection
-onto [E, infinity) is the Hardy projection of t -> e^{-i ceil(E) t} U_A(t)
-evaluated at t = 0:
+This module applies the identity to matrices only; on a scalar series it
+is a line of algebra on the coefficients.  For a Hermitian matrix A whose
+one-parameter group U_A(t) = e^{itA} is 2*pi-periodic (equivalently:
+integer spectrum), the spectral projection onto [E, infinity) is the
+Hardy projection of t -> e^{-i ceil(E) t} U_A(t) evaluated at t = 0:
 
     P_{A,E} = (i*H_term + Id + mean_term) / 2,
     mean_term = (1/2pi) integral_{-pi}^{pi} U_A(t) e^{-i ceil(E) t} dt,
@@ -33,7 +34,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Mapping
 
 import numpy as np
 
@@ -49,8 +49,9 @@ class NodeCountError(ValueError):
     """Raised when a quadrature is attempted with too few nodes."""
 
 
-def snapped_ceil(x: float, tol: float = EIGENVALUE_TIE_TOL) -> int:
-    """ceil(x), except values within tol of an integer snap to that integer.
+def snapped_ceil(x: float) -> int:
+    """ceil(x), except values within EIGENVALUE_TIE_TOL of an integer snap
+    to that integer.
 
     Keeps an eigenvalue sitting exactly at the spectral cut inside the
     projector (the cut interval is closed on the left).
@@ -58,63 +59,9 @@ def snapped_ceil(x: float, tol: float = EIGENVALUE_TIE_TOL) -> int:
     if not math.isfinite(x):
         raise ValueError(f"spectral cut level {x} must be finite")
     r = round(x)
-    if abs(x - r) <= tol:
+    if abs(x - r) <= EIGENVALUE_TIE_TOL:
         return int(r)
     return int(math.ceil(x))
-
-
-# ---------------------------------------------------------------------------
-# finite Fourier series
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class FourierSeries:
-    """A trigonometric polynomial sum_p ghat(p) e^{ipt} with finite support."""
-
-    coefficients: Mapping[int, complex]
-
-    def __post_init__(self):
-        pruned = {int(p): complex(c) for p, c in self.coefficients.items()
-                  if complex(c) != 0}
-        object.__setattr__(self, "coefficients", pruned)
-
-    @property
-    def frequencies(self) -> tuple[int, ...]:
-        return tuple(sorted(self.coefficients))
-
-    def coefficient(self, p: int) -> complex:
-        return self.coefficients.get(p, 0j)
-
-    def evaluate(self, t: float) -> complex:
-        return sum(c * np.exp(1j * p * t) for p, c in self.coefficients.items())
-
-
-def hilbert_multiplier(series: FourierSeries) -> FourierSeries:
-    """Periodic Hilbert transform: ghat(p) -> -i*sgn(p)*ghat(p)."""
-    out = {}
-    for p, c in series.coefficients.items():
-        if p > 0:
-            out[p] = -1j * c
-        elif p < 0:
-            out[p] = 1j * c
-    return FourierSeries(out)
-
-
-def szego_project(series: FourierSeries) -> FourierSeries:
-    """Hardy-space projection: drop every negative frequency."""
-    return FourierSeries({p: c for p, c in series.coefficients.items() if p >= 0})
-
-
-def szego_via_hilbert(series: FourierSeries) -> FourierSeries:
-    """The assembly (i*Hg + g + ghat(0))/2; equals szego_project exactly."""
-    hg = hilbert_multiplier(series)
-    out = {}
-    for p in set(series.coefficients) | set(hg.coefficients) | {0}:
-        val = 0.5 * (1j * hg.coefficient(p) + series.coefficient(p))
-        if p == 0:
-            val += 0.5 * series.coefficient(0)
-        out[p] = val
-    return FourierSeries(out)
 
 
 # ---------------------------------------------------------------------------
@@ -199,14 +146,6 @@ def expm_series(m: np.ndarray) -> np.ndarray:
     for _ in range(s):
         result = result @ result
     return result
-
-
-def propagator_matrix(a, t: float) -> np.ndarray:
-    """U_A(t) = e^{itA}, computed without eigendecomposition."""
-    op = _as_operator(a)
-    if not math.isfinite(t):
-        raise ValueError(f"propagator time {t} must be finite")
-    return expm_series(1j * t * op.matrix)
 
 
 def _required_nodes(op: IntegerSpectrumOperator, cut: int) -> int:
@@ -330,7 +269,16 @@ def _geometric_sum(s_mat: np.ndarray, n: int) -> np.ndarray:
 
 
 def spectral_projector_eig(a, energy: float) -> np.ndarray:
-    """Oracle route: sum of v v* over eigenpairs with eigenvalue >= E - 1e-9.
+    """Oracle route: sum of v v* over the eigenpairs kept by the tie rule.
+
+    The tie rule keeps every eigenvalue lambda >= E - EIGENVALUE_TIE_TOL *
+    max|lambda|.  The tolerance scales with the spectrum, as the rounding
+    of a computed eigenvalue does, so the projector of A at E equals that
+    of A/n at E/n: an eigenvalue that is zero in exact arithmetic falls on
+    the same side of the cut in both.  The quadrature route snaps E to an
+    integer within an absolute EIGENVALUE_TIE_TOL instead; the two rules
+    agree unless E lies within EIGENVALUE_TIE_TOL * max|lambda| above an
+    eigenvalue but not within EIGENVALUE_TIE_TOL of it.
 
     Accepts an IntegerSpectrumOperator or any Hermitian matrix.
     """
@@ -341,7 +289,8 @@ def spectral_projector_eig(a, energy: float) -> np.ndarray:
         if np.max(np.abs(m - m.conj().T)) > HERMITIAN_TOL:
             raise ValueError("matrix is not Hermitian to 1e-12 in max-norm")
     eigvals, eigvecs = np.linalg.eigh(m)
-    keep = eigvals >= energy - EIGENVALUE_TIE_TOL
+    scale = float(np.abs(eigvals).max(initial=0.0))
+    keep = eigvals >= energy - EIGENVALUE_TIE_TOL * scale
     v = eigvecs[:, keep]
     return v @ v.conj().T
 

@@ -118,19 +118,14 @@ def build_config(args: argparse.Namespace) -> ExperimentConfig:
     else:
         config = ExperimentConfig()
     config.experiment = args.experiment
-    for name in ("k", "k_min", "k_max", "k_ratio", "e", "t0", "a", "b",
-                 "nodes", "out", "svg", "seed", "no_timestamp", "kind",
-                 "grid_min", "grid_max", "grid_n", "dim", "trials",
-                 "e1", "e2"):
+    # every flag but --config sets the config field its destination names;
+    # a subcommand's namespace holds only the flags it registers
+    for flag in FLAGS:
+        name = flag[2:].replace("-", "_")
         value = getattr(args, name, None)
-        if value is not None:
-            setattr(config, name, value)
-    if getattr(args, "z0", None) is not None:
-        config.z0 = _parse_vector(args.z0)
-    for axis_name in ("u1", "u2"):
-        value = getattr(args, axis_name, None)
-        if value is not None:
-            setattr(config, axis_name, _parse_vector(value))
+        if value is not None and flag != "--config":
+            setattr(config, name, _parse_vector(value)
+                    if flag in VECTOR_FLAGS else value)
     return config
 
 

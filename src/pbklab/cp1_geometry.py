@@ -12,6 +12,10 @@ import cmath
 import math
 from dataclasses import dataclass
 
+# the largest coordinate difference of two gauge-fixed unit representatives
+# that projective_equal still counts as the same point
+PROJECTIVE_TOL = 1e-10
+
 
 class ChartError(ValueError):
     """Raised when an operation needs the affine chart z1 != 0."""
@@ -29,10 +33,6 @@ class ProjectivePoint:
             raise ValueError("homogeneous coordinates must not both vanish")
         object.__setattr__(self, "z0", complex(self.z0))
         object.__setattr__(self, "z1", complex(self.z1))
-
-    @classmethod
-    def from_affine(cls, zeta: complex) -> "ProjectivePoint":
-        return cls(complex(zeta), 1.0 + 0.0j)
 
     @property
     def in_chart(self) -> bool:
@@ -89,9 +89,8 @@ def level_point(e: float, theta: float = 0.0) -> ProjectivePoint:
     return ProjectivePoint(r * cmath.exp(1j * theta), 1.0)
 
 
-def projective_equal(p: ProjectivePoint, q: ProjectivePoint,
-                     tol: float = 1e-10) -> bool:
-    """Equality of projective points, gauge-fixed.
+def projective_equal(p: ProjectivePoint, q: ProjectivePoint) -> bool:
+    """Equality of projective points, gauge-fixed, to PROJECTIVE_TOL.
 
     Each representative is normalized to unit norm and its
     largest-magnitude coordinate rotated onto the positive real axis,
@@ -112,4 +111,4 @@ def projective_equal(p: ProjectivePoint, q: ProjectivePoint,
     ub = b[idx].conjugate() / abs(b[idx])
     a = (a[0] * ua, a[1] * ua)
     b = (b[0] * ub, b[1] * ub)
-    return max(abs(a[0] - b[0]), abs(a[1] - b[1])) <= tol
+    return max(abs(a[0] - b[0]), abs(a[1] - b[1])) <= PROJECTIVE_TOL

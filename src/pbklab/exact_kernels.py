@@ -78,7 +78,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -99,6 +99,12 @@ CHUNK_TERMS = 1 << 20
 # to exactly 0.0: np.exp(x) == 0.0 for x < -1075 ln 2 = -745.13, and the 15
 # nats between absorb the rounding of logmag (see the module docstring)
 DEAD_GAP = 760.0
+
+# bergman_coeff_closed tests a pair for an exact zero of 1 + zeta*conj(omega)
+# where its float log|1 + zeta*conj(omega)| lies below this: at an exact zero
+# the float value is only the rounding of the log-polar coordinates, below
+# 1e-12 even at log|zeta| ~ 700, far below e^-20 = 2e-9
+ANTIPODE_SCREEN = -20.0
 
 # one point, or a batch: a sequence of points or a 1-D complex array of
 # chart coordinates zeta, standing for the points [zeta:1]
@@ -168,11 +174,7 @@ def log_binomial(k: int, l):
 
 @dataclass(frozen=True)
 class LogComplex:
-    """A complex number exp(logmag + i*phase); logmag = -inf encodes zero.
-
-    Products and quotients are exact in (logmag, phase); sums factor out
-    the largest logmag before accumulating.
-    """
+    """A complex number exp(logmag + i*phase); logmag = -inf encodes zero."""
 
     logmag: float
     phase: float
@@ -199,21 +201,6 @@ class LogComplex:
         if self.is_zero:
             return 0j
         return cmath.exp(complex(self.logmag, self.phase))
-
-    def conjugate(self) -> "LogComplex":
-        return LogComplex(self.logmag, -self.phase)
-
-    def __mul__(self, other: "LogComplex") -> "LogComplex":
-        if self.is_zero or other.is_zero:
-            return LogComplex.zero()
-        return LogComplex(self.logmag + other.logmag, self.phase + other.phase)
-
-    def __truediv__(self, other: "LogComplex") -> "LogComplex":
-        if other.is_zero:
-            raise ZeroDivisionError("division by an exact LogComplex zero")
-        if self.is_zero:
-            return LogComplex.zero()
-        return LogComplex(self.logmag - other.logmag, self.phase - other.phase)
 
 
 def _lift(top, re: np.ndarray, im: np.ndarray) -> Batch:
@@ -319,18 +306,6 @@ def _level_sums(logmag: np.ndarray, phase: np.ndarray) -> Batch:
                  _row_sums(mags * np.sin(phase)))
 
 
-def _first(logmag: np.ndarray, phase: np.ndarray) -> LogComplex:
-    """The first entry of a (logmag, phase) batch, as Python floats."""
-    return LogComplex(float(logmag[0]), float(phase[0]))
-
-
-def logc_sum(terms: Iterable[LogComplex]) -> LogComplex:
-    """Sum of LogComplex terms, exact accumulation after the top scale."""
-    terms = list(terms)
-    return _first(*_level_sums(np.array([[t.logmag for t in terms]]),
-                               np.array([[t.phase for t in terms]])))
-
-
 def logc_rel_difference(a: LogComplex, b: LogComplex) -> float:
     """|a - b| / max(|a|, |b|); zero when both vanish."""
     if a.is_zero and b.is_zero:
@@ -421,7 +396,8 @@ def _per_point(w: Points, width: int, block: Callable[[Points], Batch]
     """block(points) over w in chunks of rows of `width` levels: one
     LogComplex for one point, the arrays (logmag, phase) for a batch."""
     if isinstance(w, ProjectivePoint):
-        return _first(*block([w]))
+        logmag, phase = block([w])
+        return LogComplex(float(logmag[0]), float(phase[0]))
     ws = w if isinstance(w, np.ndarray) else list(w)
     step = max(1, CHUNK_TERMS // max(width, 1))
     parts = ([block(ws[i:i + step]) for i in range(0, len(ws), step)]
@@ -488,7 +464,11 @@ def bergman_coeff_closed(k: int, z: ProjectivePoint,
     """Closed form (k+1)/(2pi) (1+zeta*conj(omega))^k ((1+|zeta|^2)(1+|omega|^2))^{-k/2}.
 
     Kept alongside the level sum as an independent route; the binomial
-    theorem makes the two identical.
+    theorem makes the two identical.  1 + zeta*conj(omega) is formed from
+    log-polar coordinates, so at an antipodal pair it rounds to a tiny
+    nonzero value.  Where its log magnitude is below ANTIPODE_SCREEN,
+    whether z0 conj(w0) + z1 conj(w1) vanishes is decided exactly on the
+    float coordinates, and an exact zero gives the exact zero.
     """
     lz, pz = z.log_affine()
 
@@ -504,17 +484,40 @@ def bergman_coeff_closed(k: int, z: ProjectivePoint,
         logmag = (math.log(k + 1.0) - LOG_2PI + k * cross.real
                   - 0.5 * k * (np.logaddexp(0.0, 2.0 * lz)
                                + np.logaddexp(0.0, 2.0 * lw)))
+        for i in np.flatnonzero(cross.real < ANTIPODE_SCREEN).tolist():
+            if _orthogonal(z, ws[i]):
+                logmag[i] = -math.inf
         return _zero_rule(logmag, k * cross.imag)
 
     return _per_point(w, 1, block)
+
+
+def _scaled(x: float) -> int:
+    """x * 2^1074 as an exact integer: every finite double is a multiple
+    of 2^-1074, so its ratio's power-of-two denominator divides 2^1074."""
+    n, d = x.as_integer_ratio()
+    return n * ((1 << 1074) // d)
+
+
+def _orthogonal(z: ProjectivePoint, w: ProjectivePoint | complex) -> bool:
+    """Whether z0 conj(w0) + z1 conj(w1) is exactly 0 for the float
+    coordinates, in integer arithmetic on them scaled by 2^1074; a chart
+    coordinate w stands for the point [w:1]."""
+    w0, w1 = (w.z0, w.z1) if isinstance(w, ProjectivePoint) else (w, 1.0)
+    re = im = 0
+    for a, b in ((z.z0, w0), (z.z1, w1)):
+        ar, ai, br, bi = map(_scaled, (a.real, a.imag, b.real, b.imag))
+        re += ar * br + ai * bi
+        im += ai * br - ar * bi
+    return re == 0 and im == 0
 
 
 def equivariant_coeff(k: int, l: int, z: ProjectivePoint,
                       w: Points) -> LogComplex | Batch:
     """Single-eigenspace kernel coefficient kappa_{k,l}(z) conj(kappa_{k,l}(w)).
 
-    The product takes LogComplex.__mul__'s rule: the exact zero where
-    either factor is zero, else the sums of logmags and of phases.
+    The product is the exact zero where either factor is zero, else the
+    sums of logmags and of phases.
     """
     kz = section_coeff(k, l, z)
 

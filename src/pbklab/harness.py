@@ -20,8 +20,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .asymptotics import (ScalingProbe, linear_fit, loglog_fit,
-                          predict_equivariant, error_metric)
+from .asymptotics import (STABILIZER_EXCLUSION, ScalingProbe, linear_fit,
+                          loglog_fit, predict_equivariant, error_metric)
 from .circle_spectral import (NodeCountError, SpectralConfig,
                               default_node_count,
                               random_integer_spectrum_operator,
@@ -41,9 +41,6 @@ EXIT_CONFIG = 2
 # norm route's resolution, which reaches 8.8e-23 at k = 3000
 NORM_FLOOR = 1e-12
 
-EXPERIMENTS = ("selftest-hilbert", "heatmap", "error-scaling",
-               "diagonal-microsupport", "two-proj")
-
 
 class ConfigError(ValueError):
     """Raised for malformed experiment configurations."""
@@ -52,6 +49,24 @@ class ConfigError(ValueError):
 def make_rng(seed: int) -> np.random.Generator:
     """The project RNG: counter-based Philox keyed by a 64-bit seed."""
     return np.random.Generator(np.random.Philox(int(seed) & 0xFFFFFFFFFFFFFFFF))
+
+
+def _admits(annotation: str, value) -> bool:
+    """Whether a JSON value fits a field annotated `base` or `base | None`:
+    an int field takes ints, a float field ints or floats, a list field a
+    list of numbers, and bool, which is an int to isinstance, only a bool
+    field."""
+    base, _, optional = annotation.partition(" | ")
+    if value is None:
+        return optional == "None"
+    if isinstance(value, bool):
+        return base == "bool"
+    if base.startswith("list["):
+        return isinstance(value, list) and all(
+            isinstance(v, (int, float)) and not isinstance(v, bool)
+            for v in value)
+    kinds = {"int": int, "float": (int, float), "str": str}.get(base, ())
+    return isinstance(value, kinds)
 
 
 @dataclass
@@ -98,6 +113,10 @@ class ExperimentConfig:
         unknown = sorted(set(data) - known)
         if unknown:
             raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
+        for f in dataclasses.fields(cls):
+            if f.name in data and not _admits(f.type, data[f.name]):
+                raise ConfigError(f"config key '{f.name}' takes {f.type}, "
+                                  f"got {json.dumps(data[f.name])}")
         return cls(**data)
 
     @classmethod
@@ -416,7 +435,7 @@ def run_error_scaling(config: ExperimentConfig) -> RunReport:
     ks = config.k_grid()
     if len(ks) < 3:
         raise ConfigError("error scaling needs at least 3 k values")
-    if abs(math.sin(0.5 * config.t0)) < 1e-3:
+    if abs(math.sin(0.5 * config.t0)) < STABILIZER_EXCLUSION:
         raise ConfigError("t0 lies in the stabilizer exclusion zone")
     energy = float(config.e)
     if config.kind == "equivariant":
@@ -636,6 +655,7 @@ _RUNNERS = {
     "diagonal-microsupport": run_diagonal_and_microsupport,
     "two-proj": run_two_proj,
 }
+EXPERIMENTS = tuple(_RUNNERS)
 
 
 def run_experiment(config: ExperimentConfig) -> RunReport:

@@ -24,6 +24,12 @@ from .exact_kernels import log_binomial
 
 UNITARY_TOL = 1e-12
 
+# random starts, step cap and relative stopping tolerance of
+# operator_norm_power_iteration
+POWER_RESTARTS = 5
+POWER_MAX_ITER = 10_000
+POWER_REL_TOL = 1e-10
+
 _SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 _SIGMA_Y = np.array([[0.0, -1j], [1j, 0.0]], dtype=complex)
 _SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
@@ -207,26 +213,27 @@ def _stable_norm(v: np.ndarray) -> float:
     return float(peak * np.linalg.norm(v / peak))
 
 
-def operator_norm_power_iteration(m: np.ndarray, rng: np.random.Generator,
-                                  restarts: int = 5, max_iter: int = 10_000,
-                                  rel_tol: float = 1e-10) -> float:
+def operator_norm_power_iteration(m: np.ndarray,
+                                  rng: np.random.Generator) -> float:
     """Largest singular value of m by power iteration on m* m.
 
     Iterates are renormalized every step so singular values far below 1 do
-    not underflow; several random restarts guard against starting vectors
-    orthogonal to the top singular space.  No package route calls it: the
-    benchmark's per-layer trace (bench/layers.py) still wraps it by name.
+    not underflow; POWER_RESTARTS random starts guard against starting
+    vectors orthogonal to the top singular space.  Each start stops once
+    the estimate moves by at most POWER_REL_TOL relative, or after
+    POWER_MAX_ITER steps.  No package route calls it: the benchmark's
+    per-layer trace (bench/layers.py) still wraps it by name.
     """
     m = np.asarray(m, dtype=complex)
     if np.max(np.abs(m)) < 1e-300:
         return 0.0
     best = 0.0
     dim = m.shape[1]
-    for _ in range(restarts):
+    for _ in range(POWER_RESTARTS):
         v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
         v /= _stable_norm(v)
         sigma = 0.0
-        for _ in range(max_iter):
+        for _ in range(POWER_MAX_ITER):
             mv = m @ v
             sigma_new = _stable_norm(mv)
             if sigma_new == 0.0:
@@ -238,7 +245,8 @@ def operator_norm_power_iteration(m: np.ndarray, rng: np.random.Generator,
                 sigma = sigma_new
                 break
             v = w / wn
-            if abs(sigma_new - sigma) <= rel_tol * max(sigma_new, 1e-300):
+            if abs(sigma_new - sigma) <= POWER_REL_TOL * max(sigma_new,
+                                                             1e-300):
                 sigma = sigma_new
                 break
             sigma = sigma_new

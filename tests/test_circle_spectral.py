@@ -1,5 +1,4 @@
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -7,100 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pbklab.circle_spectral as circle_spectral
-from pbklab.circle_spectral import (FourierSeries, IntegerSpectrumOperator,
-                                    NodeCountError, SpectralConfig,
-                                    default_node_count, expm_series,
-                                    hilbert_multiplier,
-                                    propagator_matrix,
+from pbklab.circle_spectral import (IntegerSpectrumOperator, NodeCountError,
+                                    SpectralConfig, default_node_count,
+                                    expm_series,
                                     random_integer_spectrum_operator,
                                     snapped_ceil, spectral_projector_eig,
-                                    spectral_projector_quadrature,
-                                    szego_project, szego_via_hilbert)
-
-
-def coeffs(strategy=None):
-    amplitude = st.complex_numbers(min_magnitude=1e-3, max_magnitude=10,
-                                   allow_nan=False, allow_infinity=False)
-    return st.dictionaries(st.integers(min_value=-12, max_value=12),
-                           amplitude, min_size=0, max_size=8)
-
-
-# --- Fourier series -------------------------------------------------------
-
-def test_hilbert_multiplier_positive_mode():
-    out = hilbert_multiplier(FourierSeries({3: 1.0}))
-    assert out.coefficients == {3: -1j}
-
-
-def test_hilbert_multiplier_kills_constant():
-    out = hilbert_multiplier(FourierSeries({0: 2.0}))
-    assert out.coefficients == {}
-
-
-def test_hilbert_multiplier_sign_rule():
-    out = hilbert_multiplier(FourierSeries({-2: 1.0, 2: 1.0}))
-    assert out.coefficients == {-2: 1j, 2: -1j}
-
-
-@given(coeffs())
-def test_hilbert_involution(data):
-    series = FourierSeries(data)
-    twice = hilbert_multiplier(hilbert_multiplier(series))
-    for p in set(series.coefficients) | set(twice.coefficients):
-        expected = 0j if p == 0 else -series.coefficient(p)
-        assert twice.coefficient(p) == expected
-
-
-def test_szego_project_truncates():
-    out = szego_project(FourierSeries({-1: 1.0, 0: 1.0, 1: 1.0}))
-    assert out.coefficients == {0: 1.0 + 0j, 1: 1.0 + 0j}
-
-
-def test_szego_project_fixes_hardy():
-    out = szego_project(FourierSeries({5: 2.0 - 1j}))
-    assert out.coefficients == {5: 2.0 - 1j}
-
-
-@given(coeffs())
-def test_szego_two_routes_agree(data):
-    series = FourierSeries(data)
-    direct = szego_project(series)
-    assembled = szego_via_hilbert(series)
-    for p in set(direct.coefficients) | set(assembled.coefficients):
-        assert abs(direct.coefficient(p) - assembled.coefficient(p)) <= 1e-12
-
-
-@given(coeffs())
-def test_szego_idempotent(data):
-    series = FourierSeries(data)
-    once = szego_project(series)
-    assert szego_project(once).coefficients == once.coefficients
-
-
-def test_random_degree8_series_routes_to_1e12():
-    rng = np.random.default_rng(11)
-    data = {p: complex(rng.standard_normal(), rng.standard_normal())
-            for p in range(-8, 9)}
-    series = FourierSeries(data)
-    direct = szego_project(series)
-    assembled = szego_via_hilbert(series)
-    for p in range(-8, 9):
-        assert abs(direct.coefficient(p) - assembled.coefficient(p)) <= 1e-12
-
-
-def test_evaluation_matches_direct_sum():
-    rng = np.random.default_rng(3)
-    data = {int(p): complex(rng.standard_normal(), rng.standard_normal())
-            for p in rng.integers(-20, 20, size=6)}
-    series = FourierSeries(data)
-    for t in rng.uniform(-math.pi, math.pi, size=5):
-        direct = sum(c * np.exp(1j * p * t) for p, c in data.items())
-        assert abs(series.evaluate(t) - direct) <= 1e-12
-
-
-def test_zero_coefficients_are_pruned():
-    series = FourierSeries({4: 0.0, 2: 1.0})
-    assert series.frequencies == (2,)
+                                    spectral_projector_quadrature)
 
 
 # --- operator construction ------------------------------------------------
@@ -140,30 +51,7 @@ def test_snapped_ceil_rejects_non_finite(value):
         snapped_ceil(value)
 
 
-# --- propagator -----------------------------------------------------------
-
-def test_propagator_periodicity():
-    op = IntegerSpectrumOperator(np.array([[1.0]]))
-    u = propagator_matrix(op, 2.0 * math.pi)
-    assert np.allclose(u, np.eye(1), atol=1e-12)
-
-
-def test_propagator_diagonal_phases():
-    op = IntegerSpectrumOperator(np.diag([0.0, 1.0]))
-    u = propagator_matrix(op, math.pi)
-    assert np.allclose(u, np.diag([1.0, -1.0]), atol=1e-12)
-
-
-def test_propagator_group_law_and_unitarity():
-    rng = np.random.default_rng(5)
-    op = random_integer_spectrum_operator(6, rng)
-    s, t = 0.7, -1.3
-    us = propagator_matrix(op, s)
-    ut = propagator_matrix(op, t)
-    ust = propagator_matrix(op, s + t)
-    assert np.max(np.abs(us @ ut - ust)) <= 1e-9
-    assert np.max(np.abs(us @ us.conj().T - np.eye(6))) <= 1e-10
-
+# --- matrix exponential ---------------------------------------------------
 
 def _hermitian(dim, seed):
     rng = np.random.default_rng(seed)
@@ -195,25 +83,6 @@ def test_expm_series_rejects_non_finite():
         expm_series(np.array([[math.nan, 0.0], [0.0, 1.0]]))
     with pytest.raises(ValueError, match="finite"):
         expm_series(np.array([[math.inf]]))
-    op = IntegerSpectrumOperator(np.diag([1.0, 2.0]))
-    with pytest.raises(ValueError, match="finite"):
-        propagator_matrix(op, math.nan)
-
-
-@pytest.mark.parametrize("t", [math.inf, -math.inf, math.nan])
-def test_propagator_rejects_non_finite_time_without_warning(t):
-    # i t A would meet inf with zero entries and warn before any check
-    op = IntegerSpectrumOperator(np.diag([1.0]))
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(ValueError, match="propagator time .* must be "
-                                             "finite"):
-            propagator_matrix(op, t)
-
-
-def test_propagator_rejects_non_hermitian():
-    with pytest.raises(ValueError, match="Hermitian"):
-        propagator_matrix(np.array([[0.0, 1.0], [0.0, 0.0]]), 1.0)
 
 
 # --- spectral projectors --------------------------------------------------
@@ -324,11 +193,9 @@ def test_eig_projector_scaled_ladder():
     assert round(np.trace(p).real) == 6
 
 
-@settings(max_examples=20, deadline=None)
-@given(st.integers(min_value=2, max_value=12),
-       st.integers(min_value=2, max_value=4),
-       st.floats(min_value=-3, max_value=3, allow_nan=False))
-def test_period_reduction(dim, n, energy):
+def _period_reduction_gap(dim, n, energy):
+    """max-norm gap between the eigen projectors of A at E and of A/n at
+    E/n, for a random A with spectrum in n{-3, .., 3}."""
     rng = np.random.default_rng(dim * 100 + n)
     ints = n * rng.integers(-3, 4, size=dim)
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
@@ -337,7 +204,25 @@ def test_period_reduction(dim, n, energy):
     matrix = 0.5 * (matrix + matrix.conj().T)
     big = spectral_projector_eig(matrix, energy)
     reduced = spectral_projector_eig(matrix / n, energy / n)
-    assert np.max(np.abs(big - reduced)) <= 1e-12
+    return np.max(np.abs(big - reduced))
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(min_value=2, max_value=12),
+       st.integers(min_value=2, max_value=4),
+       st.floats(min_value=-3, max_value=3, allow_nan=False))
+def test_period_reduction(dim, n, energy):
+    assert _period_reduction_gap(dim, n, energy) <= 1e-12
+
+
+@pytest.mark.parametrize("dim, n, energy", [
+    (2, 4, 1e-9), (3, 4, 3e-9), (4, 4, 1.5e-9), (6, 3, 2.5e-9),
+    (7, 3, 1e-9), (8, 2, 2e-9)])
+def test_period_reduction_at_ties(dim, n, energy):
+    # each operator has the eigenvalue 0, computed to within rounding of
+    # it; an absolute tie tolerance keeps it at E and drops it at E/n, or
+    # the other way round
+    assert _period_reduction_gap(dim, n, energy) <= 1e-12
 
 
 # --- spectral config ------------------------------------------------------

@@ -30,9 +30,8 @@ def test_operations_scale_invariant(p, lam):
     q = ProjectivePoint(lam * p.z0, lam * p.z1)
     assert abs(height(p) - height(q)) <= 1e-12
     assert abs(xh_norm(p) - xh_norm(q)) <= 1e-12
-    assert projective_equal(rotate(0.7, p), rotate(0.7, q), tol=1e-10)
-    assert projective_equal(gradient_flow(0.3, p), gradient_flow(0.3, q),
-                            tol=1e-10)
+    assert projective_equal(rotate(0.7, p), rotate(0.7, q))
+    assert projective_equal(gradient_flow(0.3, p), gradient_flow(0.3, q))
 
 
 def test_rotate_examples():
@@ -46,20 +45,19 @@ def test_rotate_examples():
 
 @given(chart_points(), st.floats(-6, 6), st.floats(-6, 6))
 def test_rotation_group_law(p, s, t):
-    assert projective_equal(rotate(s, rotate(t, p)), rotate(s + t, p),
-                            tol=1e-10)
+    assert projective_equal(rotate(s, rotate(t, p)), rotate(s + t, p))
 
 
 @given(chart_points(), st.floats(-2, 2), st.floats(-2, 2))
 def test_gradient_flow_group_law(p, a, b):
     assert projective_equal(gradient_flow(a, gradient_flow(b, p)),
-                            gradient_flow(a + b, p), tol=1e-10)
+                            gradient_flow(a + b, p))
 
 
 @given(chart_points(), st.floats(-2, 2), st.floats(-6, 6))
 def test_flows_commute(p, a, t):
     assert projective_equal(gradient_flow(a, rotate(t, p)),
-                            rotate(t, gradient_flow(a, p)), tol=1e-10)
+                            rotate(t, gradient_flow(a, p)))
 
 
 def test_gradient_flow_identity():

@@ -1,4 +1,5 @@
 import ast
+import importlib
 import pathlib
 import sys
 
@@ -22,3 +23,15 @@ def test_package_imports_only_stdlib_and_numpy():
             foreign += [f"{path.name}: {name}" for name in names
                         if name.split(".")[0] not in ALLOWED]
     assert foreign == []
+
+
+def test_benchmark_traced_names_exist(monkeypatch):
+    # bench/layers.py wraps these functions by name, and spans.install
+    # raises KeyError on a missing one: a deletion from the package would
+    # break the traced benchmark run without failing any other test
+    bench = pathlib.Path(__file__).resolve().parents[1] / "bench"
+    monkeypatch.syspath_prepend(str(bench))
+    layers = importlib.import_module("layers")
+    missing = [name for name, owner, attr, _ in layers.targets()
+               if attr not in vars(owner)]
+    assert missing == []

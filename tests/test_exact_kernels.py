@@ -13,7 +13,7 @@ from pbklab.cp1_geometry import (ChartError, ProjectivePoint, level_point,
 from pbklab.exact_kernels import (CHUNK_TERMS, LogComplex, bergman_coeff,
                                   bergman_coeff_closed, equivariant_coeff,
                                   hilbert_route_terms, log_binomial,
-                                  logc_rel_difference, logc_sum,
+                                  logc_rel_difference,
                                   partial_coeff, partial_via_hilbert,
                                   propagator_coeff, section_coeff,
                                   toeplitz_diag)
@@ -32,44 +32,27 @@ def phase_distance(a, b):
     return abs(cmath.exp(1j * a) - cmath.exp(1j * b))
 
 
-# --- LogComplex algebra -----------------------------------------------------
+# --- level sums -------------------------------------------------------------
 
-small_complex = st.complex_numbers(min_magnitude=1e-6, max_magnitude=1e6,
-                                   allow_nan=False, allow_infinity=False)
-
-
-@given(small_complex, small_complex)
-def test_logcomplex_product_round_trip(a, b):
-    lc = LogComplex.from_complex(a) * LogComplex.from_complex(b)
-    assert cmath.isclose(lc.to_complex(), a * b, rel_tol=1e-12)
+def test_level_sums_huge_dynamic_range():
+    # terms e^5000 and e^-5000: the sum is the top term to the last bit
+    logmag, phase = exact_kernels._level_sums(np.array([[5000.0, -5000.0]]),
+                                              np.zeros((1, 2)))
+    assert abs(logmag[0] - 5000.0) < 1e-12 and phase[0] == 0.0
 
 
-@given(small_complex, small_complex)
-def test_logcomplex_quotient_round_trip(a, b):
-    lc = LogComplex.from_complex(a) / LogComplex.from_complex(b)
-    assert cmath.isclose(lc.to_complex(), a / b, rel_tol=1e-12)
-
-
-def test_logcomplex_zero_absorbs():
-    z = LogComplex.zero()
+def test_level_sums_empty_and_dead_rows():
+    # a row without terms, or with dead terms only, is the exact zero; a
+    # dead term adds nothing to a live one
+    level_sums = exact_kernels._level_sums
+    zero = bits([LogComplex.zero()])
+    assert batch_bits(level_sums(np.empty((1, 0)), np.empty((1, 0)))) == zero
+    assert batch_bits(level_sums(np.array([[-math.inf, -math.inf]]),
+                                 np.array([[0.0, 1.0]]))) == zero
     x = LogComplex.from_complex(3 + 4j)
-    assert (z * x).is_zero
-    assert logc_sum([z, x]).to_complex() == x.to_complex()
-    assert logc_sum([]).is_zero
-
-
-@given(st.lists(small_complex, min_size=1, max_size=12))
-def test_logc_sum_matches_direct(values):
-    direct = sum(values)
-    total = logc_sum([LogComplex.from_complex(v) for v in values])
-    scale = max(abs(v) for v in values)
-    assert abs(total.to_complex() - direct) <= 1e-12 * scale
-
-
-def test_logc_sum_huge_dynamic_range():
-    terms = [LogComplex(5000.0, 0.0), LogComplex(-5000.0, 0.0)]
-    total = logc_sum(terms)
-    assert abs(total.logmag - 5000.0) < 1e-12
+    (logmag,), (phase,) = level_sums(np.array([[-math.inf, x.logmag]]),
+                                     np.array([[2.0, x.phase]]))
+    assert LogComplex(logmag, phase).to_complex() == x.to_complex()
 
 
 # --- correctly rounded row sums ---------------------------------------------
@@ -287,7 +270,6 @@ def test_kernel_results_hold_python_floats():
                bergman_coeff(12, z, w), bergman_coeff_closed(12, z, w),
                partial_coeff(cfg, z, w), propagator_coeff(cfg, 0.7, z, w),
                partial_via_hilbert(cfg, z, w),
-               logc_sum([LogComplex(1.0, 2.0), LogComplex(-1.0, 0.5)]),
                partial_coeff(SpectralConfig(12, 2.0), z, w)]
     results += vars(hilbert_route_terms(cfg, z, w)).values()
     for value in results:
@@ -333,6 +315,34 @@ def test_bergman_sum_matches_closed_form():
                         theta + rng.uniform(-1, 1) / math.sqrt(k))
         assert logc_rel_difference(bergman_coeff(k, z, w),
                                    bergman_coeff_closed(k, z, w)) <= 1e-10
+
+
+ANTIPODAL_PAIRS = [(ProjectivePoint(1, 1), ProjectivePoint(-1, 1)),
+                   (ProjectivePoint(1j, 1), ProjectivePoint(-1j, 1)),
+                   (ProjectivePoint(2, 1), ProjectivePoint(-0.5, 1))]
+
+
+@pytest.mark.parametrize("z, w", ANTIPODAL_PAIRS,
+                         ids=["1|-1", "i|-i", "2|-0.5"])
+def test_closed_form_exact_zero_at_antipodal_points(z, w):
+    # 1 + zeta conj(omega) = 0 exactly, while its log-polar form rounds to
+    # about 1e-16: one point, a sequence and chart coordinates give (-inf, 0)
+    zero = bits([LogComplex.zero()])
+    assert bits([bergman_coeff_closed(12, z, w)]) == zero
+    near = level_point(0.5, 0.2)
+    for ws in ([w, near], np.array([w.affine(), near.affine()])):
+        batch = bergman_coeff_closed(12, z, ws)
+        assert batch_bits(batch)[0] == zero[0]
+        assert batch[0][1] > -math.inf
+
+
+def test_closed_form_near_antipode_stays_nonzero():
+    # 3 * float(-1/3) rounds to -1, but 1 + 3 * float(-1/3) = 5.6e-17 exactly
+    z, w = ProjectivePoint(3, 1), ProjectivePoint(-1 / 3, 1)
+    assert 1 + 3 * (-1 / 3) == 0.0
+    assert bergman_coeff_closed(12, z, w).logmag > -math.inf
+    for ws in ([w], np.array([w.affine()])):
+        assert bergman_coeff_closed(12, z, ws)[0][0] > -math.inf
 
 
 def test_bergman_cauchy_schwarz():

@@ -11,7 +11,8 @@ import pytest
 
 import pbklab
 from pbklab import harness
-from pbklab.cli import main
+from pbklab.cli import (COMMON_FLAGS, EXPERIMENT_FLAGS, FLAGS, VECTOR_FLAGS,
+                        build_config, build_parser, main)
 from pbklab.circle_spectral import SpectralConfig
 from pbklab.cp1_geometry import ProjectivePoint
 from pbklab.exact_kernels import equivariant_coeff, partial_coeff
@@ -571,6 +572,66 @@ def test_cli_unknown_config_key_exit_2(tmp_path):
     cfg_path = tmp_path / "bad.json"
     cfg_path.write_text(json.dumps({"experiment": "heatmap", "zeta": 1}))
     assert main(["heatmap", "--config", str(cfg_path)]) == EXIT_CONFIG
+
+
+BAD_CONFIG_VALUES = [
+    ("e", "0.5"), ("seed", "a"), ("e", None), ("k", 10.5), ("k", True),
+    ("grid_n", 9.0), ("no_timestamp", 1), ("kind", 3), ("out", 5),
+    ("z0", [1, "a"]), ("z0", "1,0"), ("k_list", [10, True]),
+    ("u1", None), ("trials", None)]
+
+
+@pytest.mark.parametrize("key, value", BAD_CONFIG_VALUES,
+                         ids=[f"{k}={json.dumps(v)}"
+                              for k, v in BAD_CONFIG_VALUES])
+def test_cli_config_value_of_wrong_type_exit_2(key, value, tmp_path, capsys):
+    cfg_path = tmp_path / "bad.json"
+    cfg_path.write_text(json.dumps({key: value}))
+    assert main(["heatmap", "--config", str(cfg_path), "--k", "10"]) \
+        == EXIT_CONFIG
+    assert f"config key '{key}'" in capsys.readouterr().err
+
+
+def test_cli_valid_config_writes_the_csv_of_its_config(tmp_path):
+    fields = {"experiment": "heatmap", "k": 10, "e": 0.5, "grid_n": 9,
+              "grid_min": -1, "seed": 3, "z0": [1, 0.5], "k_list": None,
+              "no_timestamp": True}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({**fields,
+                                    "out": str(tmp_path / "json.csv")}))
+    assert main(["heatmap", "--config", str(cfg_path)]) == EXIT_OK
+    direct = ExperimentConfig(**fields, out=str(tmp_path / "direct.csv"))
+    assert run_experiment(direct).exit_code == EXIT_OK
+    assert ((tmp_path / "json.csv").read_bytes()
+            == (tmp_path / "direct.csv").read_bytes())
+
+
+def _flag_argument(flag, i):
+    """A command-line value for flag, distinct per i, and the config value
+    it should give."""
+    settings = FLAGS[flag]
+    if settings.get("action") == "store_true":
+        return [flag], True
+    if flag in VECTOR_FLAGS:
+        return [f"{flag}={i},0,1"], [float(i), 0.0, 1.0]
+    if "choices" in settings:
+        return [flag, settings["choices"][-1]], settings["choices"][-1]
+    kind = settings.get("type", str)
+    value = {int: i, float: i + 0.5}.get(kind, f"v{i}")
+    return [flag, str(value)], value
+
+
+@pytest.mark.parametrize("experiment", sorted(EXPERIMENT_FLAGS))
+def test_every_registered_flag_reaches_its_config_field(experiment):
+    flags = [f for f in COMMON_FLAGS + EXPERIMENT_FLAGS[experiment][1]
+             if f != "--config"]
+    argv, expected = [experiment], {}
+    for i, flag in enumerate(flags, start=2):
+        args, expected[flag[2:].replace("-", "_")] = _flag_argument(flag, i)
+        argv += args
+    config = build_config(build_parser().parse_args(argv))
+    assert config.experiment == experiment
+    assert {name: getattr(config, name) for name in expected} == expected
 
 
 def test_cli_wrong_subcommand_for_config(tmp_path):
