@@ -13,6 +13,9 @@ multiplying back by (k/2pi)^n gives the raw coefficient that the exact
 engines produce.  Both conventions are carried explicitly because mixing
 them up silently is the one foreseeable way to get every experiment wrong
 by a power of k.
+
+The predictors read k, N and the cut N ceil(kE/N) from a SpectralConfig
+and the probe geometry (z0, a, b, t0) from a ScalingProbe.
 """
 from __future__ import annotations
 
@@ -23,12 +26,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .circle_spectral import SpectralConfig, snapped_ceil
+from .circle_spectral import SpectralConfig
 from .cp1_geometry import (ProjectivePoint, gradient_flow, height,
                            level_point, rotate, xh_norm)
 from .exact_kernels import partial_coeff, section_coeff
 
 STABILIZER_EXCLUSION = 1e-3
+LEVEL_SET_TOL = 1e-9  # |H(z0) - E| up to which z0 counts as on {H = E}
 
 
 @dataclass(frozen=True)
@@ -36,7 +40,8 @@ class ScalingProbe:
     """Probe geometry (z0, a, b, t0) for the sqrt(k)-scaled neighborhoods.
 
     At weight k the probe points are gradient_flow(a/sqrt(k), z0) and
-    gradient_flow(b/sqrt(k), rotate(t0, z0)).
+    gradient_flow(b/sqrt(k), rotate(t0, z0)).  z0 must not be a pole,
+    where the orbit speed ||X_H|| vanishes.
     """
 
     basepoint: ProjectivePoint
@@ -47,6 +52,8 @@ class ScalingProbe:
     def __post_init__(self):
         if not 0.0 <= self.t0 < 2.0 * math.pi:
             raise ValueError("t0 must lie in [0, 2*pi)")
+        if xh_norm(self.basepoint) == 0.0:
+            raise ValueError("base point is a pole, where ||X_H|| = 0")
 
     def points(self, k: int) -> tuple[ProjectivePoint, ProjectivePoint]:
         s = math.sqrt(k)
@@ -69,55 +76,41 @@ class AsymptoticPrediction:
     remainder_order: str
     k: int
     dimension: int
-    scaled_by: str = "(2pi/k)^n"
 
     @property
     def unscaled(self) -> complex:
         return self.leading * (self.k / (2.0 * math.pi)) ** self.dimension
 
 
-def _gauss_factor(a: float, b: float, xh: float) -> float:
-    return math.exp(-0.5 * (a * a + b * b) * xh * xh)
+def _leading(cfg: SpectralConfig, dimension: int, probe: ScalingProbe,
+             shape: complex) -> AsymptoticPrediction:
+    """exp(-(a^2+b^2)||X_H||^2/2) e^{-i cut t0} N shape / (||X_H|| sqrt(pi k)),
+    with ||X_H|| the orbit speed at z0."""
+    xh = xh_norm(probe.basepoint)
+    a, b = probe.a, probe.b
+    lead = (math.exp(-0.5 * (a * a + b * b) * xh * xh)
+            * cmath.exp(-1j * cfg.cut_index * probe.t0)
+            * cfg.stabilizer_order * shape
+            / (xh * math.sqrt(math.pi * cfg.k)))
+    order = "k^-3/2" if a == 0.0 and b == 0.0 else "k^-1"
+    return AsymptoticPrediction(lead, order, cfg.k, dimension)
 
 
-def _remainder_order(a: float, b: float) -> str:
-    return "k^-3/2" if a == 0.0 and b == 0.0 else "k^-1"
-
-
-def predict_partial(k: int, energy: float, stabilizer_order: int,
-                    dimension: int, xh: float,
+def predict_partial(cfg: SpectralConfig, dimension: int,
                     probe: ScalingProbe) -> AsymptoticPrediction:
     """Leading term of the scaled partial-kernel coefficient at the probe."""
-    if xh <= 0.0:
-        raise ValueError("orbit speed xh must be positive")
-    n_stab = stabilizer_order
-    if abs(math.sin(0.5 * n_stab * probe.t0)) < STABILIZER_EXCLUSION:
+    half_angle = 0.5 * cfg.stabilizer_order * probe.t0
+    if abs(math.sin(half_angle)) < STABILIZER_EXCLUSION:
         raise ValueError(
             "t0 lies in the stabilizer exclusion zone |sin(N t /2)| < 1e-3")
-    cut = n_stab * snapped_ceil(k * energy / n_stab)
-    phase = cmath.exp(-1j * cut * probe.t0)
-    cot = 1.0 / math.tan(0.5 * n_stab * probe.t0)
-    lead = (_gauss_factor(probe.a, probe.b, xh) * phase
-            * n_stab * (1.0 - 1j * cot) / (2.0 * xh * math.sqrt(math.pi * k)))
-    return AsymptoticPrediction(lead, _remainder_order(probe.a, probe.b),
-                                k, dimension)
+    return _leading(cfg, dimension, probe,
+                    0.5 * (1.0 - 1j * (1.0 / math.tan(half_angle))))
 
 
-def predict_equivariant(k: int, lambda_k: float, stabilizer_order: int,
-                        dimension: int, xh: float,
+def predict_equivariant(cfg: SpectralConfig, dimension: int,
                         probe: ScalingProbe) -> AsymptoticPrediction:
-    """Leading term of the scaled single-eigenspace coefficient at the probe."""
-    if xh <= 0.0:
-        raise ValueError("orbit speed xh must be positive")
-    n_stab = stabilizer_order
-    scaled = k * lambda_k / n_stab
-    if abs(scaled - round(scaled)) > 1e-9:
-        raise ValueError("k*lambda_k must be an integer multiple of N")
-    phase = cmath.exp(-1j * k * lambda_k * probe.t0)
-    lead = (_gauss_factor(probe.a, probe.b, xh) * phase
-            * n_stab / (xh * math.sqrt(math.pi * k)))
-    return AsymptoticPrediction(lead, _remainder_order(probe.a, probe.b),
-                                k, dimension)
+    """Leading term of the scaled cut-level eigenspace coefficient."""
+    return _leading(cfg, dimension, probe, 1.0)
 
 
 def stirling_estimate(k: int, l_k: int, energy: float, theta: float) -> complex:
@@ -134,21 +127,21 @@ def stirling_estimate(k: int, l_k: int, energy: float, theta: float) -> complex:
     return mag * cmath.exp(1j * l_k * theta)
 
 
-def error_metric(k: int, energy: float, t0: float,
-                 z0: ProjectivePoint) -> float:
+def error_metric(cfg: SpectralConfig, probe: ScalingProbe) -> float:
     """|exact partial coefficient - leading prediction| on the orbit pair.
 
     Compares the raw (unscaled) coefficient at (z0, rotate(t0, z0)) against
-    the unscaled leading term; z0 must sit on the level set {H = energy}.
+    the unscaled leading term; the probe offsets must be 0 and z0 must sit
+    on the level set {H = E}.
     """
-    if not math.isfinite(energy):
-        raise ValueError(f"energy level {energy} must be finite")
-    if abs(height(z0) - energy) > 1e-9:
+    z0 = probe.basepoint
+    if probe.a != 0.0 or probe.b != 0.0:
+        raise ValueError(f"the error metric is taken on the orbit: offsets "
+                         f"a and b must be 0, got a={probe.a}, b={probe.b}")
+    if abs(height(z0) - cfg.energy) > LEVEL_SET_TOL:
         raise ValueError("base point must lie on the level set of the energy")
-    cfg = SpectralConfig(k, energy)
-    exact = partial_coeff(cfg, z0, rotate(t0, z0)).to_complex()
-    probe = ScalingProbe(z0, 0.0, 0.0, t0)
-    approx = predict_partial(k, energy, 1, 1, xh_norm(z0), probe).unscaled
+    approx = predict_partial(cfg, 1, probe).unscaled
+    exact = partial_coeff(cfg, z0, rotate(probe.t0, z0)).to_complex()
     return abs(exact - approx)
 
 

@@ -21,13 +21,14 @@ Both integrands are trigonometric polynomials, so an equispaced rule
 integrates them exactly once the node count exceeds the frequency content:
 the open midpoint rule for the Hilbert term (it never touches the
 removable singularity at t = 0), the rectangle rule on the full period for
-the mean term.  With N nodes and B = A - ceil(E), every node propagator is
-a power of T = e^{i(pi/N)B} (times T^{1/2} for the Hilbert nodes), so both
-node sums are matrix polynomials in T.  After one series exponential per
-projector, the Hilbert sum takes ~2 sqrt(N) matrix products by
-Paterson-Stockmeyer and the mean sum, a geometric series in T^2, at most
-3 log2(N) by binary doubling.  This gives a
-route to the projector that never touches an eigendecomposition; the
+the mean term.  Here ceil(E) is the integer cut taken by the eigen
+oracle's tie rule (see _matrix_cut).  With N nodes and B = A - ceil(E),
+every node propagator is a power of T = e^{i(pi/N)B} (times T^{1/2} for
+the Hilbert nodes), so both node sums are matrix polynomials in T.  After
+one series exponential per projector, the Hilbert sum takes ~2 sqrt(N)
+matrix products by Paterson-Stockmeyer and the mean sum, a geometric
+series in T^2, at most 3 log2(N) by binary doubling.  This gives a route
+to the projector that never touches an eigendecomposition; the
 eigendecomposition route is kept alongside as an oracle.
 """
 from __future__ import annotations
@@ -53,8 +54,8 @@ def snapped_ceil(x: float) -> int:
     """ceil(x), except values within EIGENVALUE_TIE_TOL of an integer snap
     to that integer.
 
-    Keeps an eigenvalue sitting exactly at the spectral cut inside the
-    projector (the cut interval is closed on the left).
+    Keeps a level sitting at k*E up to rounding inside the cut (the cut
+    interval is closed on the left); the matrix routes use _matrix_cut.
     """
     if not math.isfinite(x):
         raise ValueError(f"spectral cut level {x} must be finite")
@@ -73,10 +74,9 @@ class IntegerSpectrumOperator:
     """Hermitian matrix whose unitary group e^{itA} is 2*pi-periodic.
 
     Construction validates finite entries, Hermitian symmetry (max-norm
-    1e-12) and that
-    every eigenvalue is within 1e-8 of an integer; the rounded integer
-    spectrum is cached for node-count bookkeeping only, never for the
-    quadrature values themselves.
+    1e-12) and that every eigenvalue is within 1e-8 of an integer; the
+    rounded integer spectrum is cached for the quadrature's cut and node
+    count, never for the quadrature values themselves.
     """
 
     matrix: np.ndarray
@@ -148,16 +148,21 @@ def expm_series(m: np.ndarray) -> np.ndarray:
     return result
 
 
-def _required_nodes(op: IntegerSpectrumOperator, cut: int) -> int:
-    max_q = max((abs(p - cut) for p in op.spectrum), default=0)
-    return 4 * (max_q + 1)
+def _matrix_cut(op: IntegerSpectrumOperator, energy: float
+                ) -> tuple[int, int]:
+    """The quadrature's cut ceil(E - EIGENVALUE_TIE_TOL * max|p|) over the
+    integer spectrum p, the eigen oracle's tie rule, and the least node
+    count 4*(max|p - cut| + 1) that resolves its integrands."""
+    if not math.isfinite(energy):
+        raise ValueError(f"spectral cut level {energy} must be finite")
+    cut = math.ceil(energy - EIGENVALUE_TIE_TOL
+                    * max(map(abs, op.spectrum), default=0))
+    return cut, 4 * (max((abs(p - cut) for p in op.spectrum), default=0) + 1)
 
 
 def default_node_count(a, energy: float) -> int:
-    """Default quadrature resolution: 8*(max|p - ceil(E)| + 1)."""
-    op = _as_operator(a)
-    cut = snapped_ceil(energy)
-    return 2 * _required_nodes(op, cut)
+    """Default quadrature resolution: 8*(max|p - cut| + 1)."""
+    return 2 * _matrix_cut(_as_operator(a), energy)[1]
 
 
 def spectral_projector_quadrature(a, energy: float,
@@ -177,8 +182,7 @@ def spectral_projector_quadrature(a, energy: float,
     included).
     """
     op = _as_operator(a)
-    cut = snapped_ceil(energy)
-    needed = _required_nodes(op, cut)
+    cut, needed = _matrix_cut(op, energy)
     if nodes is None:
         nodes = 2 * needed
     if nodes < needed:
@@ -275,10 +279,8 @@ def spectral_projector_eig(a, energy: float) -> np.ndarray:
     max|lambda|.  The tolerance scales with the spectrum, as the rounding
     of a computed eigenvalue does, so the projector of A at E equals that
     of A/n at E/n: an eigenvalue that is zero in exact arithmetic falls on
-    the same side of the cut in both.  The quadrature route snaps E to an
-    integer within an absolute EIGENVALUE_TIE_TOL instead; the two rules
-    agree unless E lies within EIGENVALUE_TIE_TOL * max|lambda| above an
-    eigenvalue but not within EIGENVALUE_TIE_TOL of it.
+    the same side of the cut in both.  The quadrature route applies the
+    same rule to the integer spectrum (_matrix_cut).
 
     Accepts an IntegerSpectrumOperator or any Hermitian matrix.
     """
@@ -316,7 +318,8 @@ class SpectralConfig:
     """Bundle (k, E, N) with the derived spectral cut.
 
     The admissible frequencies live on the lattice N*Z, so the cut index is
-    N*ceil(k*E/N); for N = 1 this is ceil(k*E), and E_k = ceil(k*E)/k.
+    N*ceil(k*E/N); for N = 1 this is ceil(k*E).  The kernels and the
+    leading-term predictors all read the cut from cut_index.
     """
 
     k: int
@@ -328,6 +331,8 @@ class SpectralConfig:
             raise ValueError("k must be a positive integer")
         if self.stabilizer_order < 1 or int(self.stabilizer_order) != self.stabilizer_order:
             raise ValueError("stabilizer order must be a positive integer")
+        if not math.isfinite(self.energy):
+            raise ValueError(f"energy level {self.energy} must be finite")
         object.__setattr__(self, "k", int(self.k))
         object.__setattr__(self, "stabilizer_order", int(self.stabilizer_order))
 
@@ -335,7 +340,3 @@ class SpectralConfig:
     def cut_index(self) -> int:
         n = self.stabilizer_order
         return n * snapped_ceil(self.k * self.energy / n)
-
-    @property
-    def e_k(self) -> float:
-        return self.cut_index / self.k

@@ -39,7 +39,7 @@ FLAGS = {
     "--e2": dict(type=float),
 }
 
-COMMON_FLAGS = ("--config", "--out", "--svg", "--seed", "--no-timestamp")
+COMMON_FLAGS = ("--config", "--out", "--seed", "--no-timestamp")
 K_SWEEP = ("--k-min", "--k-max", "--k-ratio")
 
 # each experiment's help and the flags its runner reads besides the common
@@ -48,15 +48,15 @@ EXPERIMENT_FLAGS = {
     "selftest-hilbert": ("quadrature vs eigen spectral projectors",
                          ("--dim", "--trials", "--nodes")),
     "heatmap": ("|coefficient| over a chart grid",
-                ("--k", "--z0", "--kind", "--e", "--grid-min", "--grid-max",
-                 "--grid-n")),
+                ("--svg", "--k", "--z0", "--kind", "--e", "--grid-min",
+                 "--grid-max", "--grid-n")),
     "error-scaling": ("leading-term error decay along a k sweep",
-                      K_SWEEP + ("--z0", "--kind", "--e", "--t0", "--a",
-                                 "--b")),
+                      ("--svg", "--z0", "--kind", "--e", "--t0", "--a", "--b")
+                      + K_SWEEP),
     "diagonal-microsupport": ("diagonal ratio trichotomy and off-orbit decay",
                               ("--k",) + K_SWEEP + ("--z0",)),
     "two-proj": ("norm of a product of two cap projections",
-                 ("--k",) + K_SWEEP + ("--u1", "--u2", "--e1", "--e2")),
+                 ("--svg", "--k", "--u1", "--u2", "--e1", "--e2") + K_SWEEP),
 }
 
 

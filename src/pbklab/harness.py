@@ -20,14 +20,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .asymptotics import (STABILIZER_EXCLUSION, ScalingProbe, linear_fit,
-                          loglog_fit, predict_equivariant, error_metric)
+from .asymptotics import (LEVEL_SET_TOL, ScalingProbe, error_metric,
+                          linear_fit, loglog_fit, predict_equivariant)
 from .circle_spectral import (NodeCountError, SpectralConfig,
                               default_node_count,
                               random_integer_spectrum_operator,
                               spectral_projector_eig,
                               spectral_projector_quadrature)
-from .cp1_geometry import ChartError, ProjectivePoint, height, xh_norm
+from .cp1_geometry import ChartError, ProjectivePoint, height
 from .exact_kernels import (bergman_coeff, equivariant_coeff, partial_coeff)
 from .rotated_observables import (RotationAxis, caps_disjoint, caps_tangent,
                                   projection_product_norm)
@@ -351,12 +351,12 @@ def run_hilbert_selftest(config: ExperimentConfig) -> RunReport:
                      config.out)
 
 
-def _check_equivariant_level(k: int, energy: float) -> None:
+def _check_equivariant_level(cfg: SpectralConfig) -> None:
     """The equivariant kernel's level ceil(kE) must be one of 0..k."""
-    level = SpectralConfig(k, energy).cut_index
+    level, k = cfg.cut_index, cfg.k
     if not 0 <= level <= k:
         raise ConfigError(f"equivariant level ceil(kE) = {level} lies outside "
-                          f"0..{k} at E = {format_number(float(energy))}, "
+                          f"0..{k} at E = {format_number(float(cfg.energy))}, "
                           f"k = {k}")
 
 
@@ -370,7 +370,7 @@ def run_orbit_heatmap(config: ExperimentConfig) -> RunReport:
     if not z.in_chart:
         raise ChartError("heatmap base point z0 lies off the chart z1 != 0")
     if config.kind == "equivariant":
-        _check_equivariant_level(k, config.e)
+        _check_equivariant_level(cfg)
     n = int(config.grid_n)
     if n < 8:
         raise ConfigError("grid_n must be at least 8")
@@ -430,31 +430,35 @@ def run_orbit_heatmap(config: ExperimentConfig) -> RunReport:
 
 
 def run_error_scaling(config: ExperimentConfig) -> RunReport:
-    """Decay of the leading-term error along a k sweep, with log-log fit."""
-    z0 = config.base_point()
+    """Decay of the leading-term error along a k sweep, with log-log fit;
+    both kinds share one probe and one SpectralConfig per k."""
     ks = config.k_grid()
     if len(ks) < 3:
         raise ConfigError("error scaling needs at least 3 k values")
-    if abs(math.sin(0.5 * config.t0)) < STABILIZER_EXCLUSION:
-        raise ConfigError("t0 lies in the stabilizer exclusion zone")
     energy = float(config.e)
+    configs = [SpectralConfig(k, energy) for k in ks]
+    probe = ScalingProbe(config.base_point(), config.a, config.b, config.t0)
     if config.kind == "equivariant":
-        for k in ks:
-            _check_equivariant_level(k, energy)
+        for cfg in configs:
+            _check_equivariant_level(cfg)
+        if config.svg:
+            raise ConfigError("svg is set, but this kind writes no plot")
+    h = height(probe.basepoint)
+    if abs(h - energy) > LEVEL_SET_TOL:
+        raise ConfigError(f"base point z0 lies at height {format_number(h)}, "
+                          f"off the level set E = {format_number(energy)}")
+    if config.kind == "equivariant":
         # remainder is k^-3/2 on the orbit (a = b = 0) and k^-1 once the
         # Gaussian offsets are on, so the witness power adapts
         power = 1.5 if config.a == 0.0 and config.b == 0.0 else 1.0
         rows = []
-        witnesses = []
-        for k in ks:
-            cut = SpectralConfig(k, energy).cut_index
-            probe = ScalingProbe(z0, config.a, config.b, config.t0)
-            exact = equivariant_coeff(k, cut, *probe.points(k)).to_complex()
-            lead = predict_equivariant(k, cut / k, 1, 1, xh_norm(z0),
-                                       probe).leading
-            witness = abs(2.0 * math.pi / k * exact - lead) * k ** power
-            witnesses.append(witness)
-            rows.append((k, witness))
+        for cfg in configs:
+            k = cfg.k
+            exact = equivariant_coeff(k, cfg.cut_index,
+                                      *probe.points(k)).to_complex()
+            lead = predict_equivariant(cfg, 1, probe).leading
+            rows.append((k, abs(2.0 * math.pi / k * exact - lead) * k ** power))
+        witnesses = [w for _, w in rows]
         # the median as np.median takes it, whose first call imports numpy.ma
         ordered, mid = sorted(witnesses), len(witnesses) // 2
         median = (ordered[mid] if len(ordered) % 2
@@ -476,13 +480,12 @@ def run_error_scaling(config: ExperimentConfig) -> RunReport:
                          {"max_over_median": stat}, config.out)
 
     rows = []
-    points = []
-    for k in ks:
-        er = error_metric(k, energy, config.t0, z0)
-        ref = -1.5 - 0.5 * math.log(k)
-        rows.append((k, er, math.log(k), math.log(er), ref))
-        points.append((float(k), er))
-    fit = loglog_fit(points)
+    for cfg in configs:
+        k = cfg.k
+        er = error_metric(cfg, probe)
+        rows.append((k, er, math.log(k), math.log(er),
+                     -1.5 - 0.5 * math.log(k)))
+    fit = loglog_fit([(float(r[0]), r[1]) for r in rows])
     ok = -0.65 <= fit.slope <= -0.35 and fit.r_squared >= 0.95
     _emit_csv(config, ["k", "er", "log_k", "log_er", "ref_line"],
               rows,

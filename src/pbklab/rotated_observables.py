@@ -23,6 +23,7 @@ from .circle_spectral import IntegerSpectrumOperator, snapped_ceil
 from .exact_kernels import log_binomial
 
 UNITARY_TOL = 1e-12
+CAP_TANGENCY_TOL = 1e-9  # |axis angle - radius sum| that counts as tangent
 
 # random starts, step cap and relative stopping tolerance of
 # operator_norm_power_iteration
@@ -199,11 +200,11 @@ def caps_disjoint(u1: RotationAxis, e1: float,
     return angle > radii
 
 
-def caps_tangent(u1: RotationAxis, e1: float, u2: RotationAxis, e2: float,
-                 tol: float = 1e-9) -> bool:
-    """Whether the cap boundaries touch (within tol) without overlapping."""
+def caps_tangent(u1: RotationAxis, e1: float, u2: RotationAxis,
+                 e2: float) -> bool:
+    """Whether the cap boundaries touch, to CAP_TANGENCY_TOL in angle."""
     angle, radii = _cap_angles(u1, e1, u2, e2)
-    return abs(angle - radii) <= tol
+    return abs(angle - radii) <= CAP_TANGENCY_TOL
 
 
 def _stable_norm(v: np.ndarray) -> float:

@@ -15,7 +15,7 @@ from pbklab.circle_spectral import (SpectralConfig,
                                     random_integer_spectrum_operator,
                                     spectral_projector_eig,
                                     spectral_projector_quadrature)
-from pbklab.cp1_geometry import ProjectivePoint, level_point, xh_norm
+from pbklab.cp1_geometry import ProjectivePoint, level_point
 from pbklab.exact_kernels import (equivariant_coeff, logc_rel_difference,
                                   partial_coeff, partial_via_hilbert,
                                   toeplitz_diag)
@@ -80,7 +80,8 @@ def test_criterion_02_kernel_identity():
 def test_criterion_03_error_decay_slope():
     start = time.perf_counter()
     ks = ExperimentConfig(k_min=10, k_max=1000, k_ratio=1.25).k_grid()
-    points = [(float(k), error_metric(k, 0.5, math.pi / 2, ONE_ONE))
+    probe = ScalingProbe(ONE_ONE, 0.0, 0.0, math.pi / 2)
+    points = [(float(k), error_metric(SpectralConfig(k, 0.5), probe))
               for k in ks]
     fit = loglog_fit(points)
     elapsed = time.perf_counter() - start
@@ -101,8 +102,7 @@ def test_criterion_04_equivariant_remainder_order():
             probe = ScalingProbe(ONE_ONE, 0.0, 0.0, t0)
             exact = equivariant_coeff(k, cfg.cut_index,
                                       *probe.points(k)).to_complex()
-            lead = predict_equivariant(k, cfg.e_k, 1, 1, xh_norm(ONE_ONE),
-                                       probe).leading
+            lead = predict_equivariant(cfg, 1, probe).leading
             witnesses.append(abs(2 * math.pi / k * exact - lead) * k ** 1.5)
         stat = max(witnesses) / float(np.median(witnesses))
         worst_stat = max(worst_stat, stat)

@@ -32,13 +32,21 @@ def test_probe_rejects_out_of_range_t0():
         ScalingProbe(ONE_ONE, t0=7.0)
 
 
+@pytest.mark.parametrize("pole", [ProjectivePoint(0, 1),
+                                  ProjectivePoint(1, 0)])
+def test_probe_rejects_a_pole(pole):
+    # the orbit speed ||X_H|| in every leading term's denominator is 0 there
+    with pytest.raises(ValueError, match="pole"):
+        ScalingProbe(pole, t0=1.0)
+
+
 # --- partial-kernel predictor -----------------------------------------------
 
 def test_predict_partial_unscaled_anchor():
     # k=80, E=1/2, t0=pi/2: phase e^{-i 40 pi/2} = 1 and cot(pi/4) = 1,
     # so the raw coefficient is (k/2pi) / (2 xh sqrt(pi k)) * (1 - i)
     probe = ScalingProbe(ONE_ONE, 0.0, 0.0, math.pi / 2)
-    pred = predict_partial(80, 0.5, 1, 1, math.sqrt(0.5), probe)
+    pred = predict_partial(SpectralConfig(80, 0.5), 1, probe)
     expected_mag = (80 / (2 * math.pi)) / (2 * math.sqrt(0.5)
                                            * math.sqrt(math.pi * 80))
     value = pred.unscaled
@@ -54,7 +62,7 @@ def test_predict_partial_specialization_consistency():
             for t0 in (0.7, 2.5):
                 probe = ScalingProbe(level_point(e), 0.0, 0.0, t0)
                 xh = math.sqrt(2 * e * (1 - e))
-                pred = predict_partial(k, e, 1, 1, xh, probe)
+                pred = predict_partial(SpectralConfig(k, e), 1, probe)
                 cut = math.ceil(k * e - 1e-9)
                 direct = (k / (4 * math.pi) * cmath.exp(-1j * cut * t0)
                           * (1 - 1j / math.tan(t0 / 2))
@@ -63,18 +71,19 @@ def test_predict_partial_specialization_consistency():
 
 
 def test_predict_partial_gaussian_factor_trivial_at_origin():
-    probe0 = ScalingProbe(ONE_ONE, 0.0, 0.0, 1.0)
-    probe1 = ScalingProbe(ONE_ONE, 1.0, 2.0, 1.0)
-    p0 = predict_partial(50, 0.5, 1, 1, 1.0, probe0)
-    p1 = predict_partial(50, 0.5, 1, 1, 1.0, probe1)
-    assert abs(abs(p1.leading / p0.leading) - math.exp(-2.5)) <= 1e-12
+    # at [1:1], ||X_H||^2 = 1/2, so (a, b) = (1, 2) scales the modulus by
+    # exp(-(1 + 4) (1/2) / 2)
+    cfg = SpectralConfig(50, 0.5)
+    p0 = predict_partial(cfg, 1, ScalingProbe(ONE_ONE, 0.0, 0.0, 1.0))
+    p1 = predict_partial(cfg, 1, ScalingProbe(ONE_ONE, 1.0, 2.0, 1.0))
+    assert abs(abs(p1.leading / p0.leading) - math.exp(-1.25)) <= 1e-12
     assert p0.remainder_order == "k^-3/2"
     assert p1.remainder_order == "k^-1"
 
 
 def test_predict_partial_cot_vanishes_at_half_turn():
     probe = ScalingProbe(ONE_ONE, 0.0, 0.0, math.pi)
-    pred = predict_partial(64, 0.5, 1, 1, 1.0, probe)
+    pred = predict_partial(SpectralConfig(64, 0.5), 1, probe)
     ratio = pred.leading * cmath.exp(1j * 32 * math.pi)
     assert abs(ratio.imag) <= 1e-15
     assert ratio.real > 0
@@ -82,36 +91,44 @@ def test_predict_partial_cot_vanishes_at_half_turn():
 
 def test_predict_partial_stabilizer_exclusion():
     with pytest.raises(ValueError, match="exclusion"):
-        predict_partial(100, 0.5, 1, 1, 1.0,
+        predict_partial(SpectralConfig(100, 0.5), 1,
                         ScalingProbe(ONE_ONE, 0.0, 0.0, 1e-5))
     with pytest.raises(ValueError, match="exclusion"):
-        predict_partial(100, 0.5, 2, 1, 1.0,
+        predict_partial(SpectralConfig(100, 0.5, stabilizer_order=2), 1,
                         ScalingProbe(ONE_ONE, 0.0, 0.0, math.pi))
 
 
 # --- equivariant predictor ----------------------------------------------------
 
 def test_predict_equivariant_anchor():
+    cfg = SpectralConfig(80, 0.5)
     probe = ScalingProbe(ONE_ONE, 0.0, 0.0, 1.7)
-    pred = predict_equivariant(80, 0.5, 1, 1, math.sqrt(0.5), probe)
+    pred = predict_equivariant(cfg, 1, probe)
     assert abs(abs(pred.unscaled) - 1.13581) <= 2e-5
     # modulus independent of t0
-    other = predict_equivariant(80, 0.5, 1, 1, math.sqrt(0.5),
-                                ScalingProbe(ONE_ONE, 0.0, 0.0, 0.3))
+    other = predict_equivariant(cfg, 1, ScalingProbe(ONE_ONE, 0.0, 0.0, 0.3))
     assert abs(abs(pred.unscaled) - abs(other.unscaled)) <= 1e-15
 
 
 def test_predict_equivariant_valid_at_zero_time():
     probe = ScalingProbe(ONE_ONE, 0.0, 0.0, 0.0)
-    pred = predict_equivariant(80, 0.5, 1, 1, 1.0, probe)
+    pred = predict_equivariant(SpectralConfig(80, 0.5), 1, probe)
     assert pred.leading.imag == 0.0
     assert pred.leading.real > 0
 
 
-def test_predict_equivariant_rejects_nonintegral_level():
-    with pytest.raises(ValueError, match="integer"):
-        predict_equivariant(80, 0.5012345, 1, 1, 1.0,
-                            ScalingProbe(ONE_ONE, 0.0, 0.0, 1.0))
+def test_predict_equivariant_phase_from_integer_cut():
+    # at k = 3309, E = 1/2 the float 3309 * (1655 / 3309) reads
+    # 1654.9999999999998, not the cut 1655; the phase must come from the
+    # integer level
+    cfg = SpectralConfig(3309, 0.5)
+    assert cfg.cut_index == 1655
+    t0 = 1.7
+    pred = predict_equivariant(cfg, 1, ScalingProbe(ONE_ONE, 0.0, 0.0, t0))
+    xh = xh_norm(ONE_ONE)
+    expected = (cmath.exp(-1j * 1655 * t0)
+                / (xh * math.sqrt(math.pi * 3309)))
+    assert pred.leading == expected
 
 
 def test_equivariant_remainder_witness_bounded():
@@ -125,8 +142,7 @@ def test_equivariant_remainder_witness_bounded():
             probe = ScalingProbe(z0, 0.0, 0.0, t0)
             z, w = probe.points(k)
             exact = equivariant_coeff(k, cfg.cut_index, z, w).to_complex()
-            lead = predict_equivariant(k, cfg.e_k, 1, 1, xh_norm(z0),
-                                       probe).leading
+            lead = predict_equivariant(cfg, 1, probe).leading
             witnesses.append(abs(2 * math.pi / k * exact - lead) * k ** 1.5)
         assert max(witnesses) <= 5.0 * float(np.median(witnesses))
 
@@ -172,28 +188,40 @@ def test_stirling_agreement_witness_bounded():
 
 # --- error metric and fits ----------------------------------------------------
 
+def _orbit_probe(t0):
+    return ScalingProbe(ONE_ONE, 0.0, 0.0, t0)
+
+
 @pytest.mark.parametrize("energy", [math.inf, -math.inf, math.nan])
 def test_error_metric_rejects_non_finite_energy_first(energy):
     with pytest.raises(ValueError, match="energy level .* must be finite"):
-        error_metric(50, energy, math.pi / 2, ONE_ONE)
+        error_metric(SpectralConfig(50, energy), _orbit_probe(math.pi / 2))
 
 
 def test_error_metric_nonnegative_and_small():
-    er = error_metric(200, 0.5, math.pi / 2, ONE_ONE)
+    er = error_metric(SpectralConfig(200, 0.5), _orbit_probe(math.pi / 2))
     assert er >= 0.0
     assert er <= 0.1
 
 
 def test_error_metric_requires_level_point():
     with pytest.raises(ValueError, match="level set"):
-        error_metric(100, 0.3, 1.0, ONE_ONE)
+        error_metric(SpectralConfig(100, 0.3), _orbit_probe(1.0))
+
+
+@pytest.mark.parametrize("a, b", [(1.0, 0.0), (0.0, -0.5)])
+def test_error_metric_rejects_probe_offsets(a, b):
+    with pytest.raises(ValueError, match="offsets a and b must be 0"):
+        error_metric(SpectralConfig(100, 0.5),
+                     ScalingProbe(ONE_ONE, a, b, 1.0))
 
 
 def test_error_metric_tracks_reference_line():
     # the harness reports log Er against the guide -1.5 - 0.5 log k; the
     # guide intercept is indicative, the slope is the binding check
     ks = [50, 100, 200, 400, 800]
-    ers = [error_metric(k, 0.5, math.pi / 2, ONE_ONE) for k in ks]
+    ers = [error_metric(SpectralConfig(k, 0.5), _orbit_probe(math.pi / 2))
+           for k in ks]
     fit = loglog_fit(list(zip(map(float, ks), ers)))
     assert -0.65 <= fit.slope <= -0.35
 

@@ -171,6 +171,28 @@ def test_projector_idempotent_hermitian(dim):
         assert np.max(np.abs(proj - proj.conj().T)) <= 1e-8
 
 
+@pytest.mark.parametrize("spectrum, energy", [
+    ((0.0, 8.0), 2e-9), ((0.0, 8.0), 5e-9), ((0.0,), 1e-10)],
+    ids=["diag(0,8)-2e-9", "diag(0,8)-5e-9", "diag(0)-1e-10"])
+def test_matrix_routes_share_the_tie_rule(spectrum, energy):
+    # E lies within EIGENVALUE_TIE_TOL * max|lambda| above the eigenvalue 0
+    # but not within EIGENVALUE_TIE_TOL of it (diag(0, 8)), or at a scale
+    # of 0 (diag(0)): both routes must keep 0, or both drop it
+    op = IntegerSpectrumOperator(np.diag(spectrum))
+    quad = spectral_projector_quadrature(op, energy)
+    oracle = spectral_projector_eig(op, energy)
+    assert np.max(np.abs(quad - oracle)) <= 1e-12
+
+
+@pytest.mark.parametrize("energy", [math.nan, math.inf, -math.inf])
+def test_matrix_routes_name_a_non_finite_energy(energy):
+    op = IntegerSpectrumOperator(np.diag([0.0, 2.0]))
+    for route in (spectral_projector_quadrature, default_node_count):
+        with pytest.raises(ValueError, match=f"level {energy} must be "
+                                             "finite"):
+            route(op, energy)
+
+
 def test_insufficient_nodes_error_names_minimum():
     op = IntegerSpectrumOperator(np.diag([-3.0, 5.0]))
     needed = default_node_count(op, 0.0) // 2
@@ -228,12 +250,17 @@ def test_period_reduction_at_ties(dim, n, energy):
 # --- spectral config ------------------------------------------------------
 
 def test_spectral_config_cut():
-    cfg = SpectralConfig(10, 0.5)
-    assert cfg.cut_index == 5
-    assert cfg.e_k == 0.5
-    cfg = SpectralConfig(10, 0.51)
-    assert cfg.cut_index == 6
-    assert cfg.e_k == 0.6
+    assert SpectralConfig(10, 0.5).cut_index == 5
+    assert SpectralConfig(10, 0.51).cut_index == 6
+    # a level at kE up to rounding stays inside the cut
+    assert SpectralConfig(10, 0.5 + 1e-12).cut_index == 5
+
+
+@pytest.mark.parametrize("energy", [math.inf, -math.inf, math.nan])
+def test_spectral_config_rejects_non_finite_energy(energy):
+    with pytest.raises(ValueError, match=f"energy level {energy} must be "
+                                         "finite"):
+        SpectralConfig(10, energy)
 
 
 def test_spectral_config_lattice():
@@ -245,7 +272,6 @@ def test_spectral_config_lattice():
 @given(st.integers(min_value=1, max_value=500),
        st.floats(min_value=0.01, max_value=0.99))
 def test_spectral_config_invariants(k, energy):
-    cfg = SpectralConfig(k, energy)
-    assert cfg.e_k >= energy - 1e-9
-    assert abs(cfg.k * cfg.e_k - round(cfg.k * cfg.e_k)) < 1e-12
-    assert cfg.e_k - energy < 1.0 / k + 1e-12
+    cut = SpectralConfig(k, energy).cut_index
+    assert isinstance(cut, int)
+    assert k * energy - 1e-9 <= cut < k * energy + 1.0

@@ -225,7 +225,9 @@ UNREAD_FLAGS = (
        for flag in ("--k", "--k-min", "--k-max", "--k-ratio")]
     + [("error-scaling", "--k", "20")]
     + [("heatmap", flag, "20") for flag in ("--k-min", "--k-max",
-                                            "--k-ratio")])
+                                            "--k-ratio")]
+    + [(e, "--svg", "plot.svg") for e in ("selftest-hilbert",
+                                          "diagonal-microsupport")])
 
 
 @pytest.mark.parametrize("experiment,flag,value", UNREAD_FLAGS,
@@ -393,6 +395,39 @@ def test_error_scaling_equivariant_imports_no_numpy_ma():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "False"
+
+
+def test_error_scaling_equivariant_svg_exit_2(tmp_path, capsys):
+    # the equivariant kind writes no plot, so a set svg would be ignored
+    svg = tmp_path / "w.svg"
+    assert main(["error-scaling", "--kind", "equivariant", "--svg",
+                 str(svg)]) == EXIT_CONFIG
+    assert "svg is set" in capsys.readouterr().err
+    assert not svg.exists()
+
+
+@pytest.mark.parametrize("kind", ["equivariant", "partial"])
+def test_error_scaling_base_point_off_the_level_set_exit_2(kind, capsys):
+    # [2:1] has height 4/5, not the level E = 1/2
+    assert main(["error-scaling", "--kind", kind, "--z0", "2,0",
+                 "--e", "0.5"]) == EXIT_CONFIG
+    assert "off the level set E = 0.5" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--a", "--b"])
+def test_error_scaling_partial_offsets_exit_2(flag, capsys):
+    # the partial kind compares on the orbit itself
+    assert main(["error-scaling", "--kind", "partial", flag, "1"]) \
+        == EXIT_CONFIG
+    assert "offsets a and b must be 0" in capsys.readouterr().err
+
+
+def test_error_scaling_equivariant_runs_at_zero_time():
+    # the single-eigenspace leading term is regular on the whole circle
+    report = run_experiment(ExperimentConfig(
+        experiment="error-scaling", kind="equivariant", t0=0.0))
+    assert report.exit_code == EXIT_OK
+    assert report.summary["max_over_median"] <= 5.0
 
 
 def test_error_scaling_needs_three_points():

@@ -251,7 +251,8 @@ def test_caps_disjoint_matches_grid_oracle_randomly():
         u1 = RotationAxis.from_vector(rng.standard_normal(3))
         u2 = RotationAxis.from_vector(rng.standard_normal(3))
         e1, e2 = rng.uniform(0.55, 0.95, size=2)
-        if caps_tangent(u1, e1, u2, e2, tol=1e-3):
+        angle, radii = _cap_angles(u1, e1, u2, e2)
+        if abs(angle - radii) <= 1e-3:
             continue  # grid oracle cannot resolve near-tangency
         assert caps_disjoint(u1, e1, u2, e2) == \
             (not _caps_overlap_grid_oracle(u1, e1, u2, e2))
