@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
 from .harness import (EXIT_CONFIG, ConfigError, ExperimentConfig,
@@ -108,6 +109,17 @@ def _attach_vector_values(argv: list[str]) -> list[str]:
     return out
 
 
+def _read_fields(experiment: str) -> set[str]:
+    """The config fields the experiment's runner reads: those its flags
+    name, the experiment itself, and k_list where it sweeps k (k_grid)."""
+    flags = COMMON_FLAGS + EXPERIMENT_FLAGS[experiment][1]
+    names = {flag[2:].replace("-", "_") for flag in flags if flag != "--config"}
+    names.add("experiment")
+    if set(K_SWEEP) <= set(flags):
+        names.add("k_list")
+    return names
+
+
 def build_config(args: argparse.Namespace) -> ExperimentConfig:
     if args.config:
         config = ExperimentConfig.from_file(args.config)
@@ -115,6 +127,14 @@ def build_config(args: argparse.Namespace) -> ExperimentConfig:
             raise ConfigError(
                 f"config file is for '{config.experiment}' but the "
                 f"'{args.experiment}' subcommand was invoked")
+        # a field the runner never reads would run silently at the
+        # default, as an unregistered flag would
+        read, defaults = _read_fields(args.experiment), ExperimentConfig()
+        for f in dataclasses.fields(config):
+            if (f.name not in read
+                    and getattr(config, f.name) != getattr(defaults, f.name)):
+                raise ConfigError(f"config key '{f.name}' is set, but "
+                                  f"{args.experiment} never reads it")
     else:
         config = ExperimentConfig()
     config.experiment = args.experiment

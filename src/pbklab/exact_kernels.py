@@ -86,6 +86,7 @@ from .circle_spectral import NodeCountError, SpectralConfig
 from .cp1_geometry import ProjectivePoint
 
 LOG_2PI = math.log(2.0 * math.pi)
+LOG_2 = math.log(2.0)
 
 # unit roundoff of double precision, round to nearest
 EPS = 2.0 ** -53
@@ -465,10 +466,11 @@ def bergman_coeff_closed(k: int, z: ProjectivePoint,
 
     Kept alongside the level sum as an independent route; the binomial
     theorem makes the two identical.  1 + zeta*conj(omega) is formed from
-    log-polar coordinates, so at an antipodal pair it rounds to a tiny
-    nonzero value.  Where its log magnitude is below ANTIPODE_SCREEN,
-    whether z0 conj(w0) + z1 conj(w1) vanishes is decided exactly on the
-    float coordinates, and an exact zero gives the exact zero.
+    log-polar coordinates, which near an antipodal pair leaves only the
+    rounding of those coordinates.  Where its log magnitude is below
+    ANTIPODE_SCREEN, it is taken instead from z0 conj(w0) + z1 conj(w1),
+    formed exactly on the float coordinates, so an exact zero gives the
+    exact zero and a value near it keeps its digits.
     """
     lz, pz = z.log_affine()
 
@@ -481,12 +483,11 @@ def bergman_coeff_closed(k: int, z: ProjectivePoint,
         with np.errstate(divide="ignore"):
             cross = (np.log(1.0 + np.exp(np.where(big, -u, u)))
                      + np.where(big, u, 0.0))
+        for i in np.flatnonzero(cross.real < ANTIPODE_SCREEN).tolist():
+            cross[i] = _log_cross(z, ws[i])
         logmag = (math.log(k + 1.0) - LOG_2PI + k * cross.real
                   - 0.5 * k * (np.logaddexp(0.0, 2.0 * lz)
                                + np.logaddexp(0.0, 2.0 * lw)))
-        for i in np.flatnonzero(cross.real < ANTIPODE_SCREEN).tolist():
-            if _orthogonal(z, ws[i]):
-                logmag[i] = -math.inf
         return _zero_rule(logmag, k * cross.imag)
 
     return _per_point(w, 1, block)
@@ -499,17 +500,40 @@ def _scaled(x: float) -> int:
     return n * ((1 << 1074) // d)
 
 
-def _orthogonal(z: ProjectivePoint, w: ProjectivePoint | complex) -> bool:
-    """Whether z0 conj(w0) + z1 conj(w1) is exactly 0 for the float
-    coordinates, in integer arithmetic on them scaled by 2^1074; a chart
+def _scaled_products(z: ProjectivePoint, w: ProjectivePoint | complex
+                     ) -> tuple[tuple[int, int], tuple[int, int]]:
+    """z0 conj(w0) + z1 conj(w1) and z1 conj(w1) for the float coordinates,
+    each as the exact integers (re, im) of its value times 2^2148; a chart
     coordinate w stands for the point [w:1]."""
     w0, w1 = (w.z0, w.z1) if isinstance(w, ProjectivePoint) else (w, 1.0)
-    re = im = 0
+    terms = []
     for a, b in ((z.z0, w0), (z.z1, w1)):
         ar, ai, br, bi = map(_scaled, (a.real, a.imag, b.real, b.imag))
-        re += ar * br + ai * bi
-        im += ai * br - ar * bi
-    return re == 0 and im == 0
+        terms.append((ar * br + ai * bi, ai * br - ar * bi))
+    (re0, im0), (re1, im1) = terms
+    return (re0 + re1, im0 + im1), (re1, im1)
+
+
+def _log_gaussian(re: int, im: int) -> tuple[int, complex]:
+    """log(re + i im) of a nonzero Gaussian integer as (m, c), the value
+    m ln 2 + c, with m its bit length, so that the float part c stays
+    below 1 in magnitude whatever the size of the integers."""
+    m = max(re.bit_length(), im.bit_length())
+    # int / int rounds correctly, to |x|, |y| < 1 here
+    x, y = re / (1 << m), im / (1 << m)
+    return m, complex(math.log(math.hypot(x, y)), math.atan2(y, x))
+
+
+def _log_cross(z: ProjectivePoint, w: ProjectivePoint | complex) -> complex:
+    """log(1 + zeta conj(omega)) = log(z0 conj(w0) + z1 conj(w1))
+    - log(z1 conj(w1)), both products exact in integers; (-inf, 0) where
+    the first is exactly 0, as at an antipodal pair."""
+    total, last = _scaled_products(z, w)
+    if total == (0, 0):
+        return complex(-math.inf, 0.0)
+    m_total, c_total = _log_gaussian(*total)
+    m_last, c_last = _log_gaussian(*last)
+    return (m_total - m_last) * LOG_2 + (c_total - c_last)
 
 
 def equivariant_coeff(k: int, l: int, z: ProjectivePoint,

@@ -16,7 +16,9 @@ import datetime
 import json
 import math
 import os
+from collections.abc import Iterable
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -183,30 +185,35 @@ def format_number(value) -> str:
     return _conversion(type(value)) % (value,)
 
 
-def write_csv(path: str, columns: list[str], rows: list[tuple],
+def write_csv(path: str, columns: list[str], rows: Iterable[tuple],
               meta: list[str], no_timestamp: bool) -> None:
-    lines = [f"# {entry}" for entry in meta]
-    if not no_timestamp:
-        stamp = datetime.datetime.now(datetime.timezone.utc).isoformat()
-        lines.append(f"# timestamp: {stamp}")
-    lines.append(",".join(columns))
+    """The meta lines as comments, the header, then one line per row.
+
+    rows may be any iterable; it is read once, and each row's line is
+    written to the open file as it comes, so no line outlives its row.
+    """
+    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
     # each row goes through one % template, built once per sequence of
     # value types
     templates: dict[tuple, str] = {}
-    for row in rows:
-        kinds = tuple(map(type, row))
-        template = templates.get(kinds)
-        if template is None:
-            template = templates[kinds] = ",".join(map(_conversion, kinds))
-        lines.append(template % tuple(row))
-    directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        for entry in meta:
+            fh.write(f"# {entry}\n")
+        if not no_timestamp:
+            stamp = datetime.datetime.now(datetime.timezone.utc).isoformat()
+            fh.write(f"# timestamp: {stamp}\n")
+        fh.write(",".join(columns) + "\n")
+        for row in rows:
+            kinds = tuple(map(type, row))
+            template = templates.get(kinds)
+            if template is None:
+                template = templates[kinds] = (
+                    ",".join(map(_conversion, kinds)) + "\n")
+            fh.write(template % tuple(row))
 
 
-def _emit_csv(config: ExperimentConfig, columns: list[str], rows: list[tuple],
-              meta: list[str]) -> None:
+def _emit_csv(config: ExperimentConfig, columns: list[str],
+              rows: Iterable[tuple], meta: list[str]) -> None:
     """write_csv to config.out, when the config names one."""
     if config.out:
         write_csv(config.out, columns, rows, meta, config.no_timestamp)
@@ -276,35 +283,37 @@ def svg_line_plot(path: str, xs, ys, title: str, xlabel: str, ylabel: str,
 
 
 def svg_heatmap(path: str, grid: np.ndarray, extent: tuple, title: str) -> None:
-    """Grayscale cell heatmap of a 2-D array (row 0 at the bottom)."""
+    """Grayscale cell heatmap of a 2-D array (row 0 at the bottom), written
+    to the open file one grid row of cells at a time."""
     grid = np.asarray(grid, dtype=float)
-    finite = grid[np.isfinite(grid)]
-    lo = float(finite.min()) if finite.size else 0.0
-    hi = float(finite.max()) if finite.size else 1.0
+    # the extremes over the finite cells, without a copy of them
+    finite = np.isfinite(grid)
+    if finite.any():
+        lo = float(grid.min(where=finite, initial=math.inf))
+        hi = float(grid.max(where=finite, initial=-math.inf))
+    else:
+        lo, hi = 0.0, 1.0
     span = (hi - lo) or 1.0
     ny, nx = grid.shape
     cw = (_SVG_W - 2 * _SVG_PAD) / nx
     ch = (_SVG_H - 2 * _SVG_PAD) / ny
-    parts = _svg_open(title)
-    for iy in range(ny):
-        for ix in range(nx):
-            v = grid[iy, ix]
-            if not np.isfinite(v):
-                continue
-            shade = int(round(255 * (1.0 - (v - lo) / span)))
-            x = _SVG_PAD + ix * cw
-            y = _SVG_H - _SVG_PAD - (iy + 1) * ch
-            parts.append(f'<rect x="{x:.2f}" y="{y:.2f}" width="{cw + 0.5:.2f}"'
-                         f' height="{ch + 0.5:.2f}" '
-                         f'fill="rgb({shade},{shade},{shade})"/>')
-    parts.append(f'<text x="{_SVG_PAD}" y="{_SVG_H - 12}" '
-                 f'font-family="sans-serif" font-size="11">'
-                 f'[{extent[0]:g}, {extent[1]:g}] x [{extent[2]:g}, '
-                 f'{extent[3]:g}]</text>')
-    parts.append("</svg>")
     os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(parts) + "\n")
+        fh.write("\n".join(_svg_open(title)) + "\n")
+        for iy in range(ny):
+            y = _SVG_H - _SVG_PAD - (iy + 1) * ch
+            for ix, v in enumerate(grid[iy].tolist()):
+                if not math.isfinite(v):
+                    continue
+                shade = int(round(255 * (1.0 - (v - lo) / span)))
+                x = _SVG_PAD + ix * cw
+                fh.write(f'<rect x="{x:.2f}" y="{y:.2f}" '
+                         f'width="{cw + 0.5:.2f}" height="{ch + 0.5:.2f}" '
+                         f'fill="rgb({shade},{shade},{shade})"/>\n')
+        fh.write(f'<text x="{_SVG_PAD}" y="{_SVG_H - 12}" '
+                 f'font-family="sans-serif" font-size="11">'
+                 f'[{extent[0]:g}, {extent[1]:g}] x [{extent[2]:g}, '
+                 f'{extent[3]:g}]</text>\n</svg>\n')
 
 
 # ---------------------------------------------------------------------------
@@ -383,22 +392,21 @@ def run_orbit_heatmap(config: ExperimentConfig) -> RunReport:
     axis = np.linspace(config.grid_min, config.grid_max, n)
     # each axis value is formatted once; write_csv prints strings as they are
     labels = list(map(format_number, axis.tolist()))
+    # the grid is held as two float arrays, |K| and its log, never as one
+    # Python object per cell
     values = np.empty((n, n))
-    rows = []
+    logmags = np.empty((n, n))
     # one kernel call per grid row, given as the chart coordinates of its
     # cells [zeta:1]
-    for i, im in enumerate(labels):
+    for i in range(n):
         zetas = axis.astype(complex)
         zetas.imag = axis[i]
         if config.kind == "equivariant":
-            logmag, _ = equivariant_coeff(k, cfg.cut_index, z, zetas)
+            logmags[i], _ = equivariant_coeff(k, cfg.cut_index, z, zetas)
         else:
-            logmag, _ = partial_coeff(cfg, z, zetas)
+            logmags[i], _ = partial_coeff(cfg, z, zetas)
         # |K| as LogComplex.abs gives it: math.exp(-inf) is the 0.0 of zero
-        logmag = logmag.tolist()
-        absval = list(map(math.exp, logmag))
-        values[i] = absval
-        rows += zip(labels, [im] * n, absval, logmag)
+        values[i] = list(map(math.exp, logmags[i].tolist()))
     peak = np.unravel_index(np.argmax(values), values.shape)
     peak_zeta = complex(axis[peak[1]], axis[peak[0]])
     cell = float(axis[1] - axis[0])
@@ -408,6 +416,10 @@ def run_orbit_heatmap(config: ExperimentConfig) -> RunReport:
     # much), so a grid finer than the collar cannot localize the argmax
     # more sharply than the collar itself
     ridge_ok = ridge_dev <= math.hypot(cell, cell) + 2.0 / math.sqrt(k)
+    # the CSV rows, made one grid row at a time as write_csv reads them
+    rows = chain.from_iterable(
+        zip(labels, [im] * n, values[i].tolist(), logmags[i].tolist())
+        for i, im in enumerate(labels))
     _emit_csv(config, ["re_zeta", "im_zeta", "abs_value", "logmag"],
               rows,
               [f"experiment: heatmap ({config.kind})", f"k: {k}",

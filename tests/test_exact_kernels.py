@@ -345,6 +345,24 @@ def test_closed_form_near_antipode_stays_nonzero():
         assert bergman_coeff_closed(12, z, ws)[0][0] > -math.inf
 
 
+@pytest.mark.parametrize("omega, logmag, phase", [
+    (-1 / 3, -462.8799743637036010947332, 0.0),
+    (complex(-1 / 3, 1e-17), -461.3425161951431923096311,
+     -5.945611647904854478895536),
+], ids=["real", "complex"])
+def test_closed_form_near_antipode_keeps_its_digits(omega, logmag, phase):
+    # 1 + 3 conj(omega) is 2^-54 (real case), far below the rounding of
+    # its log-polar form; the references are mpmath's at 50 digits on the
+    # same floats
+    z, w = ProjectivePoint(3, 1), ProjectivePoint(omega, 1)
+    point = bergman_coeff_closed(12, z, w)
+    assert abs(point.logmag - logmag) <= 1e-14 * abs(logmag)
+    assert abs(point.phase - phase) <= 1e-13
+    for ws in ([w, ONE_ONE], np.array([omega, 1.0 + 0j])):
+        batch = bergman_coeff_closed(12, z, ws)
+        assert batch_bits(batch)[0] == bits([point])[0]
+
+
 def test_bergman_cauchy_schwarz():
     rng = np.random.default_rng(2)
     for k in (3, 25):

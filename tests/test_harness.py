@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -81,10 +82,12 @@ def test_write_csv_rows_match_format_number(tmp_path):
                   np.float32(-3.5), np.uint64(0), np.bool_(False))
     rows = [row, same_types, row[::-1]]
     path = tmp_path / "mixed.csv"
-    write_csv(str(path), [f"c{i}" for i in range(len(row))], rows,
-              ["experiment: demo"], True)
-    lines = path.read_text().splitlines()
-    assert lines[2:] == [",".join(map(format_number, r)) for r in rows]
+    # a list, and a generator of the same rows, read once as it is written
+    for given in (rows, (r for r in rows)):
+        write_csv(str(path), [f"c{i}" for i in range(len(row))], given,
+                  ["experiment: demo"], True)
+        lines = path.read_text().splitlines()
+        assert lines[2:] == [",".join(map(format_number, r)) for r in rows]
     # the rule itself: integers in full, floats to 17 digits, others as str
     assert lines[2] == ("3,-7,1,1000000000000000000000000000000,"
                         "0.10000000000000001,0.66666666666666663,inf,-inf,"
@@ -168,6 +171,24 @@ def test_heatmap_ridge_on_unit_circle(tmp_path, kind):
     report = run_orbit_heatmap(cfg)
     assert report.exit_code == EXIT_OK
     assert (tmp_path / f"{kind}.svg").read_text().startswith("<svg")
+
+
+def test_heatmap_memory_does_not_grow_with_cells(tmp_path):
+    # a 121^2 grid is held as two float arrays, 234 kB, and its CSV and SVG
+    # lines are written as they are made; a Python object per cell would
+    # take over 6 MB
+    cfg = ExperimentConfig(experiment="heatmap", kind="partial", k=12, e=0.5,
+                           grid_n=121, out=str(tmp_path / "g.csv"),
+                           svg=str(tmp_path / "g.svg"), no_timestamp=True)
+    assert run_orbit_heatmap(cfg).exit_code == EXIT_OK    # warm caches
+    tracemalloc.start()
+    try:
+        assert run_orbit_heatmap(cfg).exit_code == EXIT_OK
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+    assert len((tmp_path / "g.csv").read_text().splitlines()) == 6 + 121 ** 2
 
 
 @pytest.mark.parametrize("fields, fragment", [
@@ -639,6 +660,49 @@ def test_cli_valid_config_writes_the_csv_of_its_config(tmp_path):
     assert run_experiment(direct).exit_code == EXIT_OK
     assert ((tmp_path / "json.csv").read_bytes()
             == (tmp_path / "direct.csv").read_bytes())
+
+
+# a config key the subcommand's runner never reads, with a value other
+# than the field's default
+UNREAD_CONFIG_KEYS = [
+    ("selftest-hilbert", {"svg": "x.svg", "trials": 2, "dim": 3}, "svg"),
+    ("selftest-hilbert", {"k_list": [10, 20]}, "k_list"),
+    ("selftest-hilbert", {"e": 0.25}, "e"),
+    ("heatmap", {"k_list": [10, 20]}, "k_list"),
+    ("heatmap", {"nodes": 500}, "nodes"),
+    ("heatmap", {"u1": [1.0, 0.0, 0.0]}, "u1"),
+    ("error-scaling", {"k": 20}, "k"),
+    ("error-scaling", {"grid_n": 9}, "grid_n"),
+    ("diagonal-microsupport", {"svg": "x.svg"}, "svg"),
+    ("diagonal-microsupport", {"kind": "equivariant"}, "kind"),
+    ("two-proj", {"e": 0.25}, "e"),
+    ("two-proj", {"z0": [1.0, 0.0]}, "z0"),
+]
+
+
+@pytest.mark.parametrize("experiment, document, key", UNREAD_CONFIG_KEYS,
+                         ids=[f"{e}-{k}" for e, _, k in UNREAD_CONFIG_KEYS])
+def test_cli_config_key_its_runner_never_reads_exit_2(experiment, document,
+                                                      key, tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(document))
+    assert main([experiment, "--config", str(cfg_path)]) == EXIT_CONFIG
+    assert (f"config key '{key}' is set, but {experiment} never reads it"
+            in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("experiment", sorted(EXPERIMENT_FLAGS))
+def test_cli_config_at_defaults_passes_every_key(experiment, tmp_path):
+    # a full document whose unread keys hold their defaults, as to_json
+    # writes it, loads; so does k_list where the runner sweeps k
+    fields = {"k_list": [10, 20]} if "--k-min" in \
+        EXPERIMENT_FLAGS[experiment][1] else {}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(ExperimentConfig(experiment=experiment,
+                                         **fields).to_json())
+    config = build_config(build_parser().parse_args(
+        [experiment, "--config", str(cfg_path)]))
+    assert config == ExperimentConfig(experiment=experiment, **fields)
 
 
 def _flag_argument(flag, i):
