@@ -1,64 +1,44 @@
-"""Command-line front end for the experiment harness."""
+"""Command-line front end for the experiment harness: one subcommand per
+experiment, with a flag for each config field it reads (harness.READS)."""
 from __future__ import annotations
 
 import argparse
 import dataclasses
 import sys
 
-from .harness import (EXIT_CONFIG, ConfigError, ExperimentConfig,
-                      run_experiment)
+from .harness import (_RUNNERS, EXIT_CONFIG, READS, ConfigError,
+                      ExperimentConfig, check_config, run_experiment)
+
+_FIELDS = {f.name: f for f in dataclasses.fields(ExperimentConfig)}
+_TYPES = {"int": int, "float": float, "str": str}
 
 
-# every flag with its argparse settings; argparse names each destination
-# after its flag, dashes turned into underscores
-FLAGS = {
-    "--config": dict(help="JSON config file"),
-    "--out": dict(help="CSV output path"),
-    "--svg": dict(help="SVG plot output path"),
-    "--seed": dict(type=int),
-    "--no-timestamp": dict(action="store_true", default=None),
-    "--k": dict(type=int),
-    "--k-min": dict(type=int),
-    "--k-max": dict(type=int),
-    "--k-ratio": dict(type=float),
-    "--z0": dict(help="comma-separated re,im (affine) or "
-                      "re0,im0,re1,im1 (homogeneous)"),
-    "--kind": dict(choices=["partial", "equivariant"]),
-    "--e": dict(type=float),
-    "--t0": dict(type=float),
-    "--a": dict(type=float),
-    "--b": dict(type=float),
-    "--nodes": dict(type=int),
-    "--dim": dict(type=int, help="max matrix dimension"),
-    "--trials": dict(type=int),
-    "--grid-min": dict(type=float),
-    "--grid-max": dict(type=float),
-    "--grid-n": dict(type=int),
-    "--u1": dict(help="comma-separated axis vector"),
-    "--u2": dict(help="comma-separated axis vector"),
-    "--e1": dict(type=float),
-    "--e2": dict(type=float),
-}
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
 
-COMMON_FLAGS = ("--config", "--out", "--seed", "--no-timestamp")
-K_SWEEP = ("--k-min", "--k-max", "--k-ratio")
 
-# each experiment's help and the flags its runner reads besides the common
-# ones: a flag it would ignore exits 2 instead of running at the default
-EXPERIMENT_FLAGS = {
-    "selftest-hilbert": ("quadrature vs eigen spectral projectors",
-                         ("--dim", "--trials", "--nodes")),
-    "heatmap": ("|coefficient| over a chart grid",
-                ("--svg", "--k", "--z0", "--kind", "--e", "--grid-min",
-                 "--grid-max", "--grid-n")),
-    "error-scaling": ("leading-term error decay along a k sweep",
-                      ("--svg", "--z0", "--kind", "--e", "--t0", "--a", "--b")
-                      + K_SWEEP),
-    "diagonal-microsupport": ("diagonal ratio trichotomy and off-orbit decay",
-                              ("--k",) + K_SWEEP + ("--z0",)),
-    "two-proj": ("norm of a product of two cap projections",
-                 ("--svg", "--k", "--u1", "--u2", "--e1", "--e2") + K_SWEEP),
-}
+def _vector(element: type):
+    """An argparse type: a comma-separated vector of `element`s."""
+    def parse(text: str) -> list:
+        try:
+            return [element(v) for v in text.split(",")]
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"cannot parse '{text}' as comma-separated "
+                f"{element.__name__}s") from None
+    return parse
+
+
+def _settings(f: dataclasses.Field) -> dict:
+    """A field's argparse settings: bool a switch, list[...] a vector."""
+    base = f.type.partition(" | ")[0]
+    if base == "bool":
+        settings = dict(action="store_true", default=None)
+    elif base.startswith("list["):
+        settings = dict(type=_vector(_TYPES[base[5:-1]]))
+    else:
+        settings = dict(type=_TYPES[base])
+    return settings | dict(f.metadata)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -67,30 +47,15 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact and asymptotic kernel experiments on the "
                     "projective line")
     subs = parser.add_subparsers(dest="experiment", required=True)
-    for name, (help_text, flags) in EXPERIMENT_FLAGS.items():
-        sub = subs.add_parser(name, help=help_text)
-        for flag in COMMON_FLAGS + flags:
-            sub.add_argument(flag, **FLAGS[flag])
+    for name, runner in _RUNNERS.items():
+        sub = subs.add_parser(name, help=runner.__doc__.splitlines()[0])
+        sub.add_argument("--config", help="JSON config file")
+        # argparse names each destination after its flag, so after its field
+        for field_name in READS[name]:
+            if field_name != "experiment":
+                sub.add_argument(_flag(field_name),
+                                 **_settings(_FIELDS[field_name]))
     return parser
-
-
-def _parse_vector(text: str) -> list[float]:
-    try:
-        return [float(v) for v in text.split(",")]
-    except ValueError as exc:
-        raise ConfigError(f"cannot parse vector '{text}'") from exc
-
-
-# the flags whose value is a comma-separated vector
-VECTOR_FLAGS = ("--z0", "--u1", "--u2")
-
-
-def _is_vector(text: str) -> bool:
-    try:
-        _parse_vector(text)
-    except ConfigError:
-        return False
-    return True
 
 
 def _attach_vector_values(argv: list[str]) -> list[str]:
@@ -98,54 +63,36 @@ def _attach_vector_values(argv: list[str]) -> list[str]:
 
     argparse reads an argument that starts with '-' as an option unless it
     is one plain negative number, so a vector whose first component is
-    negative would not reach its flag.
+    negative would not reach its flag.  An argument that starts with '--'
+    stays a flag.
     """
+    vectors = {_flag(f.name) for f in _FIELDS.values()
+               if f.type.startswith("list[")}
     out: list[str] = []
     for arg in argv:
-        if out and out[-1] in VECTOR_FLAGS and _is_vector(arg):
+        if out and out[-1] in vectors and not arg.startswith("--"):
             out[-1] += "=" + arg
         else:
             out.append(arg)
     return out
 
 
-def _read_fields(experiment: str) -> set[str]:
-    """The config fields the experiment's runner reads: those its flags
-    name, the experiment itself, and k_list where it sweeps k (k_grid)."""
-    flags = COMMON_FLAGS + EXPERIMENT_FLAGS[experiment][1]
-    names = {flag[2:].replace("-", "_") for flag in flags if flag != "--config"}
-    names.add("experiment")
-    if set(K_SWEEP) <= set(flags):
-        names.add("k_list")
-    return names
-
-
 def build_config(args: argparse.Namespace) -> ExperimentConfig:
+    """The --config file's fields, overridden by the flags given inline."""
+    config = ExperimentConfig()
     if args.config:
         config = ExperimentConfig.from_file(args.config)
         if config.experiment and config.experiment != args.experiment:
             raise ConfigError(
                 f"config file is for '{config.experiment}' but the "
                 f"'{args.experiment}' subcommand was invoked")
-        # a field the runner never reads would run silently at the
-        # default, as an unregistered flag would
-        read, defaults = _read_fields(args.experiment), ExperimentConfig()
-        for f in dataclasses.fields(config):
-            if (f.name not in read
-                    and getattr(config, f.name) != getattr(defaults, f.name)):
-                raise ConfigError(f"config key '{f.name}' is set, but "
-                                  f"{args.experiment} never reads it")
-    else:
-        config = ExperimentConfig()
-    config.experiment = args.experiment
-    # every flag but --config sets the config field its destination names;
-    # a subcommand's namespace holds only the flags it registers
-    for flag in FLAGS:
-        name = flag[2:].replace("-", "_")
-        value = getattr(args, name, None)
-        if value is not None and flag != "--config":
-            setattr(config, name, _parse_vector(value)
-                    if flag in VECTOR_FLAGS else value)
+        # a bad value in the file exits 2, also where a flag overrides it
+        config.experiment = args.experiment
+        check_config(config)
+    # a subcommand's namespace holds the experiment and its own flags only
+    for name, value in vars(args).items():
+        if value is not None and name != "config":
+            setattr(config, name, value)
     return config
 
 

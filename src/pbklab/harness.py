@@ -54,60 +54,69 @@ def make_rng(seed: int) -> np.random.Generator:
 
 
 def _admits(annotation: str, value) -> bool:
-    """Whether a JSON value fits a field annotated `base` or `base | None`:
-    an int field takes ints, a float field ints or floats, a list field a
-    list of numbers, and bool, which is an int to isinstance, only a bool
-    field."""
+    """Whether a value fits a field annotated `base` or `base | None`: an
+    int field takes ints, a float field ints or floats, a list field a
+    list of values its element type takes, and bool, which is an int to
+    isinstance, only a bool field."""
     base, _, optional = annotation.partition(" | ")
     if value is None:
         return optional == "None"
-    if isinstance(value, bool):
-        return base == "bool"
     if base.startswith("list["):
         return isinstance(value, list) and all(
-            isinstance(v, (int, float)) and not isinstance(v, bool)
-            for v in value)
+            _admits(base[5:-1], v) for v in value)
+    if isinstance(value, bool):
+        return base == "bool"
     kinds = {"int": int, "float": (int, float), "str": str}.get(base, ())
     return isinstance(value, kinds)
 
 
 @dataclass
 class ExperimentConfig:
-    """Flat bundle of experiment parameters, JSON round-trippable."""
+    """Flat bundle of experiment parameters, JSON round-trippable.
+
+    A field's metadata holds its command-line flag's help and choices."""
 
     experiment: str = ""
     seed: int = 7
-    out: str | None = None
-    svg: str | None = None
+    out: str | None = field(default=None, metadata={"help": "CSV output path"})
+    svg: str | None = field(default=None,
+                            metadata={"help": "SVG plot output path"})
     no_timestamp: bool = False
     # sweep geometry
     k: int | None = None
     k_min: int = 10
     k_max: int = 1000
     k_ratio: float = 1.25
-    k_list: list[int] | None = None
+    k_list: list[int] | None = field(default=None, metadata={
+        "help": "comma-separated weights, in place of the k_min..k_max sweep"})
     e: float = 0.5
     t0: float = math.pi / 2.0
     a: float = 0.0
     b: float = 0.0
-    z0: list[float] | None = None          # [re0, im0, re1, im1]
+    z0: list[float] | None = field(default=None, metadata={
+        "help": "comma-separated re,im (affine) or re0,im0,re1,im1 "
+                "(homogeneous)"})
     nodes: int | None = None
-    kind: str = "partial"                  # heatmap / error-scaling flavor
+    kind: str = field(default="partial", metadata={
+        "choices": ("partial", "equivariant")})
     # heatmap grid
     grid_min: float = -1.6
     grid_max: float = 1.6
     grid_n: int = 81
     # selftest
-    dim: int = 8
+    dim: int = field(default=8, metadata={"help": "max matrix dimension"})
     trials: int = 100
     # two-projection experiment
-    u1: list[float] = field(default_factory=lambda: [0.0, 0.0, 1.0])
-    u2: list[float] = field(default_factory=lambda: [0.0, 0.0, 1.0])
+    u1: list[float] = field(default_factory=lambda: [0.0, 0.0, 1.0],
+                            metadata={"help": "comma-separated axis vector"})
+    u2: list[float] = field(default_factory=lambda: [0.0, 0.0, 1.0],
+                            metadata={"help": "comma-separated axis vector"})
     e1: float = 0.75
     e2: float = 0.75
 
     @classmethod
     def from_json(cls, text: str) -> "ExperimentConfig":
+        """The config a JSON object sets; run_experiment checks its values."""
         data = json.loads(text)
         if not isinstance(data, dict):
             raise ConfigError("config document must be a JSON object")
@@ -115,10 +124,6 @@ class ExperimentConfig:
         unknown = sorted(set(data) - known)
         if unknown:
             raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
-        for f in dataclasses.fields(cls):
-            if f.name in data and not _admits(f.type, data[f.name]):
-                raise ConfigError(f"config key '{f.name}' takes {f.type}, "
-                                  f"got {json.dumps(data[f.name])}")
         return cls(**data)
 
     @classmethod
@@ -142,12 +147,21 @@ class ExperimentConfig:
                                    complex(vals[2], vals[3]))
         raise ConfigError("z0 must have 2 (affine) or 4 (homogeneous) entries")
 
+    def refuse_overridden(self, name: str, others: tuple) -> None:
+        """Raise if one of `others`, which the set `name` overrides, is set."""
+        defaults = ExperimentConfig()
+        for other in others:
+            if getattr(self, other) != getattr(defaults, other):
+                raise ConfigError(f"{name} and {other} are both set; "
+                                  f"{name} would override {other}")
+
     def k_grid(self) -> list[int]:
+        """k_list if set, else the geometric k_min..k_max sweep."""
         if self.k_list:
-            ks = [int(v) for v in self.k_list]
-            if any(v < 1 for v in ks):
+            self.refuse_overridden("k_list", ("k_min", "k_max", "k_ratio"))
+            if any(v < 1 for v in self.k_list):
                 raise ConfigError("k values must be positive")
-            return ks
+            return list(self.k_list)
         if self.k_min < 1 or self.k_max < self.k_min or self.k_ratio <= 1.0:
             raise ConfigError("need 1 <= k_min <= k_max and k_ratio > 1")
         ks = []
@@ -371,8 +385,6 @@ def _check_equivariant_level(cfg: SpectralConfig) -> None:
 
 def run_orbit_heatmap(config: ExperimentConfig) -> RunReport:
     """|kernel coefficient| over a chart grid; the ridge must sit on |zeta|=1."""
-    if config.kind not in ("partial", "equivariant"):
-        raise ConfigError("heatmap kind must be 'partial' or 'equivariant'")
     k = int(config.k if config.k is not None else 80)
     cfg = SpectralConfig(k, config.e)
     z = config.base_point()
@@ -442,8 +454,9 @@ def run_orbit_heatmap(config: ExperimentConfig) -> RunReport:
 
 
 def run_error_scaling(config: ExperimentConfig) -> RunReport:
-    """Decay of the leading-term error along a k sweep, with log-log fit;
-    both kinds share one probe and one SpectralConfig per k."""
+    """Decay of the leading-term error along a k sweep, with a log-log fit.
+
+    Both kinds share one probe and one SpectralConfig per k."""
     ks = config.k_grid()
     if len(ks) < 3:
         raise ConfigError("error scaling needs at least 3 k values")
@@ -525,7 +538,11 @@ def run_diagonal_and_microsupport(config: ExperimentConfig) -> RunReport:
     z = config.base_point()
     h = height(z)
     k_star = int(config.k if config.k is not None else 800)
-    ks = [k for k in config.k_grid() if k >= 10]
+    grid = config.k_grid()
+    ks = [k for k in grid if k >= 10]
+    if len(ks) < 3:
+        raise ConfigError(f"the fits need at least 3 weights k >= 10, but "
+                          f"the k grid {grid} has {len(ks)}")
     rows = []
     checks = {}
 
@@ -600,12 +617,13 @@ def run_two_proj(config: ExperimentConfig) -> RunReport:
     if caps_tangent(u1, config.e1, u2, config.e2):
         raise ConfigError("tangent cap configuration is excluded")
     disjoint = caps_disjoint(u1, config.e1, u2, config.e2)
-    # k_list, else one weight k, else the k_min..k_max sweep
-    if config.k_list or config.k is None:
+    # one weight k, else k_list or the k_min..k_max sweep
+    if config.k is None:
         ks = config.k_grid()
-    elif config.k < 1:
-        raise ConfigError("k must be a positive integer")
     else:
+        config.refuse_overridden("k", ("k_list", "k_min", "k_max", "k_ratio"))
+        if config.k < 1:
+            raise ConfigError("k must be a positive integer")
         ks = [int(config.k)]
     rows = []
     norms = []
@@ -670,15 +688,48 @@ _RUNNERS = {
     "diagonal-microsupport": run_diagonal_and_microsupport,
     "two-proj": run_two_proj,
 }
-EXPERIMENTS = tuple(_RUNNERS)
+# the config fields each experiment's runner reads; every one of them is
+# a command-line flag of its subcommand, and any other field set off its
+# default is refused, since the run would silently ignore it
+_COMMON = ("experiment", "out", "seed", "no_timestamp")
+_K_SWEEP = ("k_min", "k_max", "k_ratio", "k_list")
+READS = {
+    "selftest-hilbert": _COMMON + ("dim", "trials", "nodes"),
+    "heatmap": _COMMON + ("svg", "k", "z0", "kind", "e", "grid_min",
+                          "grid_max", "grid_n"),
+    "error-scaling": _COMMON + ("svg", "z0", "kind", "e", "t0", "a", "b")
+                     + _K_SWEEP,
+    "diagonal-microsupport": _COMMON + ("k", "z0") + _K_SWEEP,
+    "two-proj": _COMMON + ("svg", "k", "u1", "u2", "e1", "e2") + _K_SWEEP,
+}
+
+
+def check_config(config: ExperimentConfig) -> None:
+    """Raise on a value of the wrong type or outside its field's choices,
+    and on a field the experiment never reads set off its default."""
+    reads, defaults = READS[config.experiment], ExperimentConfig()
+    for f in dataclasses.fields(config):
+        value = getattr(config, f.name)
+        if not _admits(f.type, value):
+            raise ConfigError(f"config key '{f.name}' takes {f.type}, "
+                              f"got {value!r}")
+        choices = f.metadata.get("choices")
+        if choices and value not in choices:
+            raise ConfigError(f"config key '{f.name}' takes one of "
+                              f"{', '.join(choices)}, got {value!r}")
+        if f.name not in reads and value != getattr(defaults, f.name):
+            raise ConfigError(f"config key '{f.name}' is set, but "
+                              f"{config.experiment} never reads it")
 
 
 def run_experiment(config: ExperimentConfig) -> RunReport:
-    """Dispatch a config to its runner, mapping precondition errors to exit 2."""
+    """Check a config and dispatch it to its runner, mapping precondition
+    errors to exit 2."""
     if config.experiment not in _RUNNERS:
         raise ConfigError(f"unknown experiment '{config.experiment}'; "
-                          f"choose one of {', '.join(EXPERIMENTS)}")
+                          f"choose one of {', '.join(_RUNNERS)}")
     try:
+        check_config(config)
         return _RUNNERS[config.experiment](config)
     except (ConfigError, NodeCountError, ChartError, ValueError) as exc:
         return RunReport(EXIT_CONFIG, f"configuration error: {exc}", {})

@@ -12,12 +12,11 @@ import pytest
 
 import pbklab
 from pbklab import harness
-from pbklab.cli import (COMMON_FLAGS, EXPERIMENT_FLAGS, FLAGS, VECTOR_FLAGS,
-                        build_config, build_parser, main)
+from pbklab.cli import build_config, build_parser, main
 from pbklab.circle_spectral import SpectralConfig
 from pbklab.cp1_geometry import ProjectivePoint
 from pbklab.exact_kernels import equivariant_coeff, partial_coeff
-from pbklab.harness import (EXIT_CONFIG, EXIT_OK, ConfigError,
+from pbklab.harness import (EXIT_CONFIG, EXIT_OK, READS, ConfigError,
                             ExperimentConfig, format_number, make_rng,
                             run_diagonal_and_microsupport, run_error_scaling,
                             run_experiment, run_hilbert_selftest,
@@ -463,7 +462,82 @@ def test_error_scaling_rejects_stabilizer_t0():
     assert report.exit_code == EXIT_CONFIG
 
 
+def test_error_scaling_unknown_kind_exit_2(tmp_path, capsys):
+    # a kind outside the field's choices used to run the partial sweep
+    message = "config key 'kind' takes one of partial, equivariant, got 'foo'"
+    report = run_experiment(ExperimentConfig(experiment="error-scaling",
+                                             kind="foo"))
+    assert report.exit_code == EXIT_CONFIG
+    assert message in report.message
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"kind": "foo"}))
+    out = tmp_path / "er.csv"
+    assert main(["error-scaling", "--config", str(cfg_path), "--out",
+                 str(out)]) == EXIT_CONFIG
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+    with pytest.raises(SystemExit) as exc:
+        main(["error-scaling", "--kind", "foo"])
+    assert exc.value.code == EXIT_CONFIG
+    assert "invalid choice: 'foo'" in capsys.readouterr().err
+
+
+def test_k_list_takes_integers_only(tmp_path, capsys):
+    # fractions used to be truncated: 10.7, 20.2, 40.9 ran at 10, 20, 40
+    fractions = [10.7, 20.2, 40.9]
+    report = run_experiment(ExperimentConfig(experiment="error-scaling",
+                                             k_list=fractions))
+    assert report.exit_code == EXIT_CONFIG
+    assert "config key 'k_list' takes list[int] | None" in report.message
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"k_list": fractions}))
+    assert main(["error-scaling", "--config", str(cfg_path)]) == EXIT_CONFIG
+    assert "config key 'k_list'" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(["error-scaling", "--k-list", "10.7,20.2,40.9"])
+    assert exc.value.code == EXIT_CONFIG
+    assert ("argument --k-list: cannot parse '10.7,20.2,40.9' as "
+            "comma-separated ints") in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("experiment, fields, names", [
+    ("two-proj", {"k": 10, "k_list": [20, 40]}, ("k", "k_list")),
+    ("two-proj", {"k": 10, "k_max": 100}, ("k", "k_max")),
+    ("error-scaling", {"k_list": [10, 20, 40], "k_min": 20},
+     ("k_list", "k_min")),
+    ("diagonal-microsupport", {"k_list": [10, 20, 40], "k_ratio": 2.0},
+     ("k_list", "k_ratio")),
+], ids=["two-proj-k-list", "two-proj-k-max", "error-scaling",
+        "diagonal-microsupport"])
+def test_weight_field_overridden_by_another_exit_2(experiment, fields, names):
+    # a weight field another one overrides would be silently ignored
+    report = run_experiment(ExperimentConfig(experiment=experiment, **fields))
+    assert report.exit_code == EXIT_CONFIG
+    assert "{} and {} are both set".format(*names) in report.message
+
+
+def test_cli_inline_k_with_k_list_in_the_config_exit_2(tmp_path, capsys):
+    # the inline --k used to lose to the file's k_list
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"k_list": [20, 40, 80]}))
+    assert main(["two-proj", "--config", str(cfg_path), "--k", "10"]) \
+        == EXIT_CONFIG
+    assert "k and k_list are both set" in capsys.readouterr().err
+
+
 # --- diagonal / microsupport ---------------------------------------------------
+
+@pytest.mark.parametrize("fields, grid", [
+    ({"k_list": [5, 8, 20, 40]}, "[5, 8, 20, 40] has 2"),
+    ({"k_min": 10, "k_max": 11, "k_ratio": 1.05}, "[10, 11] has 2"),
+], ids=["k-list", "sweep"])
+def test_diagonal_microsupport_names_grid_below_the_k_floor(fields, grid):
+    report = run_experiment(ExperimentConfig(
+        experiment="diagonal-microsupport", k=50, **fields))
+    assert report.exit_code == EXIT_CONFIG
+    assert ("the fits need at least 3 weights k >= 10, but the k grid "
+            + grid) in report.message
+
 
 def test_diagonal_microsupport_runs(tmp_path):
     cfg = ExperimentConfig(experiment="diagonal-microsupport", k=400,
@@ -540,7 +614,7 @@ def test_two_proj_rejects_levels_outside_unit_interval(e1):
 
 
 def test_two_proj_single_weight_k(tmp_path):
-    # k_list first, then k, then the k_min..k_max sweep
+    # the one weight k, or else k_list or the k_min..k_max sweep
     out = tmp_path / "tp.csv"
     cfg = ExperimentConfig(experiment="two-proj",
                            u2=[math.sin(0.8), 0.0, math.cos(0.8)], k=10,
@@ -549,9 +623,11 @@ def test_two_proj_single_weight_k(tmp_path):
     assert report.exit_code == EXIT_OK
     assert [r[0] for r in read_rows(str(out))[2]] == ["10"]
     assert "0 of 1 norms" in report.message
+    # k and k_list both set: one of them would be ignored
     cfg.k_list = [20, 40]
-    run_two_proj(cfg)
-    assert [r[0] for r in read_rows(str(out))[2]] == ["20", "40"]
+    report = run_experiment(cfg)
+    assert report.exit_code == EXIT_CONFIG
+    assert "k and k_list are both set" in report.message
     # one weight cannot show a decay on disjoint caps, and says so
     report = run_two_proj(ExperimentConfig(
         experiment="two-proj", u2=[math.sin(2.2), 0.0, math.cos(2.2)], k=10))
@@ -634,7 +710,7 @@ BAD_CONFIG_VALUES = [
     ("e", "0.5"), ("seed", "a"), ("e", None), ("k", 10.5), ("k", True),
     ("grid_n", 9.0), ("no_timestamp", 1), ("kind", 3), ("out", 5),
     ("z0", [1, "a"]), ("z0", "1,0"), ("k_list", [10, True]),
-    ("u1", None), ("trials", None)]
+    ("u1", None), ("trials", None), ("kind", "foo"), ("u1", [1, True, 0])]
 
 
 @pytest.mark.parametrize("key, value", BAD_CONFIG_VALUES,
@@ -646,6 +722,11 @@ def test_cli_config_value_of_wrong_type_exit_2(key, value, tmp_path, capsys):
     assert main(["heatmap", "--config", str(cfg_path), "--k", "10"]) \
         == EXIT_CONFIG
     assert f"config key '{key}'" in capsys.readouterr().err
+    # the same check on the config built in Python
+    report = run_experiment(ExperimentConfig(
+        **{"experiment": "heatmap", "k": 10, key: value}))
+    assert report.exit_code == EXIT_CONFIG
+    assert f"config key '{key}'" in report.message
 
 
 def test_cli_valid_config_writes_the_csv_of_its_config(tmp_path):
@@ -686,17 +767,20 @@ def test_cli_config_key_its_runner_never_reads_exit_2(experiment, document,
                                                       key, tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(document))
+    message = f"config key '{key}' is set, but {experiment} never reads it"
     assert main([experiment, "--config", str(cfg_path)]) == EXIT_CONFIG
-    assert (f"config key '{key}' is set, but {experiment} never reads it"
-            in capsys.readouterr().err)
+    assert message in capsys.readouterr().err
+    report = run_experiment(ExperimentConfig(experiment=experiment,
+                                             **document))
+    assert report.exit_code == EXIT_CONFIG
+    assert message in report.message
 
 
-@pytest.mark.parametrize("experiment", sorted(EXPERIMENT_FLAGS))
+@pytest.mark.parametrize("experiment", sorted(READS))
 def test_cli_config_at_defaults_passes_every_key(experiment, tmp_path):
     # a full document whose unread keys hold their defaults, as to_json
     # writes it, loads; so does k_list where the runner sweeps k
-    fields = {"k_list": [10, 20]} if "--k-min" in \
-        EXPERIMENT_FLAGS[experiment][1] else {}
+    fields = {"k_list": [10, 20]} if "k_list" in READS[experiment] else {}
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(ExperimentConfig(experiment=experiment,
                                          **fields).to_json())
@@ -705,32 +789,58 @@ def test_cli_config_at_defaults_passes_every_key(experiment, tmp_path):
     assert config == ExperimentConfig(experiment=experiment, **fields)
 
 
-def _flag_argument(flag, i):
-    """A command-line value for flag, distinct per i, and the config value
-    it should give."""
-    settings = FLAGS[flag]
-    if settings.get("action") == "store_true":
-        return [flag], True
-    if flag in VECTOR_FLAGS:
-        return [f"{flag}={i},0,1"], [float(i), 0.0, 1.0]
-    if "choices" in settings:
-        return [flag, settings["choices"][-1]], settings["choices"][-1]
-    kind = settings.get("type", str)
-    value = {int: i, float: i + 0.5}.get(kind, f"v{i}")
-    return [flag, str(value)], value
+# a value of the right type other than the default, for every field
+OFF_DEFAULT = {
+    "seed": 3, "out": "x.csv", "svg": "x.svg", "no_timestamp": True, "k": 20,
+    "k_min": 20, "k_max": 200, "k_ratio": 2.0, "k_list": [10, 20],
+    "e": 0.25, "t0": 1.0, "a": 1.0, "b": 1.0, "z0": [1.0, 0.0],
+    "nodes": 500, "kind": "equivariant", "grid_min": -1.0, "grid_max": 1.0,
+    "grid_n": 9, "dim": 3, "trials": 2, "u1": [1.0, 0.0, 0.0],
+    "u2": [1.0, 0.0, 0.0], "e1": 0.5, "e2": 0.5}
+UNREAD_FIELDS = [(e, name) for e in sorted(READS) for name in OFF_DEFAULT
+                 if name not in READS[e]]
 
 
-@pytest.mark.parametrize("experiment", sorted(EXPERIMENT_FLAGS))
+def test_off_default_values_cover_every_field():
+    defaults = ExperimentConfig()
+    assert set(OFF_DEFAULT) | {"experiment"} == set(vars(defaults))
+    for name, value in OFF_DEFAULT.items():
+        assert value != getattr(defaults, name), name
+
+
+@pytest.mark.parametrize("experiment", sorted(READS))
 def test_every_registered_flag_reaches_its_config_field(experiment):
-    flags = [f for f in COMMON_FLAGS + EXPERIMENT_FLAGS[experiment][1]
-             if f != "--config"]
-    argv, expected = [experiment], {}
-    for i, flag in enumerate(flags, start=2):
-        args, expected[flag[2:].replace("-", "_")] = _flag_argument(flag, i)
-        argv += args
+    # every field the experiment reads is a flag of its subcommand
+    names = [n for n in READS[experiment] if n != "experiment"]
+    argv = [experiment]
+    for name in names:
+        flag, value = "--" + name.replace("_", "-"), OFF_DEFAULT[name]
+        if value is True:
+            argv.append(flag)
+        elif isinstance(value, list):
+            argv.append(f"{flag}={','.join(map(str, value))}")
+        else:
+            argv += [flag, str(value)]
     config = build_config(build_parser().parse_args(argv))
     assert config.experiment == experiment
-    assert {name: getattr(config, name) for name in expected} == expected
+    assert {n: getattr(config, n) for n in names} == \
+        {n: OFF_DEFAULT[n] for n in names}
+
+
+@pytest.mark.parametrize("experiment, name", UNREAD_FIELDS,
+                         ids=[f"{e}-{n}" for e, n in UNREAD_FIELDS])
+def test_every_unread_field_off_default_exits_2(experiment, name, tmp_path,
+                                                capsys):
+    # through run_experiment and through a --config file, before any work
+    message = f"config key '{name}' is set, but {experiment} never reads it"
+    report = run_experiment(ExperimentConfig(experiment=experiment,
+                                             **{name: OFF_DEFAULT[name]}))
+    assert report.exit_code == EXIT_CONFIG
+    assert message in report.message
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({name: OFF_DEFAULT[name]}))
+    assert main([experiment, "--config", str(cfg_path)]) == EXIT_CONFIG
+    assert message in capsys.readouterr().err
 
 
 def test_cli_wrong_subcommand_for_config(tmp_path):
