@@ -33,6 +33,9 @@ from .exact_kernels import partial_coeff, section_coeff
 
 STABILIZER_EXCLUSION = 1e-3
 LEVEL_SET_TOL = 1e-9  # |H(z0) - E| up to which z0 counts as on {H = E}
+# the largest |log| of the flow factor e^(offset/sqrt k) and of the flowed
+# coordinate: e^700 and e^-700 are 1e304 and 1e-304, normal doubles
+MAX_FLOW = 700.0
 
 
 @dataclass(frozen=True)
@@ -57,6 +60,17 @@ class ScalingProbe:
 
     def points(self, k: int) -> tuple[ProjectivePoint, ProjectivePoint]:
         s = math.sqrt(k)
+        # the flow factor e^shift and the flowed coordinate e^shift z0 must
+        # both stay inside e^+-MAX_FLOW; rotate keeps |z0|
+        log_z0 = math.log(abs(self.basepoint.z0))
+        for name, offset in (("a", self.a), ("b", self.b)):
+            shift = offset / s
+            if not max(abs(shift), abs(shift + log_z0)) <= MAX_FLOW:
+                raise ValueError(
+                    f"probe offset {name} = {offset!r} at weight k = {k} asks "
+                    f"the gradient flow for e^{shift:.6g}, which takes |z0| "
+                    f"from e^{log_z0:.6g} to e^{shift + log_z0:.6g}, outside "
+                    f"the float range e^+-{MAX_FLOW:g}")
         z = gradient_flow(self.a / s, self.basepoint)
         w = gradient_flow(self.b / s, rotate(self.t0, self.basepoint))
         return z, w

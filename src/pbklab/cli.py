@@ -101,7 +101,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(_attach_vector_values(argv))
     try:
         config = build_config(args)
-    except (ConfigError, OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     report = run_experiment(config)

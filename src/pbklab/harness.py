@@ -1,9 +1,11 @@
 """Experiment configuration, sweep runners, and CSV/SVG emission.
 
-Every experiment is a pure function of an ExperimentConfig.  Randomness
-comes from a counter-based Philox generator keyed by the config seed, so
-identical configs yield bit-identical CSV output (modulo the optional
-timestamp header line).  Numeric columns are printed with 17 significant
+Every experiment is a pure function of an ExperimentConfig, and
+run_experiment is the one way to run it: it checks the config, then
+dispatches it to the experiment's runner.  Randomness comes from a
+counter-based Philox generator keyed by the config seed, so identical
+configs yield bit-identical CSV output (modulo the optional timestamp
+header line).  Numeric columns are printed with 17 significant
 digits, which round-trips IEEE doubles exactly.
 
 Exit codes: 0 success, 1 an acceptance threshold failed, 2 configuration
@@ -16,6 +18,7 @@ import datetime
 import json
 import math
 import os
+import sys
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 from itertools import chain
@@ -24,8 +27,7 @@ import numpy as np
 
 from .asymptotics import (LEVEL_SET_TOL, ScalingProbe, error_metric,
                           linear_fit, loglog_fit, predict_equivariant)
-from .circle_spectral import (NodeCountError, SpectralConfig,
-                              default_node_count,
+from .circle_spectral import (SpectralConfig, default_node_count,
                               random_integer_spectrum_operator,
                               spectral_projector_eig,
                               spectral_projector_quadrature)
@@ -55,9 +57,9 @@ def make_rng(seed: int) -> np.random.Generator:
 
 def _admits(annotation: str, value) -> bool:
     """Whether a value fits a field annotated `base` or `base | None`: an
-    int field takes ints, a float field ints or floats, a list field a
-    list of values its element type takes, and bool, which is an int to
-    isinstance, only a bool field."""
+    int field takes ints, a float field finite ints or floats, a list
+    field a list of values its element type takes, and bool, which is an
+    int to isinstance, only a bool field."""
     base, _, optional = annotation.partition(" | ")
     if value is None:
         return optional == "None"
@@ -66,8 +68,12 @@ def _admits(annotation: str, value) -> bool:
             _admits(base[5:-1], v) for v in value)
     if isinstance(value, bool):
         return base == "bool"
-    kinds = {"int": int, "float": (int, float), "str": str}.get(base, ())
-    return isinstance(value, kinds)
+    if base == "float":
+        # nan and +-inf fail the comparison, and so does an int beyond
+        # the largest double
+        return (isinstance(value, (int, float))
+                and abs(value) <= sys.float_info.max)
+    return isinstance(value, {"int": int, "str": str}.get(base, ()))
 
 
 @dataclass
@@ -138,8 +144,6 @@ class ExperimentConfig:
         if self.z0 is None:
             return ProjectivePoint(1.0, 1.0)
         vals = [float(v) for v in self.z0]
-        if not all(map(math.isfinite, vals)):
-            raise ConfigError(f"z0 entries must be finite, got {vals}")
         if len(vals) == 2:
             return ProjectivePoint(complex(vals[0], vals[1]), 1.0)
         if len(vals) == 4:
@@ -147,18 +151,14 @@ class ExperimentConfig:
                                    complex(vals[2], vals[3]))
         raise ConfigError("z0 must have 2 (affine) or 4 (homogeneous) entries")
 
-    def refuse_overridden(self, name: str, others: tuple) -> None:
-        """Raise if one of `others`, which the set `name` overrides, is set."""
-        defaults = ExperimentConfig()
-        for other in others:
-            if getattr(self, other) != getattr(defaults, other):
-                raise ConfigError(f"{name} and {other} are both set; "
-                                  f"{name} would override {other}")
-
     def k_grid(self) -> list[int]:
         """k_list if set, else the geometric k_min..k_max sweep."""
         if self.k_list:
-            self.refuse_overridden("k_list", ("k_min", "k_max", "k_ratio"))
+            defaults = ExperimentConfig()
+            for other in ("k_min", "k_max", "k_ratio"):
+                if getattr(self, other) != getattr(defaults, other):
+                    raise ConfigError(f"k_list and {other} are both set; "
+                                      f"k_list would override {other}")
             if any(v < 1 for v in self.k_list):
                 raise ConfigError("k values must be positive")
             return list(self.k_list)
@@ -334,7 +334,7 @@ def svg_heatmap(path: str, grid: np.ndarray, extent: tuple, title: str) -> None:
 # experiment runners
 # ---------------------------------------------------------------------------
 
-def run_hilbert_selftest(config: ExperimentConfig) -> RunReport:
+def _selftest_hilbert(config: ExperimentConfig) -> RunReport:
     """Quadrature projector vs eigen-oracle on random integer-spectrum trials."""
     if config.trials < 1 or config.dim < 1:
         raise ConfigError("selftest needs trials >= 1 and dim >= 1")
@@ -370,8 +370,7 @@ def run_hilbert_selftest(config: ExperimentConfig) -> RunReport:
                + ("" if ok else f"; trial {worst_trial} exceeded 1e-9"))
     return RunReport(EXIT_OK if ok else EXIT_THRESHOLD, message,
                      {"max_deviation": worst, "trials": config.trials,
-                      "nodes": total_nodes, "max_nodes": max_nodes},
-                     config.out)
+                      "nodes": total_nodes, "max_nodes": max_nodes})
 
 
 def _check_equivariant_level(cfg: SpectralConfig) -> None:
@@ -383,7 +382,7 @@ def _check_equivariant_level(cfg: SpectralConfig) -> None:
                           f"k = {k}")
 
 
-def run_orbit_heatmap(config: ExperimentConfig) -> RunReport:
+def _heatmap(config: ExperimentConfig) -> RunReport:
     """|kernel coefficient| over a chart grid; the ridge must sit on |zeta|=1."""
     k = int(config.k if config.k is not None else 80)
     cfg = SpectralConfig(k, config.e)
@@ -395,10 +394,6 @@ def run_orbit_heatmap(config: ExperimentConfig) -> RunReport:
     n = int(config.grid_n)
     if n < 8:
         raise ConfigError("grid_n must be at least 8")
-    for name in ("grid_min", "grid_max"):
-        if not math.isfinite(getattr(config, name)):
-            raise ConfigError(f"{name} must be finite, got "
-                              f"{getattr(config, name)}")
     if not config.grid_min < config.grid_max:
         raise ConfigError("grid_min must be below grid_max")
     axis = np.linspace(config.grid_min, config.grid_max, n)
@@ -449,11 +444,10 @@ def run_orbit_heatmap(config: ExperimentConfig) -> RunReport:
                "circle ridge)")
     return RunReport(EXIT_OK if ridge_ok else EXIT_THRESHOLD, message,
                      {"peak_re": peak_zeta.real, "peak_im": peak_zeta.imag,
-                      "ridge_deviation": ridge_dev},
-                     config.out)
+                      "ridge_deviation": ridge_dev})
 
 
-def run_error_scaling(config: ExperimentConfig) -> RunReport:
+def _error_scaling(config: ExperimentConfig) -> RunReport:
     """Decay of the leading-term error along a k sweep, with a log-log fit.
 
     Both kinds share one probe and one SpectralConfig per k."""
@@ -488,6 +482,12 @@ def run_error_scaling(config: ExperimentConfig) -> RunReport:
         ordered, mid = sorted(witnesses), len(witnesses) // 2
         median = (ordered[mid] if len(ordered) % 2
                   else (ordered[mid - 1] + ordered[mid]) / 2)
+        if median == 0.0:
+            raise ConfigError(
+                f"the remainder witness is 0 at {witnesses.count(0.0)} of "
+                f"{len(ks)} weights, so max/median is undefined: the "
+                f"offsets a, b put the kernel and its leading term below "
+                f"float range")
         stat = max(witnesses) / median
         ok = stat <= 5.0
         _emit_csv(config, ["k", "witness"], rows,
@@ -502,7 +502,7 @@ def run_error_scaling(config: ExperimentConfig) -> RunReport:
         message = (f"remainder witness max/median = {stat:.3f} over "
                    f"{len(ks)} weights")
         return RunReport(EXIT_OK if ok else EXIT_THRESHOLD, message,
-                         {"max_over_median": stat}, config.out)
+                         {"max_over_median": stat})
 
     rows = []
     for cfg in configs:
@@ -529,11 +529,10 @@ def run_error_scaling(config: ExperimentConfig) -> RunReport:
     message = (f"slope {fit.slope:.4f}, r^2 {fit.r_squared:.4f} over "
                f"k in [{ks[0]}, {ks[-1]}]")
     return RunReport(EXIT_OK if ok else EXIT_THRESHOLD, message,
-                     {"slope": fit.slope, "r_squared": fit.r_squared},
-                     config.out)
+                     {"slope": fit.slope, "r_squared": fit.r_squared})
 
 
-def run_diagonal_and_microsupport(config: ExperimentConfig) -> RunReport:
+def _diagonal_microsupport(config: ExperimentConfig) -> RunReport:
     """Diagonal trichotomy of partial/full ratios plus off-orbit decay."""
     z = config.base_point()
     h = height(z)
@@ -606,25 +605,17 @@ def run_diagonal_and_microsupport(config: ExperimentConfig) -> RunReport:
                "below-slope {below_slope:.4f} (r2 {below_r2:.3f}); "
                "off-orbit slope {off_slope:.4f} (r2 {off_r2:.3f})"
                .format(**checks))
-    return RunReport(EXIT_OK if ok else EXIT_THRESHOLD, message, checks,
-                     config.out)
+    return RunReport(EXIT_OK if ok else EXIT_THRESHOLD, message, checks)
 
 
-def run_two_proj(config: ExperimentConfig) -> RunReport:
+def _two_proj(config: ExperimentConfig) -> RunReport:
     """Norm of the product of two cap projections along a k sweep."""
     u1 = RotationAxis.from_vector(config.u1)
     u2 = RotationAxis.from_vector(config.u2)
     if caps_tangent(u1, config.e1, u2, config.e2):
         raise ConfigError("tangent cap configuration is excluded")
     disjoint = caps_disjoint(u1, config.e1, u2, config.e2)
-    # one weight k, else k_list or the k_min..k_max sweep
-    if config.k is None:
-        ks = config.k_grid()
-    else:
-        config.refuse_overridden("k", ("k_list", "k_min", "k_max", "k_ratio"))
-        if config.k < 1:
-            raise ConfigError("k must be a positive integer")
-        ks = [int(config.k)]
+    ks = config.k_grid()
     rows = []
     norms = []
     for k in ks:
@@ -655,13 +646,13 @@ def run_two_proj(config: ExperimentConfig) -> RunReport:
             message = f"disjoint caps: {floor_note} (orthogonal ranges)"
             return RunReport(EXIT_OK, message,
                              {"disjoint": True, "max_norm": max(norms),
-                              "floored": floored}, config.out)
+                              "floored": floored})
         if len(positive) < 3:
             message = (f"disjoint caps: the decay fit needs 3 norms above "
                        f"the cut-off, got {len(positive)}; {floor_note}")
             return RunReport(EXIT_THRESHOLD, message,
                              {"disjoint": True, "max_norm": max(norms),
-                              "floored": floored}, config.out)
+                              "floored": floored})
         fit = linear_fit(np.array([p[0] for p in positive], dtype=float),
                          np.log(np.array([p[1] for p in positive])))
         ok = fit.slope < 0 and fit.r_squared >= 0.9
@@ -670,23 +661,21 @@ def run_two_proj(config: ExperimentConfig) -> RunReport:
                    f"of the fit")
         return RunReport(EXIT_OK if ok else EXIT_THRESHOLD, message,
                          {"disjoint": True, "slope": fit.slope,
-                          "r_squared": fit.r_squared, "floored": floored},
-                         config.out)
+                          "r_squared": fit.r_squared, "floored": floored})
     floor = min(norms)
     ok = floor >= 0.5
     message = (f"overlapping caps: norm floor {floor:.4f} over the sweep; "
                f"{floor_note}")
     return RunReport(EXIT_OK if ok else EXIT_THRESHOLD, message,
-                     {"disjoint": False, "floor": floor, "floored": floored},
-                     config.out)
+                     {"disjoint": False, "floor": floor, "floored": floored})
 
 
 _RUNNERS = {
-    "selftest-hilbert": run_hilbert_selftest,
-    "heatmap": run_orbit_heatmap,
-    "error-scaling": run_error_scaling,
-    "diagonal-microsupport": run_diagonal_and_microsupport,
-    "two-proj": run_two_proj,
+    "selftest-hilbert": _selftest_hilbert,
+    "heatmap": _heatmap,
+    "error-scaling": _error_scaling,
+    "diagonal-microsupport": _diagonal_microsupport,
+    "two-proj": _two_proj,
 }
 # the config fields each experiment's runner reads; every one of them is
 # a command-line flag of its subcommand, and any other field set off its
@@ -700,18 +689,23 @@ READS = {
     "error-scaling": _COMMON + ("svg", "z0", "kind", "e", "t0", "a", "b")
                      + _K_SWEEP,
     "diagonal-microsupport": _COMMON + ("k", "z0") + _K_SWEEP,
-    "two-proj": _COMMON + ("svg", "k", "u1", "u2", "e1", "e2") + _K_SWEEP,
+    "two-proj": _COMMON + ("svg", "u1", "u2", "e1", "e2") + _K_SWEEP,
 }
 
 
 def check_config(config: ExperimentConfig) -> None:
-    """Raise on a value of the wrong type or outside its field's choices,
-    and on a field the experiment never reads set off its default."""
+    """Raise on an unknown experiment, on a value of the wrong type (a
+    non-finite float among them) or outside its field's choices, and on a
+    field the experiment never reads set off its default."""
+    if config.experiment not in READS:
+        raise ConfigError(f"unknown experiment '{config.experiment}'; "
+                          f"choose one of {', '.join(READS)}")
     reads, defaults = READS[config.experiment], ExperimentConfig()
     for f in dataclasses.fields(config):
         value = getattr(config, f.name)
         if not _admits(f.type, value):
-            raise ConfigError(f"config key '{f.name}' takes {f.type}, "
+            kind = f.type.replace("float", "finite float")
+            raise ConfigError(f"config key '{f.name}' takes {kind}, "
                               f"got {value!r}")
         choices = f.metadata.get("choices")
         if choices and value not in choices:
@@ -723,13 +717,13 @@ def check_config(config: ExperimentConfig) -> None:
 
 
 def run_experiment(config: ExperimentConfig) -> RunReport:
-    """Check a config and dispatch it to its runner, mapping precondition
-    errors to exit 2."""
-    if config.experiment not in _RUNNERS:
-        raise ConfigError(f"unknown experiment '{config.experiment}'; "
-                          f"choose one of {', '.join(_RUNNERS)}")
+    """Check a config and run its experiment; the one entry point, since
+    the runners trust their config.  A bad config, a failed precondition
+    and an out or svg path that cannot be written return exit 2."""
     try:
         check_config(config)
-        return _RUNNERS[config.experiment](config)
-    except (ConfigError, NodeCountError, ChartError, ValueError) as exc:
+        report = _RUNNERS[config.experiment](config)
+    except (OSError, ValueError) as exc:
         return RunReport(EXIT_CONFIG, f"configuration error: {exc}", {})
+    report.csv_path = config.out
+    return report

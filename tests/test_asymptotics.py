@@ -1,5 +1,6 @@
 import cmath
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from pbklab.asymptotics import (FitResult, ScalingProbe, error_metric,
                                 predict_partial, stirling_deviation,
                                 stirling_estimate)
 from pbklab.circle_spectral import SpectralConfig
-from pbklab.cp1_geometry import (ProjectivePoint, gradient_flow,
+from pbklab.cp1_geometry import (ProjectivePoint, gradient_flow, height,
                                  level_point, projective_equal, rotate,
                                  xh_norm)
 from pbklab.exact_kernels import equivariant_coeff
@@ -30,6 +31,25 @@ def test_probe_points_follow_both_flows():
 def test_probe_rejects_out_of_range_t0():
     with pytest.raises(ValueError):
         ScalingProbe(ONE_ONE, t0=7.0)
+
+
+@pytest.mark.parametrize("base, a, b, name", [
+    (ONE_ONE, 3000.0, 0.0, "a"), (ONE_ONE, 0.0, -3000.0, "b"),
+    (ProjectivePoint(1e10, 1e10), 2200.0, 0.0, "a"),
+], ids=["factor-overflows", "factor-underflows", "coordinate-overflows"])
+def test_probe_points_refuse_a_flow_beyond_float_range(base, a, b, name):
+    # e^(3000/sqrt 10) overflows math.exp, and e^-(3000/sqrt 10) is 0, the
+    # pole; e^(2200/sqrt 10) is finite, but not once it scales z0 = 1e10.
+    # Each is named with the offset and the weight
+    probe = ScalingProbe(base, a=a, b=b, t0=1.0)
+    offset = a or b
+    with pytest.raises(ValueError, match=re.escape(
+            f"probe offset {name} = {offset!r} at weight k = 10 asks the "
+            f"gradient flow for e^{offset / math.sqrt(10):.6g}")):
+        probe.points(10)
+    # at k = 1e6 the same offset flows by e^+-3
+    z, w = probe.points(10 ** 6)
+    assert 0 < height(z) < 1 and 0 < height(w) < 1
 
 
 @pytest.mark.parametrize("pole", [ProjectivePoint(0, 1),

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -18,9 +19,7 @@ from pbklab.cp1_geometry import ProjectivePoint
 from pbklab.exact_kernels import equivariant_coeff, partial_coeff
 from pbklab.harness import (EXIT_CONFIG, EXIT_OK, READS, ConfigError,
                             ExperimentConfig, format_number, make_rng,
-                            run_diagonal_and_microsupport, run_error_scaling,
-                            run_experiment, run_hilbert_selftest,
-                            run_orbit_heatmap, run_two_proj, write_csv)
+                            run_experiment, write_csv)
 
 
 def read_rows(path):
@@ -102,7 +101,7 @@ def test_csv_identical_for_identical_config(tmp_path):
         cfg = ExperimentConfig(experiment="selftest-hilbert", dim=5,
                                trials=8, seed=123, out=str(p),
                                no_timestamp=True)
-        report = run_hilbert_selftest(cfg)
+        report = run_experiment(cfg)
         assert report.exit_code == EXIT_OK
     assert paths[0].read_bytes() == paths[1].read_bytes()
 
@@ -123,7 +122,7 @@ def test_selftest_passes_and_reports(tmp_path):
     cfg = ExperimentConfig(experiment="selftest-hilbert", dim=8, trials=25,
                            seed=42, out=str(tmp_path / "self.csv"),
                            no_timestamp=True)
-    report = run_hilbert_selftest(cfg)
+    report = run_experiment(cfg)
     assert report.exit_code == EXIT_OK
     assert report.summary["max_deviation"] <= 1e-9
     _, header, rows = read_rows(str(tmp_path / "self.csv"))
@@ -139,7 +138,7 @@ def test_selftest_passes_and_reports(tmp_path):
 def test_selftest_dimension_one_always_passes():
     cfg = ExperimentConfig(experiment="selftest-hilbert", dim=1, trials=10,
                            seed=1)
-    assert run_hilbert_selftest(cfg).exit_code == EXIT_OK
+    assert run_experiment(cfg).exit_code == EXIT_OK
 
 
 @pytest.mark.parametrize("field", ["trials", "dim"])
@@ -167,7 +166,7 @@ def test_heatmap_ridge_on_unit_circle(tmp_path, kind):
                            grid_n=41, out=str(tmp_path / f"{kind}.csv"),
                            svg=str(tmp_path / f"{kind}.svg"),
                            no_timestamp=True)
-    report = run_orbit_heatmap(cfg)
+    report = run_experiment(cfg)
     assert report.exit_code == EXIT_OK
     assert (tmp_path / f"{kind}.svg").read_text().startswith("<svg")
 
@@ -179,10 +178,10 @@ def test_heatmap_memory_does_not_grow_with_cells(tmp_path):
     cfg = ExperimentConfig(experiment="heatmap", kind="partial", k=12, e=0.5,
                            grid_n=121, out=str(tmp_path / "g.csv"),
                            svg=str(tmp_path / "g.svg"), no_timestamp=True)
-    assert run_orbit_heatmap(cfg).exit_code == EXIT_OK    # warm caches
+    assert run_experiment(cfg).exit_code == EXIT_OK    # warm caches
     tracemalloc.start()
     try:
-        assert run_orbit_heatmap(cfg).exit_code == EXIT_OK
+        assert run_experiment(cfg).exit_code == EXIT_OK
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -206,14 +205,16 @@ def test_heatmap_rejects_bad_input_exit_2(fields, fragment):
 def test_cli_heatmap_rejects_non_finite_energy(energy, capsys):
     code = main(["heatmap", "--e", energy, "--k", "10"])
     assert code == EXIT_CONFIG
-    assert "must be finite" in capsys.readouterr().err
+    assert (f"config key 'e' takes finite float, got {energy}"
+            in capsys.readouterr().err)
 
 
 @pytest.mark.parametrize("energy", ["inf", "nan"])
 def test_cli_error_scaling_names_non_finite_energy(energy, capsys):
     # the level-set check on the base point must not speak first
     assert main(["error-scaling", "--e", energy]) == EXIT_CONFIG
-    assert f"energy level {energy} must be finite" in capsys.readouterr().err
+    assert (f"config key 'e' takes finite float, got {energy}"
+            in capsys.readouterr().err)
 
 
 @pytest.mark.parametrize("experiment", ["diagonal-microsupport",
@@ -243,7 +244,7 @@ UNREAD_FLAGS = (
                                        "diagonal-microsupport", "two-proj")]
     + [("selftest-hilbert", flag, "20")
        for flag in ("--k", "--k-min", "--k-max", "--k-ratio")]
-    + [("error-scaling", "--k", "20")]
+    + [(e, "--k", "20") for e in ("error-scaling", "two-proj")]
     + [("heatmap", flag, "20") for flag in ("--k-min", "--k-max",
                                             "--k-ratio")]
     + [(e, "--svg", "plot.svg") for e in ("selftest-hilbert",
@@ -268,7 +269,7 @@ def test_heatmap_small_k_matches_direct_calls(tmp_path):
     cfg = ExperimentConfig(experiment="heatmap", kind="partial", k=4, e=0.5,
                            grid_n=9, grid_min=-1.0, grid_max=1.0,
                            out=str(tmp_path / "g.csv"), no_timestamp=True)
-    run_orbit_heatmap(cfg)
+    run_experiment(cfg)
     _, header, rows = read_rows(str(tmp_path / "g.csv"))
     assert header == ["re_zeta", "im_zeta", "abs_value", "logmag"]
     spectral = SpectralConfig(4, 0.5)
@@ -295,7 +296,7 @@ def test_heatmap_csv_bytes_match_per_point_calls(tmp_path, kind, digest):
                            grid_n=9, grid_min=-1.0, grid_max=1.0,
                            z0=[0.6, 0.3], out=str(tmp_path / "g.csv"),
                            no_timestamp=True)
-    run_orbit_heatmap(cfg)
+    run_experiment(cfg)
     spectral = SpectralConfig(12, 0.5)
     z = cfg.base_point()
     axis = np.linspace(-1.0, 1.0, 9)
@@ -324,8 +325,9 @@ def test_cli_rejects_non_finite_base_point(experiment, z0, capsys):
     # named as z0, not as a failed float-to-integer conversion deep in the
     # level window or as a non-finite spectral cut
     assert main([experiment, f"--z0={z0}"]) == EXIT_CONFIG
-    err = capsys.readouterr().err
-    assert "z0 entries must be finite" in err
+    values = [float(v) for v in z0.split(",")]
+    assert (f"config key 'z0' takes list[finite float] | None, got {values}"
+            in capsys.readouterr().err)
 
 
 @pytest.mark.parametrize("flag, value", [
@@ -341,7 +343,8 @@ def test_cli_heatmap_rejects_non_finite_grid_bound(flag, value, capsys):
     assert code == EXIT_CONFIG
     assert caught == []
     name = flag[2:].replace("-", "_")
-    assert f"{name} must be finite, got {value}" in capsys.readouterr().err
+    assert (f"config key '{name}' takes finite float, got {value}"
+            in capsys.readouterr().err)
 
 
 @pytest.mark.parametrize("argv, fragment", [
@@ -372,7 +375,7 @@ def test_error_scaling_partial_passes(tmp_path):
                            k_ratio=1.6, e=0.5, t0=math.pi / 2,
                            out=str(tmp_path / "er.csv"),
                            svg=str(tmp_path / "er.svg"), no_timestamp=True)
-    report = run_error_scaling(cfg)
+    report = run_experiment(cfg)
     assert report.exit_code == EXIT_OK
     _, header, rows = read_rows(str(tmp_path / "er.csv"))
     assert header == ["k", "er", "log_k", "log_er", "ref_line"]
@@ -384,7 +387,7 @@ def test_error_scaling_partial_passes(tmp_path):
 def test_error_scaling_equivariant_witness():
     cfg = ExperimentConfig(experiment="error-scaling", kind="equivariant",
                            k_list=[50, 100, 200, 400], e=0.5, t0=2.0)
-    report = run_error_scaling(cfg)
+    report = run_experiment(cfg)
     assert report.exit_code == EXIT_OK
     assert report.summary["max_over_median"] <= 5.0
 
@@ -395,7 +398,7 @@ def test_error_scaling_equivariant_median_matches_numpy(tmp_path, k_list):
     cfg = ExperimentConfig(experiment="error-scaling", kind="equivariant",
                            k_list=k_list, e=0.5, t0=2.0,
                            out=str(tmp_path / "w.csv"), no_timestamp=True)
-    report = run_error_scaling(cfg)
+    report = run_experiment(cfg)
     _, _, rows = read_rows(cfg.out)
     witnesses = [float(row[1]) for row in rows]
     assert report.summary["max_over_median"] == (
@@ -407,8 +410,8 @@ def test_error_scaling_equivariant_imports_no_numpy_ma():
     # running the experiment would pay
     src = os.path.dirname(os.path.dirname(pbklab.__file__))
     code = ("import sys\n"
-            "from pbklab.harness import ExperimentConfig, run_error_scaling\n"
-            "run_error_scaling(ExperimentConfig(experiment='error-scaling', "
+            "from pbklab.harness import ExperimentConfig, run_experiment\n"
+            "run_experiment(ExperimentConfig(experiment='error-scaling', "
             "kind='equivariant', k_list=[50, 100, 200, 400], t0=2.0))\n"
             "print('numpy.ma' in sys.modules)\n")
     env = dict(os.environ, PYTHONPATH=src)
@@ -501,28 +504,17 @@ def test_k_list_takes_integers_only(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("experiment, fields, names", [
-    ("two-proj", {"k": 10, "k_list": [20, 40]}, ("k", "k_list")),
-    ("two-proj", {"k": 10, "k_max": 100}, ("k", "k_max")),
+    ("two-proj", {"k_list": [20, 40], "k_max": 100}, ("k_list", "k_max")),
     ("error-scaling", {"k_list": [10, 20, 40], "k_min": 20},
      ("k_list", "k_min")),
     ("diagonal-microsupport", {"k_list": [10, 20, 40], "k_ratio": 2.0},
      ("k_list", "k_ratio")),
-], ids=["two-proj-k-list", "two-proj-k-max", "error-scaling",
-        "diagonal-microsupport"])
+], ids=["two-proj", "error-scaling", "diagonal-microsupport"])
 def test_weight_field_overridden_by_another_exit_2(experiment, fields, names):
     # a weight field another one overrides would be silently ignored
     report = run_experiment(ExperimentConfig(experiment=experiment, **fields))
     assert report.exit_code == EXIT_CONFIG
     assert "{} and {} are both set".format(*names) in report.message
-
-
-def test_cli_inline_k_with_k_list_in_the_config_exit_2(tmp_path, capsys):
-    # the inline --k used to lose to the file's k_list
-    cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps({"k_list": [20, 40, 80]}))
-    assert main(["two-proj", "--config", str(cfg_path), "--k", "10"]) \
-        == EXIT_CONFIG
-    assert "k and k_list are both set" in capsys.readouterr().err
 
 
 # --- diagonal / microsupport ---------------------------------------------------
@@ -543,7 +535,7 @@ def test_diagonal_microsupport_runs(tmp_path):
     cfg = ExperimentConfig(experiment="diagonal-microsupport", k=400,
                            k_min=50, k_max=400, k_ratio=1.6,
                            out=str(tmp_path / "diag.csv"), no_timestamp=True)
-    report = run_diagonal_and_microsupport(cfg)
+    report = run_experiment(cfg)
     assert report.exit_code == EXIT_OK
     assert report.summary["above_dev"] <= 1e-6
     assert -0.65 <= report.summary["at_slope"] <= -0.35
@@ -558,7 +550,7 @@ def test_two_proj_disjoint_decay(tmp_path):
                            u2=[math.sin(2.2), 0.0, math.cos(2.2)],
                            k_list=[20, 40, 80, 160], seed=3,
                            out=str(tmp_path / "tp.csv"), no_timestamp=True)
-    report = run_two_proj(cfg)
+    report = run_experiment(cfg)
     assert report.exit_code == EXIT_OK
     assert report.summary["disjoint"] is True
     assert report.summary["slope"] < 0
@@ -571,7 +563,7 @@ def test_two_proj_antipodal_caps_all_floored():
     # noise, so every weight is counted at the fit's cut-off
     cfg = ExperimentConfig(experiment="two-proj", u2=[0.0, 0.0, -1.0],
                            k_list=[20, 40, 80])
-    report = run_two_proj(cfg)
+    report = run_experiment(cfg)
     assert report.exit_code == EXIT_OK
     assert report.summary["disjoint"] is True
     assert report.summary["floored"] == 3
@@ -581,7 +573,7 @@ def test_two_proj_antipodal_caps_all_floored():
 
 def test_two_proj_identical_axes_norm_one():
     cfg = ExperimentConfig(experiment="two-proj", k_list=[10, 20, 30])
-    report = run_two_proj(cfg)
+    report = run_experiment(cfg)
     assert report.exit_code == EXIT_OK
     assert report.summary["disjoint"] is False
     assert report.summary["floor"] >= 1.0 - 1e-9
@@ -591,7 +583,7 @@ def test_two_proj_overlap_floor():
     cfg = ExperimentConfig(experiment="two-proj",
                            u2=[math.sin(0.8), 0.0, math.cos(0.8)],
                            k_list=[20, 40, 80])
-    report = run_two_proj(cfg)
+    report = run_experiment(cfg)
     assert report.exit_code == EXIT_OK
     assert report.summary["floor"] >= 0.5
 
@@ -614,23 +606,19 @@ def test_two_proj_rejects_levels_outside_unit_interval(e1):
 
 
 def test_two_proj_single_weight_k(tmp_path):
-    # the one weight k, or else k_list or the k_min..k_max sweep
+    # one weight is a one-entry k_list; two-proj reads no k
     out = tmp_path / "tp.csv"
     cfg = ExperimentConfig(experiment="two-proj",
-                           u2=[math.sin(0.8), 0.0, math.cos(0.8)], k=10,
-                           out=str(out), no_timestamp=True)
-    report = run_two_proj(cfg)
+                           u2=[math.sin(0.8), 0.0, math.cos(0.8)],
+                           k_list=[10], out=str(out), no_timestamp=True)
+    report = run_experiment(cfg)
     assert report.exit_code == EXIT_OK
     assert [r[0] for r in read_rows(str(out))[2]] == ["10"]
     assert "0 of 1 norms" in report.message
-    # k and k_list both set: one of them would be ignored
-    cfg.k_list = [20, 40]
-    report = run_experiment(cfg)
-    assert report.exit_code == EXIT_CONFIG
-    assert "k and k_list are both set" in report.message
     # one weight cannot show a decay on disjoint caps, and says so
-    report = run_two_proj(ExperimentConfig(
-        experiment="two-proj", u2=[math.sin(2.2), 0.0, math.cos(2.2)], k=10))
+    report = run_experiment(ExperimentConfig(
+        experiment="two-proj", u2=[math.sin(2.2), 0.0, math.cos(2.2)],
+        k_list=[10]))
     assert report.exit_code == 1
     assert "the decay fit needs 3 norms above the cut-off, got 1" \
         in report.message
@@ -638,16 +626,17 @@ def test_two_proj_single_weight_k(tmp_path):
 
 @pytest.mark.parametrize("k", [0, -3])
 def test_two_proj_rejects_nonpositive_k(k):
-    report = run_experiment(ExperimentConfig(experiment="two-proj", k=k))
+    report = run_experiment(ExperimentConfig(experiment="two-proj",
+                                             k_list=[k]))
     assert report.exit_code == EXIT_CONFIG
-    assert "k must be a positive integer" in report.message
+    assert "k values must be positive" in report.message
 
 
 # --- CLI ---------------------------------------------------------------------
 
 @pytest.mark.parametrize("argv", [
     ["two-proj", "--u1", "-1,0,0", "--u2", "-0.5,0,-0.8660254037844386",
-     "--k", "10"],
+     "--k-list", "10"],
     ["heatmap", "--z0", "-0.5,0.3", "--k", "12", "--grid-n", "9"],
 ], ids=["two-proj", "heatmap"])
 def test_cli_vector_flag_with_negative_first_component(tmp_path, argv):
@@ -843,6 +832,97 @@ def test_every_unread_field_off_default_exits_2(experiment, name, tmp_path,
     assert message in capsys.readouterr().err
 
 
+# every float and list-of-float field, on an experiment that reads it;
+# error-scaling's offsets on the equivariant kind, which reads them
+FLOAT_FIELDS = [
+    ("heatmap", "e"), ("heatmap", "grid_min"), ("heatmap", "grid_max"),
+    ("heatmap", "z0"), ("error-scaling", "k_ratio"), ("error-scaling", "t0"),
+    ("error-scaling", "a"), ("error-scaling", "b"), ("two-proj", "e1"),
+    ("two-proj", "e2"), ("two-proj", "u1"), ("two-proj", "u2")]
+NON_FINITE_FIELDS = [(e, name, bad) for e, name in FLOAT_FIELDS
+                     for bad in (math.nan, math.inf, -math.inf)]
+
+
+def test_float_fields_cover_every_float_field():
+    floats = {f.name for f in dataclasses.fields(ExperimentConfig)
+              if "float" in f.type}
+    assert {name for _, name in FLOAT_FIELDS} == floats
+    assert all(name in READS[e] for e, name in FLOAT_FIELDS)
+
+
+@pytest.mark.parametrize("experiment, name, bad", NON_FINITE_FIELDS,
+                         ids=[f"{e}-{n}={b}" for e, n, b in NON_FINITE_FIELDS])
+def test_non_finite_float_exits_2(experiment, name, bad, tmp_path, capsys):
+    # one rule for every float, also where no library check follows:
+    # equivariant error-scaling hands a and b to the probe unchecked
+    value = ([bad] + OFF_DEFAULT[name][1:]
+             if isinstance(OFF_DEFAULT[name], list) else bad)
+    fields = {name: value}
+    if name in ("a", "b"):
+        fields["kind"] = "equivariant"
+    field_type = {f.name: f.type for f in dataclasses.fields(ExperimentConfig)}
+    message = (f"config key '{name}' takes "
+               f"{field_type[name].replace('float', 'finite float')}, "
+               f"got {value!r}")
+    report = run_experiment(ExperimentConfig(experiment=experiment, **fields))
+    assert report.exit_code == EXIT_CONFIG
+    assert message in report.message
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(fields))
+    assert main([experiment, "--config", str(cfg_path)]) == EXIT_CONFIG
+    assert message in capsys.readouterr().err
+
+
+# the smallest run of each experiment, to reach its writes
+SMALL_RUNS = {
+    "selftest-hilbert": {"trials": 2, "dim": 3},
+    "heatmap": {"k": 10, "grid_n": 9},
+    "error-scaling": {"k_list": [10, 20, 40]},
+    "diagonal-microsupport": {"k": 50, "k_list": [10, 20, 40]},
+    "two-proj": {"k_list": [10]},
+}
+UNWRITABLE = [(e, "out") for e in SMALL_RUNS] + [
+    (e, "svg") for e in ("heatmap", "error-scaling", "two-proj")]
+
+
+@pytest.mark.parametrize("experiment, key", UNWRITABLE,
+                         ids=[f"{e}-{k}" for e, k in UNWRITABLE])
+def test_output_path_under_a_file_exits_2(experiment, key, tmp_path, capsys):
+    # the directory the output needs is a regular file: exit 2, naming it
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    fields = {**SMALL_RUNS[experiment], key: str(blocker / f"x.{key}")}
+    report = run_experiment(ExperimentConfig(experiment=experiment, **fields))
+    assert report.exit_code == EXIT_CONFIG
+    assert f"File exists: '{blocker}'" in report.message
+    assert report.csv_path is None
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(fields))
+    assert main([experiment, "--config", str(cfg_path)]) == EXIT_CONFIG
+    assert f"File exists: '{blocker}'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, value, fragment", [
+    ("--a", "3000", "probe offset a = 3000.0 at weight k = 10 asks the "
+                    "gradient flow for e^948.683"),
+    ("--b", "-3000", "probe offset b = -3000.0 at weight k = 10"),
+    ("--a", "1000", "the remainder witness is 0 at 12 of 12 weights"),
+], ids=["a-overflows", "b-underflows", "witness-underflows"])
+def test_error_scaling_offset_beyond_float_range_exit_2(flag, value,
+                                                        fragment, capsys):
+    # e^(a/sqrt k) past e^700 is refused where the probe point is formed;
+    # a smaller offset that still takes every witness to 0 leaves
+    # max/median undefined
+    report = run_experiment(ExperimentConfig(
+        experiment="error-scaling", kind="equivariant", k_max=100,
+        **{flag[2:]: float(value)}))
+    assert report.exit_code == EXIT_CONFIG
+    assert fragment in report.message
+    assert main(["error-scaling", "--kind", "equivariant", "--k-max", "100",
+                 flag, value]) == EXIT_CONFIG
+    assert fragment in capsys.readouterr().err
+
+
 def test_cli_wrong_subcommand_for_config(tmp_path):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"experiment": "two-proj"}))
@@ -862,11 +942,18 @@ def test_error_scaling_equivariant_gaussian_offsets():
     cfg = ExperimentConfig(experiment="error-scaling", kind="equivariant",
                            k_list=[50, 100, 200, 400], e=0.5, t0=2.0,
                            a=1.0, b=0.5)
-    report = run_error_scaling(cfg)
+    report = run_experiment(cfg)
     assert report.exit_code == EXIT_OK
     assert report.summary["max_over_median"] <= 5.0
 
 
-def test_run_experiment_unknown_name():
-    with pytest.raises(ConfigError):
-        run_experiment(ExperimentConfig(experiment="nope"))
+def test_run_experiment_unknown_name(capsys):
+    # a report with exit 2, like every other bad config, not a raise
+    report = run_experiment(ExperimentConfig(experiment="nope"))
+    assert report.exit_code == EXIT_CONFIG
+    assert "unknown experiment 'nope'; choose one of selftest-hilbert" \
+        in report.message
+    with pytest.raises(SystemExit) as exc:
+        main(["nope"])
+    assert exc.value.code == EXIT_CONFIG
+    assert "invalid choice: 'nope'" in capsys.readouterr().err

@@ -39,14 +39,15 @@ def test_axis_validation():
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_axis_rejects_non_finite_components(bad, capsys):
     # nan slips past the unit-norm check (abs(nan - 1) > tol is False) and
-    # from_vector would divide inf by inf; the two-proj run must exit 2
+    # from_vector would divide inf by inf; the two-proj run must exit 2,
+    # refused by the config check before any axis is built
     with pytest.raises(ValueError, match="non-finite"):
         RotationAxis((bad, 0.0, 0.0))
     with pytest.raises(ValueError, match="non-finite"):
         RotationAxis.from_vector([bad, 0.0, 1.0])
     assert main(["two-proj", f"--u1={bad},0,1", "--k-max", "20"]) == 2
-    assert f"axis [{bad}, 0.0, 1.0] has a non-finite component" \
-        in capsys.readouterr().err
+    assert (f"config key 'u1' takes list[finite float], got "
+            f"[{bad}, 0.0, 1.0]") in capsys.readouterr().err
 
 
 def test_axis_to_su2_special_cases():
