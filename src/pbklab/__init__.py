@@ -1,8 +1,7 @@
 """Numerical laboratory for kernels of spectral projections on the projective line."""
 
-from .circle_spectral import (IntegerSpectrumOperator, NodeCountError,
-                              SpectralConfig, snapped_ceil,
-                              spectral_projector_eig,
+from .circle_spectral import (IntegerSpectrumOperator, SpectralConfig,
+                              snapped_ceil, spectral_projector_eig,
                               spectral_projector_quadrature)
 from .cp1_geometry import (ChartError, ProjectivePoint, gradient_flow, height,
                            level_point, projective_equal, rotate, xh_norm)
@@ -22,7 +21,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AsymptoticPrediction", "ChartError", "ExperimentConfig", "FitResult",
-    "IntegerSpectrumOperator", "LogComplex", "NodeCountError",
+    "IntegerSpectrumOperator", "LogComplex",
     "ProjectivePoint", "RotationAxis", "RunReport", "ScalingProbe",
     "SpectralConfig", "bergman_coeff", "bergman_coeff_closed",
     "caps_disjoint", "equivariant_coeff", "error_metric", "gradient_flow",

@@ -46,10 +46,6 @@ EXPM_MAX_SQUARINGS = 64
 RANDOM_SPECTRUM_BOUND = 8
 
 
-class NodeCountError(ValueError):
-    """Raised when a quadrature is attempted with too few nodes."""
-
-
 def snapped_ceil(x: float) -> int:
     """ceil(x), except values within EIGENVALUE_TIE_TOL of an integer snap
     to that integer.
@@ -106,12 +102,6 @@ class IntegerSpectrumOperator:
         return self.matrix.shape[0]
 
 
-def _as_operator(a) -> IntegerSpectrumOperator:
-    if isinstance(a, IntegerSpectrumOperator):
-        return a
-    return IntegerSpectrumOperator(np.asarray(a, dtype=complex))
-
-
 def expm_series(m: np.ndarray) -> np.ndarray:
     """Matrix exponential by scaling-and-squaring of the Taylor series.
 
@@ -148,31 +138,39 @@ def expm_series(m: np.ndarray) -> np.ndarray:
     return result
 
 
+def hilbert_node_count(spectrum, cut: int) -> int:
+    """N = 8*(span + 1) nodes for both Hilbert quadratures, span the
+    largest frequency |p - cut| of the integrand over the integer spectrum p.
+
+    The mean sum is exact for N > span, the midpoint Hilbert sum (a cosine
+    polynomial of degree span) for 2N > span; 8 is a margin over that."""
+    return 8 * (max((abs(p - cut) for p in spectrum), default=0) + 1)
+
+
 def _matrix_cut(op: IntegerSpectrumOperator, energy: float
                 ) -> tuple[int, int]:
     """The quadrature's cut ceil(E - EIGENVALUE_TIE_TOL * max|p|) over the
-    integer spectrum p, the eigen oracle's tie rule, and the least node
-    count 4*(max|p - cut| + 1) that resolves its integrands."""
+    integer spectrum p, the eigen oracle's tie rule, and its node count."""
     if not math.isfinite(energy):
         raise ValueError(f"spectral cut level {energy} must be finite")
     cut = math.ceil(energy - EIGENVALUE_TIE_TOL
                     * max(map(abs, op.spectrum), default=0))
-    return cut, 4 * (max((abs(p - cut) for p in op.spectrum), default=0) + 1)
+    return cut, hilbert_node_count(op.spectrum, cut)
 
 
-def default_node_count(a, energy: float) -> int:
-    """Default quadrature resolution: 8*(max|p - cut| + 1)."""
-    return 2 * _matrix_cut(_as_operator(a), energy)[1]
+def default_node_count(op: IntegerSpectrumOperator, energy: float) -> int:
+    """The node count spectral_projector_quadrature takes at this level."""
+    return _matrix_cut(op, energy)[1]
 
 
-def spectral_projector_quadrature(a, energy: float,
-                                  nodes: int | None = None) -> np.ndarray:
+def spectral_projector_quadrature(op: IntegerSpectrumOperator,
+                                  energy: float) -> np.ndarray:
     """1_{[E,inf)}(A) via the Hilbert-transform representation.
 
     The Hilbert integral is discretized with the open midpoint rule and
-    the mean integral with the full-period rectangle rule; with enough
-    nodes both are exact for the trigonometric integrands, so the only
-    error is rounding.  The node sums are the
+    the mean integral with the full-period rectangle rule, on the
+    hilbert_node_count nodes that make both exact for the trigonometric
+    integrands, so the only error is rounding.  The node sums are the
     polynomials (1/N) sum_{j<N} T^{2j} and (sum_{j<N} c_j T^j) T^{1/2} in
     T = e^{i(pi/N)(A - ceil(E))}, with c_j the cotangent weights.  Only
     T^{1/2} comes from the exponential series.  The mean sum is
@@ -181,14 +179,7 @@ def spectral_projector_quadrature(a, energy: float,
     summed by _power_polynomial (22 at N = 112, the factor T^{1/2}
     included).
     """
-    op = _as_operator(a)
-    cut, needed = _matrix_cut(op, energy)
-    if nodes is None:
-        nodes = 2 * needed
-    if nodes < needed:
-        raise NodeCountError(
-            f"{nodes} quadrature nodes are insufficient; this operator and "
-            f"energy level need at least {needed}")
+    cut, nodes = _matrix_cut(op, energy)
 
     d = op.dimension
     ident = np.eye(d, dtype=complex)

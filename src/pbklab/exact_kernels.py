@@ -82,7 +82,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .circle_spectral import NodeCountError, SpectralConfig
+from .circle_spectral import SpectralConfig, hilbert_node_count
 from .cp1_geometry import ProjectivePoint
 
 LOG_2PI = math.log(2.0 * math.pi)
@@ -585,8 +585,7 @@ class HilbertRouteTerms:
 
 
 def hilbert_route_terms(cfg: SpectralConfig, z: ProjectivePoint,
-                        w: ProjectivePoint,
-                        nodes: int | None = None) -> HilbertRouteTerms:
+                        w: ProjectivePoint) -> HilbertRouteTerms:
     """Assemble partial = (i*H + full + mean)/2 by midpoint quadrature.
 
     The mean term averages the shifted propagator over a full period; the
@@ -594,22 +593,20 @@ def hilbert_route_terms(cfg: SpectralConfig, z: ProjectivePoint,
     period.  Midpoint nodes never touch t = 0, where the bracket vanishes
     linearly against the cotangent.
 
-    The k+1 frequencies are consecutive integers, fewer than the node
-    count, so the full-period midpoint sum keeps only frequency 0: the mean
-    term is the cut-level coefficient itself.  The Hilbert bracket at the
-    nodes is a DFT of the level coefficients with one bin per frequency, so
-    one inverse FFT gives every sample in O(k log k).  Where no live level
-    lies at or above the cut, the value is the exact zero; where the cut
-    level itself is not live, so is the mean term.
+    A cut outside -1..k+1 is first moved to the nearer end: the same
+    levels are kept and the cut level stays dead, but no frequency l - cut
+    exceeds k + 1, nor does the node count 8(k + 2).  The k+1 frequencies
+    are consecutive integers, fewer than the node count, so the full-period
+    midpoint sum keeps only frequency 0: the mean term is the cut-level
+    coefficient itself.  The Hilbert bracket at the nodes is a DFT of the
+    level coefficients with one bin per frequency, so one inverse FFT gives
+    every sample in O(k log k).  Where no live level lies at or above the
+    cut, the value is the exact zero; where the cut level itself is not
+    live, so is the mean term.
     """
     k = cfg.k
-    minimum = 8 * (k + 1)
-    if nodes is None:
-        nodes = minimum
-    if nodes < minimum:
-        raise NodeCountError(
-            f"{nodes} quadrature nodes are insufficient for k={k}; "
-            f"need at least {minimum}")
+    cut = min(max(cfg.cut_index, -1), k + 1)
+    nodes = hilbert_node_count((0, k), cut)
 
     logmag, phase = (a[0] for a in _pairs(k, np.arange(k + 1),
                                           _log_affine([z]), _log_affine([w])))
@@ -619,7 +616,6 @@ def hilbert_route_terms(cfg: SpectralConfig, z: ProjectivePoint,
         return HilbertRouteTerms(zero, zero, zero, zero)
     top = logmag[live].max()
     coeffs = np.where(live, np.exp(logmag - top), 0.0) * np.exp(1j * phase)
-    cut = cfg.cut_index
     freqs = np.arange(k + 1) - cut
 
     # a dead cut level has coefficient 0, hence an exact-zero mean term
@@ -648,10 +644,9 @@ def hilbert_route_terms(cfg: SpectralConfig, z: ProjectivePoint,
 
 
 def partial_via_hilbert(cfg: SpectralConfig, z: ProjectivePoint,
-                        w: ProjectivePoint,
-                        nodes: int | None = None) -> LogComplex:
+                        w: ProjectivePoint) -> LogComplex:
     """Partial-kernel coefficient through the Hilbert-transform assembly."""
-    return hilbert_route_terms(cfg, z, w, nodes).value
+    return hilbert_route_terms(cfg, z, w).value
 
 
 def toeplitz_diag(k: int, l: int) -> float:

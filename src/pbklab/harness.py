@@ -102,7 +102,6 @@ class ExperimentConfig:
     z0: list[float] | None = field(default=None, metadata={
         "help": "comma-separated re,im (affine) or re0,im0,re1,im1 "
                 "(homogeneous)"})
-    nodes: int | None = None
     kind: str = field(default="partial", metadata={
         "choices": ("partial", "equivariant")})
     # heatmap grid
@@ -206,7 +205,6 @@ def write_csv(path: str, columns: list[str], rows: Iterable[tuple],
     rows may be any iterable; it is read once, and each row's line is
     written to the open file as it comes, so no line outlives its row.
     """
-    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
     # each row goes through one % template, built once per sequence of
     # value types
     templates: dict[tuple, str] = {}
@@ -291,7 +289,6 @@ def svg_line_plot(path: str, xs, ys, title: str, xlabel: str, ylabel: str,
                      f'font-family="sans-serif" font-size="11" '
                      f'fill="#d62728">{extra_label}</text>')
     parts.append("</svg>")
-    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(parts) + "\n")
 
@@ -311,7 +308,6 @@ def svg_heatmap(path: str, grid: np.ndarray, extent: tuple, title: str) -> None:
     ny, nx = grid.shape
     cw = (_SVG_W - 2 * _SVG_PAD) / nx
     ch = (_SVG_H - 2 * _SVG_PAD) / ny
-    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(_svg_open(title)) + "\n")
         for iy in range(ny):
@@ -346,9 +342,8 @@ def _selftest_hilbert(config: ExperimentConfig) -> RunReport:
         dim = int(rng.integers(1, config.dim + 1))
         op = random_integer_spectrum_operator(dim, rng)
         energy = float(rng.uniform(-5.0, 5.0))
-        nodes = config.nodes if config.nodes is not None else \
-            default_node_count(op, energy)
-        quad = spectral_projector_quadrature(op, energy, nodes)
+        nodes = default_node_count(op, energy)
+        quad = spectral_projector_quadrature(op, energy)
         oracle = spectral_projector_eig(op, energy)
         deviation = float(np.max(np.abs(quad - oracle)))
         rows.append((trial, dim, energy, nodes, deviation))
@@ -683,7 +678,7 @@ _RUNNERS = {
 _COMMON = ("experiment", "out", "seed", "no_timestamp")
 _K_SWEEP = ("k_min", "k_max", "k_ratio", "k_list")
 READS = {
-    "selftest-hilbert": _COMMON + ("dim", "trials", "nodes"),
+    "selftest-hilbert": _COMMON + ("dim", "trials"),
     "heatmap": _COMMON + ("svg", "k", "z0", "kind", "e", "grid_min",
                           "grid_max", "grid_n"),
     "error-scaling": _COMMON + ("svg", "z0", "kind", "e", "t0", "a", "b")
@@ -716,12 +711,31 @@ def check_config(config: ExperimentConfig) -> None:
                               f"{config.experiment} never reads it")
 
 
+def _make_output_dirs(config: ExperimentConfig) -> None:
+    """Make the directories of the out and svg paths before either file
+    is written; raise, naming the key, on a path that is a directory or
+    whose directory cannot be made."""
+    for key in ("out", "svg"):
+        path = getattr(config, key)
+        if not path:
+            continue
+        try:
+            os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+            fault = "it is a directory" if os.path.isdir(path) else None
+        except OSError as exc:
+            fault = str(exc)
+        if fault:
+            raise ConfigError(f"config key '{key}' names '{path}', which "
+                              f"cannot be written: {fault}")
+
+
 def run_experiment(config: ExperimentConfig) -> RunReport:
     """Check a config and run its experiment; the one entry point, since
     the runners trust their config.  A bad config, a failed precondition
     and an out or svg path that cannot be written return exit 2."""
     try:
         check_config(config)
+        _make_output_dirs(config)
         report = _RUNNERS[config.experiment](config)
     except (OSError, ValueError) as exc:
         return RunReport(EXIT_CONFIG, f"configuration error: {exc}", {})

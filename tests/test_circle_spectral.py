@@ -6,9 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pbklab.circle_spectral as circle_spectral
-from pbklab.circle_spectral import (IntegerSpectrumOperator, NodeCountError,
-                                    SpectralConfig, default_node_count,
-                                    expm_series,
+from pbklab.circle_spectral import (IntegerSpectrumOperator, SpectralConfig,
+                                    default_node_count, expm_series,
                                     random_integer_spectrum_operator,
                                     snapped_ceil, spectral_projector_eig,
                                     spectral_projector_quadrature)
@@ -108,8 +107,8 @@ def test_quadrature_matches_eig_oracle():
 
 
 def _node_count_cases():
-    # random operators, plus one-eigenvalue operators: max_q = 0 gives the
-    # smallest node count (needed = 4, one stored power beyond T^0)
+    # random operators, plus one-eigenvalue operators: a span of 0 gives
+    # the smallest node count (needed = 4, one stored power beyond T^0)
     for dim in (1, 2, 17, 64):
         rng = np.random.default_rng(dim)
         op = random_integer_spectrum_operator(dim, rng)
@@ -122,8 +121,12 @@ def _node_count_cases():
                          ids=lambda case: case[0])
 @pytest.mark.parametrize("scale", ["needed", "needed+1", "default",
                                    "5needed+3", 63, 64, 127, 128])
-def test_quadrature_matches_eig_oracle_at_node_counts(case, scale):
-    # odd counts and counts that are no multiple of isqrt(nodes) leave a
+def test_quadrature_matches_eig_oracle_at_node_counts(case, scale,
+                                                      monkeypatch):
+    # the rule's count is twice the 4(span + 1) called needed here, a
+    # margin over the span + 1 nodes that make both node sums exact: the
+    # projector must come out the same at other counts put in its place.
+    # Odd counts and counts that are no multiple of isqrt(nodes) leave a
     # short last block in the Horner evaluation of the Hilbert sum; powers
     # of two take only doubling steps in the mean sum, all-ones bit patterns
     # take the set-bit step after every doubling, odd counts after the last
@@ -133,9 +136,37 @@ def test_quadrature_matches_eig_oracle_at_node_counts(case, scale):
         "needed": needed, "needed+1": needed + 1, "default": 2 * needed,
         "5needed+3": 5 * needed + 3}[scale]
     assert nodes >= needed
-    quad = spectral_projector_quadrature(op, energy, nodes)
+    monkeypatch.setattr(circle_spectral, "hilbert_node_count",
+                        lambda spectrum, cut: nodes)
+    quad = spectral_projector_quadrature(op, energy)
     oracle = spectral_projector_eig(op, energy)
     assert np.max(np.abs(quad - oracle)) <= 1e-9
+
+
+def test_power_polynomial_matches_naive_sum():
+    # lengths 1..130: length 1 takes no Horner step, and lengths that are
+    # no multiple of isqrt(length) leave a short last block
+    rng = np.random.default_rng(5)
+    x = expm_series(0.3j * random_integer_spectrum_operator(3, rng).matrix)
+    for length in range(1, 131):
+        coeffs = rng.standard_normal(length)
+        naive = sum(c * np.linalg.matrix_power(x, m)
+                    for m, c in enumerate(coeffs))
+        got = circle_spectral._power_polynomial(coeffs, x)
+        assert np.max(np.abs(got - naive)) <= 1e-12 * np.abs(coeffs).sum(), \
+            length
+
+
+def test_geometric_sum_matches_naive_sum():
+    # n = 1..130: powers of two take only doubling steps, all-ones bit
+    # patterns the set-bit step after every doubling, odd n after the last
+    rng = np.random.default_rng(6)
+    s_mat = expm_series(0.3j * random_integer_spectrum_operator(3, rng).matrix)
+    naive = np.zeros((3, 3), dtype=complex)
+    for n in range(1, 131):
+        naive += np.linalg.matrix_power(s_mat, n - 1)
+        got = circle_spectral._geometric_sum(s_mat, n)
+        assert np.max(np.abs(got - naive)) <= 1e-12 * n, n
 
 
 def test_quadrature_needs_no_eigendecomposition(monkeypatch):
@@ -191,13 +222,6 @@ def test_matrix_routes_name_a_non_finite_energy(energy):
         with pytest.raises(ValueError, match=f"level {energy} must be "
                                              "finite"):
             route(op, energy)
-
-
-def test_insufficient_nodes_error_names_minimum():
-    op = IntegerSpectrumOperator(np.diag([-3.0, 5.0]))
-    needed = default_node_count(op, 0.0) // 2
-    with pytest.raises(NodeCountError, match=str(needed)):
-        spectral_projector_quadrature(op, 0.0, nodes=needed - 1)
 
 
 def test_eig_projector_trivial_cases():

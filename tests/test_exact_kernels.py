@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from pbklab import exact_kernels
-from pbklab.circle_spectral import NodeCountError, SpectralConfig
+from pbklab.circle_spectral import SpectralConfig, hilbert_node_count
 from pbklab.cp1_geometry import (ChartError, ProjectivePoint, level_point,
                                  rotate)
 from pbklab.exact_kernels import (CHUNK_TERMS, LogComplex, bergman_coeff,
@@ -633,15 +633,31 @@ def test_hilbert_route_mean_term_is_equivariant():
     assert logc_rel_difference(terms.mean_term, target) <= 1e-11
 
 
-@pytest.mark.parametrize("energy", [-0.25, 0.4, 1.0])
-@pytest.mark.parametrize("nodes", [56, 61, 100])
-def test_hilbert_route_matches_nodewise_propagator_assembly(nodes, energy):
+@pytest.mark.parametrize("energy", [-0.25, 0.4, 1.0, -3.0])
+@pytest.mark.parametrize("nodes", [None, 56, 61, 100])
+def test_hilbert_route_matches_nodewise_propagator_assembly(nodes, energy,
+                                                            monkeypatch):
     # the FFT-evaluated quadrature must agree with an explicit midpoint sum
-    # of propagator_coeff calls: node counts at the minimum 8(k+1), odd and
-    # larger, and cuts below the spectrum (-1), inside it (3) and at k (6)
+    # of propagator_coeff calls: at the route's own node count (None), and
+    # at counts put in place of it, odd and larger; cuts below the spectrum
+    # (-1), inside it (3), at k (6), and far below it (-18, moved to -1).
+    # Below the spectrum the value is the full kernel, which at this pair
+    # is 1e-4 of its terms: the nodewise sum at frequencies 18..24 resolves
+    # it only to some 2e-12, so the far cut takes the diagonal pair
     cfg = SpectralConfig(6, energy)
     rng = np.random.default_rng(11)
     z, w = rand_chart_point(rng), rand_chart_point(rng)
+    if cfg.cut_index < -1:
+        w = z
+    counts = []
+
+    def rule(spectrum, cut):
+        counts.append(nodes or hilbert_node_count(spectrum, cut))
+        return counts[-1]
+
+    monkeypatch.setattr(exact_kernels, "hilbert_node_count", rule)
+    direct = partial_via_hilbert(cfg, z, w).to_complex()
+    nodes = counts[0]
     h = 2 * math.pi / nodes
     mean = sum(propagator_coeff(cfg, -math.pi + (j + 0.5) * h, z, w)
                .to_complex() for j in range(nodes)) / nodes
@@ -652,8 +668,19 @@ def test_hilbert_route_matches_nodewise_propagator_assembly(nodes, energy):
               for j in range(nodes)) * hh / (2 * math.pi)
     full = bergman_coeff(6, z, w).to_complex()
     assembled = 0.5 * (1j * hil + full + mean)
-    direct = partial_via_hilbert(cfg, z, w, nodes).to_complex()
     assert abs(assembled - direct) <= 1e-12 * abs(direct)
+
+
+@pytest.mark.parametrize("k, energy", [
+    (10, -20.0), (10, -100.0), (100, -20.0), (100, -1e6), (10, 1.5)])
+def test_hilbert_route_exact_at_far_cuts(k, energy):
+    # a cut far below level 0 needs no more nodes than the cut -1: the
+    # frequencies l - cut would alias in the route's FFT otherwise.  A cut
+    # above k is the empty cut
+    cfg = SpectralConfig(k, energy)
+    z, w = level_point(0.5, 0.3), level_point(0.5, 1.1)
+    assert logc_rel_difference(partial_via_hilbert(cfg, z, w),
+                               partial_coeff(cfg, z, w)) <= 1e-9
 
 
 @pytest.mark.parametrize("k", [4, 20, 80])
@@ -686,12 +713,6 @@ def test_hilbert_route_exact_zero_where_level_sum_is_zero(energy, z, w):
     terms = hilbert_route_terms(cfg, z, w)
     assert partial_coeff(cfg, z, w).is_zero
     assert terms.value.is_zero and terms.mean_term.is_zero
-
-
-def test_hilbert_route_node_starvation():
-    cfg = SpectralConfig(5, 0.5)
-    with pytest.raises(NodeCountError, match="48"):
-        partial_via_hilbert(cfg, ONE_ONE, ONE_ONE, nodes=30)
 
 
 # --- quantized height diagonal ----------------------------------------------

@@ -150,14 +150,6 @@ def test_selftest_rejects_nonpositive_trials_and_dim(field, value, capsys):
     assert "trials >= 1 and dim >= 1" in capsys.readouterr().err
 
 
-def test_selftest_starved_nodes_exit_code_2():
-    cfg = ExperimentConfig(experiment="selftest-hilbert", dim=8, trials=3,
-                           seed=42, nodes=2)
-    report = run_experiment(cfg)
-    assert report.exit_code == EXIT_CONFIG
-    assert "insufficient" in report.message
-
-
 # --- heatmap -----------------------------------------------------------------
 
 @pytest.mark.parametrize("kind", ["equivariant", "partial"])
@@ -240,8 +232,10 @@ UNREAD_FLAGS = (
                                               "diagonal-microsupport",
                                               "two-proj")]
     + [(e, "--z0", "0.5,0.5") for e in ("selftest-hilbert", "two-proj")]
+    # a flag of no subcommand
     + [(e, "--nodes", "500") for e in ("heatmap", "error-scaling",
-                                       "diagonal-microsupport", "two-proj")]
+                                       "diagonal-microsupport", "two-proj",
+                                       "selftest-hilbert")]
     + [("selftest-hilbert", flag, "20")
        for flag in ("--k", "--k-min", "--k-max", "--k-ratio")]
     + [(e, "--k", "20") for e in ("error-scaling", "two-proj")]
@@ -739,7 +733,6 @@ UNREAD_CONFIG_KEYS = [
     ("selftest-hilbert", {"k_list": [10, 20]}, "k_list"),
     ("selftest-hilbert", {"e": 0.25}, "e"),
     ("heatmap", {"k_list": [10, 20]}, "k_list"),
-    ("heatmap", {"nodes": 500}, "nodes"),
     ("heatmap", {"u1": [1.0, 0.0, 0.0]}, "u1"),
     ("error-scaling", {"k": 20}, "k"),
     ("error-scaling", {"grid_n": 9}, "grid_n"),
@@ -783,7 +776,7 @@ OFF_DEFAULT = {
     "seed": 3, "out": "x.csv", "svg": "x.svg", "no_timestamp": True, "k": 20,
     "k_min": 20, "k_max": 200, "k_ratio": 2.0, "k_list": [10, 20],
     "e": 0.25, "t0": 1.0, "a": 1.0, "b": 1.0, "z0": [1.0, 0.0],
-    "nodes": 500, "kind": "equivariant", "grid_min": -1.0, "grid_max": 1.0,
+    "kind": "equivariant", "grid_min": -1.0, "grid_max": 1.0,
     "grid_n": 9, "dim": 3, "trials": 2, "u1": [1.0, 0.0, 0.0],
     "u2": [1.0, 0.0, 0.0], "e1": 0.5, "e2": 0.5}
 UNREAD_FIELDS = [(e, name) for e in sorted(READS) for name in OFF_DEFAULT
@@ -900,6 +893,26 @@ def test_output_path_under_a_file_exits_2(experiment, key, tmp_path, capsys):
     cfg_path.write_text(json.dumps(fields))
     assert main([experiment, "--config", str(cfg_path)]) == EXIT_CONFIG
     assert f"File exists: '{blocker}'" in capsys.readouterr().err
+
+
+def test_unusable_svg_path_leaves_no_csv(tmp_path, capsys):
+    # both paths are checked before the run, so the CSV is not written
+    # when the SVG cannot be
+    (tmp_path / "file").write_text("")
+    out, svg = tmp_path / "h.csv", tmp_path / "file" / "h.svg"
+    assert main(["heatmap", "--k", "10", "--grid-n", "9", "--out", str(out),
+                 "--svg", str(svg)]) == EXIT_CONFIG
+    assert f"config key 'svg' names '{svg}'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key", ["out", "svg"])
+def test_output_path_that_is_a_directory_exits_2(key, tmp_path):
+    report = run_experiment(ExperimentConfig(
+        experiment="heatmap", k=10, grid_n=9, **{key: str(tmp_path)}))
+    assert report.exit_code == EXIT_CONFIG
+    assert (f"config key '{key}' names '{tmp_path}', which cannot be "
+            f"written: it is a directory") in report.message
 
 
 @pytest.mark.parametrize("flag, value, fragment", [
