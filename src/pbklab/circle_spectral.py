@@ -22,7 +22,10 @@ integrates them exactly once the node count exceeds the frequency content:
 the open midpoint rule for the Hilbert term (it never touches the
 removable singularity at t = 0), the rectangle rule on the full period for
 the mean term.  Here ceil(E) is the integer cut taken by the eigen
-oracle's tie rule (see _matrix_cut).  With N nodes and B = A - ceil(E),
+oracle's tie rule and moved into min(spectrum) - 1 .. max(spectrum) + 1
+(see _matrix_cut), and N = span + 1, span = max |p - ceil(E)| over the
+spectrum, is the fewest nodes that make both rules exact
+(hilbert_node_count).  With N nodes and B = A - ceil(E),
 every node propagator is a power of T = e^{i(pi/N)B} (times T^{1/2} for
 the Hilbert nodes), so both node sums are matrix polynomials in T.  After
 one series exponential per projector, the Hilbert sum takes ~2 sqrt(N)
@@ -138,23 +141,37 @@ def expm_series(m: np.ndarray) -> np.ndarray:
     return result
 
 
-def hilbert_node_count(spectrum, cut: int) -> int:
-    """N = 8*(span + 1) nodes for both Hilbert quadratures, span the
-    largest frequency |p - cut| of the integrand over the integer spectrum p.
+def clamp_cut(spectrum, cut: int) -> int:
+    """cut moved into min(spectrum) - 1 .. max(spectrum) + 1.
 
-    The mean sum is exact for N > span, the midpoint Hilbert sum (a cosine
-    polynomial of degree span) for 2N > span; 8 is a margin over that."""
-    return 8 * (max((abs(p - cut) for p in spectrum), default=0) + 1)
+    A cut below the integer spectrum keeps every level, one above it none,
+    so a cut moved there keeps the same levels and still lies off the
+    spectrum.  The frequencies |p - cut| of both Hilbert quadratures, and
+    so their node count, then stay within the spectrum's width plus one
+    however far the level lies.  Both routes, the matrix projector's and
+    the kernel's, take their cut from here."""
+    return min(max(cut, min(spectrum) - 1), max(spectrum) + 1)
+
+
+def hilbert_node_count(spectrum, cut: int) -> int:
+    """N = span + 1 nodes for both Hilbert quadratures, span the largest
+    frequency |p - cut| of the integrand over the integer spectrum p.
+
+    The full-period mean sum is exact for N > span, the midpoint Hilbert
+    sum (a cosine polynomial of degree span) for 2N > span; span + 1 is
+    the smallest count that makes both exact."""
+    return max((abs(p - cut) for p in spectrum), default=0) + 1
 
 
 def _matrix_cut(op: IntegerSpectrumOperator, energy: float
                 ) -> tuple[int, int]:
     """The quadrature's cut ceil(E - EIGENVALUE_TIE_TOL * max|p|) over the
-    integer spectrum p, the eigen oracle's tie rule, and its node count."""
+    integer spectrum p, the eigen oracle's tie rule, moved by clamp_cut
+    into min(p) - 1 .. max(p) + 1; and its node count."""
     if not math.isfinite(energy):
         raise ValueError(f"spectral cut level {energy} must be finite")
-    cut = math.ceil(energy - EIGENVALUE_TIE_TOL
-                    * max(map(abs, op.spectrum), default=0))
+    cut = clamp_cut(op.spectrum, math.ceil(
+        energy - EIGENVALUE_TIE_TOL * max(map(abs, op.spectrum), default=0)))
     return cut, hilbert_node_count(op.spectrum, cut)
 
 
@@ -175,9 +192,9 @@ def spectral_projector_quadrature(op: IntegerSpectrumOperator,
     T = e^{i(pi/N)(A - ceil(E))}, with c_j the cotangent weights.  Only
     T^{1/2} comes from the exponential series.  The mean sum is
     G_N(T^2) / N with G_N(S) = sum_{j<N} S^j, summed by binary doubling
-    (14 matrix products at N = 112, T^2 included); the Hilbert sum is
-    summed by _power_polynomial (22 at N = 112, the factor T^{1/2}
-    included).
+    (9 matrix products at N = 18, T^2 included); the Hilbert sum is
+    summed by _power_polynomial (9 at N = 18, the factor T^{1/2}
+    included).  N = 18 is the most a spectrum in [-8, 8] can take.
     """
     cut, nodes = _matrix_cut(op, energy)
 

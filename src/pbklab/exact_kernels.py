@@ -82,7 +82,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .circle_spectral import SpectralConfig, hilbert_node_count
+from .circle_spectral import SpectralConfig, clamp_cut, hilbert_node_count
 from .cp1_geometry import ProjectivePoint
 
 LOG_2PI = math.log(2.0 * math.pi)
@@ -593,19 +593,20 @@ def hilbert_route_terms(cfg: SpectralConfig, z: ProjectivePoint,
     period.  Midpoint nodes never touch t = 0, where the bracket vanishes
     linearly against the cotangent.
 
-    A cut outside -1..k+1 is first moved to the nearer end: the same
-    levels are kept and the cut level stays dead, but no frequency l - cut
-    exceeds k + 1, nor does the node count 8(k + 2).  The k+1 frequencies
-    are consecutive integers, fewer than the node count, so the full-period
-    midpoint sum keeps only frequency 0: the mean term is the cut-level
-    coefficient itself.  The Hilbert bracket at the nodes is a DFT of the
-    level coefficients with one bin per frequency, so one inverse FFT gives
-    every sample in O(k log k).  Where no live level lies at or above the
-    cut, the value is the exact zero; where the cut level itself is not
-    live, so is the mean term.
+    A cut outside -1..k+1 is first moved to the nearer end (clamp_cut):
+    the same levels are kept and the cut level stays dead, but no
+    frequency l - cut exceeds k + 1, nor does the node count N = span + 1
+    exceed k + 2, span the largest |l - cut|.  Every frequency has
+    |l - cut| < N, so the full-period midpoint sum keeps only frequency 0:
+    the mean term is the cut-level coefficient itself.  The Hilbert
+    bracket at the nodes is a DFT of the level coefficients over 2N bins,
+    one per frequency -span..span, so one inverse FFT gives every sample
+    in O(k log k).  Where no live level lies at or above the cut, the
+    value is the exact zero; where the cut level itself is not live, so
+    is the mean term.
     """
     k = cfg.k
-    cut = min(max(cfg.cut_index, -1), k + 1)
+    cut = clamp_cut((0, k), cfg.cut_index)
     nodes = hilbert_node_count((0, k), cut)
 
     logmag, phase = (a[0] for a in _pairs(k, np.arange(k + 1),

@@ -711,19 +711,27 @@ def check_config(config: ExperimentConfig) -> None:
                               f"{config.experiment} never reads it")
 
 
-def _make_output_dirs(config: ExperimentConfig) -> None:
+def _make_output_dirs(config: ExperimentConfig, made: list[str]) -> None:
     """Make the directories of the out and svg paths before either file
-    is written; raise, naming the key, on a path that is a directory or
+    is written, listing in made, parents first, each one that was
+    missing; raise, naming the key, on a path that is a directory or
     whose directory cannot be made."""
     for key in ("out", "svg"):
         path = getattr(config, key)
         if not path:
             continue
+        directory = os.path.dirname(os.path.abspath(path))
+        missing = []
+        parent = directory
+        while not os.path.exists(parent):
+            missing.append(parent)
+            parent = os.path.dirname(parent)
         try:
-            os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+            os.makedirs(directory, exist_ok=True)
             fault = "it is a directory" if os.path.isdir(path) else None
         except OSError as exc:
             fault = str(exc)
+        made.extend(reversed(missing))
         if fault:
             raise ConfigError(f"config key '{key}' names '{path}', which "
                               f"cannot be written: {fault}")
@@ -732,12 +740,19 @@ def _make_output_dirs(config: ExperimentConfig) -> None:
 def run_experiment(config: ExperimentConfig) -> RunReport:
     """Check a config and run its experiment; the one entry point, since
     the runners trust their config.  A bad config, a failed precondition
-    and an out or svg path that cannot be written return exit 2."""
+    and an out or svg path that cannot be written return exit 2, and
+    leave behind no directory the run made."""
+    made = []
     try:
         check_config(config)
-        _make_output_dirs(config)
+        _make_output_dirs(config, made)
         report = _RUNNERS[config.experiment](config)
     except (OSError, ValueError) as exc:
+        for directory in reversed(made):
+            try:
+                os.rmdir(directory)
+            except OSError:  # never made, or holds a file the run wrote
+                pass
         return RunReport(EXIT_CONFIG, f"configuration error: {exc}", {})
     report.csv_path = config.out
     return report

@@ -108,7 +108,8 @@ def test_quadrature_matches_eig_oracle():
 
 def _node_count_cases():
     # random operators, plus one-eigenvalue operators: a span of 0 gives
-    # the smallest node count (needed = 4, one stored power beyond T^0)
+    # the smallest node count (needed = 1, T^0 the only stored power).
+    # dim1's level lies above its spectrum, so its cut is clamped
     for dim in (1, 2, 17, 64):
         rng = np.random.default_rng(dim)
         op = random_integer_spectrum_operator(dim, rng)
@@ -117,30 +118,67 @@ def _node_count_cases():
     yield "diag3-at-2.5", IntegerSpectrumOperator(np.diag([3.0])), 2.5
 
 
+def _span(op, energy):
+    cut = circle_spectral._matrix_cut(op, energy)[0]
+    return max(abs(p - cut) for p in op.spectrum)
+
+
+def _quadrature_at(op, energy, nodes, monkeypatch):
+    monkeypatch.setattr(circle_spectral, "hilbert_node_count",
+                        lambda spectrum, cut: nodes)
+    return spectral_projector_quadrature(op, energy)
+
+
 @pytest.mark.parametrize("case", list(_node_count_cases()),
                          ids=lambda case: case[0])
 @pytest.mark.parametrize("scale", ["needed", "needed+1", "default",
                                    "5needed+3", 63, 64, 127, 128])
 def test_quadrature_matches_eig_oracle_at_node_counts(case, scale,
                                                       monkeypatch):
-    # the rule's count is twice the 4(span + 1) called needed here, a
-    # margin over the span + 1 nodes that make both node sums exact: the
-    # projector must come out the same at other counts put in its place.
-    # Odd counts and counts that are no multiple of isqrt(nodes) leave a
-    # short last block in the Horner evaluation of the Hilbert sum; powers
-    # of two take only doubling steps in the mean sum, all-ones bit patterns
-    # take the set-bit step after every doubling, odd counts after the last
+    # the rule's count is the span + 1 nodes, called needed here, that
+    # make both node sums exact: the projector must come out the same at
+    # larger counts put in its place.  Odd counts and counts that are no
+    # multiple of isqrt(nodes) leave a short last block in the Horner
+    # evaluation of the Hilbert sum; powers of two take only doubling
+    # steps in the mean sum, all-ones bit patterns take the set-bit step
+    # after every doubling, odd counts after the last
     _, op, energy = case
-    needed = default_node_count(op, energy) // 2
+    needed = _span(op, energy) + 1
+    if scale == "default":
+        assert default_node_count(op, energy) == needed
     nodes = scale if isinstance(scale, int) else {
-        "needed": needed, "needed+1": needed + 1, "default": 2 * needed,
+        "needed": needed, "needed+1": needed + 1, "default": needed,
         "5needed+3": 5 * needed + 3}[scale]
     assert nodes >= needed
-    monkeypatch.setattr(circle_spectral, "hilbert_node_count",
-                        lambda spectrum, cut: nodes)
-    quad = spectral_projector_quadrature(op, energy)
+    quad = _quadrature_at(op, energy, nodes, monkeypatch)
     oracle = spectral_projector_eig(op, energy)
     assert np.max(np.abs(quad - oracle)) <= 1e-9
+
+
+@pytest.mark.parametrize("case", [case for case in _node_count_cases()
+                                  if _span(*case[1:]) > 0],
+                         ids=lambda case: case[0])
+def test_quadrature_misses_eig_oracle_one_node_short(case, monkeypatch):
+    # the rule is tight: at N = span the eigenvalues at cut +- span alias
+    # into the mean term's frequency 0, adding half their projector
+    _, op, energy = case
+    quad = _quadrature_at(op, energy, _span(op, energy), monkeypatch)
+    oracle = spectral_projector_eig(op, energy)
+    assert np.max(np.abs(quad - oracle)) > 1e-3
+
+
+@pytest.mark.parametrize("energy", [-1e5, 1e5, 1e12])
+def test_far_cut_is_clamped_to_the_spectrum(energy):
+    # a level far outside the spectrum keeps every eigenvalue or none; the
+    # cut moves to min - 1 or max + 1, so N stays at most the width + 2
+    op = random_integer_spectrum_operator(8, np.random.default_rng(1))
+    assert default_node_count(op, energy) <= (max(op.spectrum)
+                                              - min(op.spectrum)) + 2
+    expected = np.eye(8) if energy < 0 else np.zeros((8, 8))
+    assert np.max(np.abs(spectral_projector_quadrature(op, energy)
+                         - expected)) <= 1e-9
+    assert np.max(np.abs(spectral_projector_eig(op, energy)
+                         - expected)) <= 1e-9
 
 
 def test_power_polynomial_matches_naive_sum():

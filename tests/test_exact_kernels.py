@@ -640,15 +640,13 @@ def test_hilbert_route_matches_nodewise_propagator_assembly(nodes, energy,
     # the FFT-evaluated quadrature must agree with an explicit midpoint sum
     # of propagator_coeff calls: at the route's own node count (None), and
     # at counts put in place of it, odd and larger; cuts below the spectrum
-    # (-1), inside it (3), at k (6), and far below it (-18, moved to -1).
-    # Below the spectrum the value is the full kernel, which at this pair
-    # is 1e-4 of its terms: the nodewise sum at frequencies 18..24 resolves
-    # it only to some 2e-12, so the far cut takes the diagonal pair
+    # (-1), inside it (3), at k (6), and far below it (-18).  The route
+    # moves the far cut to -1, with the node count of -1; the nodewise sum
+    # is taken at the moved cut too, here E = -1/6, since at -18 its
+    # frequencies 18..24 would alias on the route's own count
     cfg = SpectralConfig(6, energy)
     rng = np.random.default_rng(11)
     z, w = rand_chart_point(rng), rand_chart_point(rng)
-    if cfg.cut_index < -1:
-        w = z
     counts = []
 
     def rule(spectrum, cut):
@@ -658,6 +656,7 @@ def test_hilbert_route_matches_nodewise_propagator_assembly(nodes, energy,
     monkeypatch.setattr(exact_kernels, "hilbert_node_count", rule)
     direct = partial_via_hilbert(cfg, z, w).to_complex()
     nodes = counts[0]
+    cfg = SpectralConfig(6, min(max(cfg.cut_index, -1), 7) / 6)
     h = 2 * math.pi / nodes
     mean = sum(propagator_coeff(cfg, -math.pi + (j + 0.5) * h, z, w)
                .to_complex() for j in range(nodes)) / nodes

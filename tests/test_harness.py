@@ -906,6 +906,22 @@ def test_unusable_svg_path_leaves_no_csv(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_refused_run_leaves_no_directory_it_made(tmp_path, capsys):
+    # the runner refuses an svg for the equivariant kind after the output
+    # directories are made; a path refused by the check after the out
+    # path's directories are made: neither run leaves a directory behind
+    svg = tmp_path / "e" / "sub" / "p.svg"
+    assert main(["error-scaling", "--kind", "equivariant", "--k-list",
+                 "10,20,40", "--svg", str(svg)]) == EXIT_CONFIG
+    assert "svg is set, but this kind writes no plot" \
+        in capsys.readouterr().err
+    (tmp_path / "file").write_text("")
+    out, svg = tmp_path / "d" / "new" / "h.csv", tmp_path / "file" / "h.svg"
+    assert main(["heatmap", "--k", "10", "--grid-n", "9", "--out", str(out),
+                 "--svg", str(svg)]) == EXIT_CONFIG
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["file"]
+
+
 @pytest.mark.parametrize("key", ["out", "svg"])
 def test_output_path_that_is_a_directory_exits_2(key, tmp_path):
     report = run_experiment(ExperimentConfig(
