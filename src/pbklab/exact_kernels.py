@@ -46,6 +46,41 @@ them absorb the rounding of logmag.  At k = 10^6 the window holds about
 windows, so it gives the same bits as one call per point.  The Hilbert
 route keeps all k+1 levels, since its FFT needs every bin.
 
+That proven window is the fallback.  A level sum first tries the narrow
+window at the gap G = NARROW_GAP = 60 nats, of reach sqrt(G (k+2)/2) + 2,
+28% of the proven reach.  The levels it leaves out are not exact zeros,
+but they are few and small.  Put a = sqrt(G (k+2)/2).  A left-out level
+on one side of M has u = j - 1 > a, so it sits below the top by at least
+2u^2/(k+2) >= G + beta (u - a) with beta = 4a/(k+2), and the left-out
+levels of that side sum to at most e^{-G} sum_{i>=0} e^{-beta i} <=
+e^{-G} (1 + 1/beta), where 1/beta = sqrt((k+2)/(8G)).  Both sides give
+twice that.  A further factor 2 covers the rounding of logmag, of exp and
+of the products with cos and sin: the first is a few ulps of its largest
+summand, about k (ln k + |ln|zeta|| + |ln|omega||) nats, so below 0.1
+nats while that stays below 1e14, as for any k <= 10^11.  So, in units of
+the row's top term, which the rescaling makes exactly 1.0, the real and
+the imaginary parts of the left-out terms each sum in magnitude to at most
+
+    tau(k) = 4 e^{-G} (1 + sqrt((k+2)/(8G))),   1.6e-24 at k = 10^6.
+
+_row_sums adds tau to its rounding certificate.  A row that passes has
+as its value the correctly rounded sum over all levels, which is the
+proven window's value bit for bit: both sums are correctly rounded over
+the same float terms, since the float argmax lies in the narrow window,
+so the top and every rescaled term are the same.  A row fails where its
+sum lies below about 2^53 tau of its top term, a cancellation by more than
+about 2^26 at k = 10^6.  Only that row then takes the levels of its proven
+window that the narrow hull left out, reuses its narrow terms, and is
+summed as over the proven window.  Where arg omega equals arg zeta bit for
+bit and no shift turns the terms, every phase is exactly 0.0 at every
+level, so the imaginary tail is exactly 0; a diagonal pair's imaginary
+sum, exactly 0.0, would fail any certificate with a tail.  Such a block's
+imaginary sums are +0.0, the correctly rounded sum of +0.0 terms, and are
+not evaluated (_rescaled_sums).  A chunk tries
+the narrow window only where its hull holds at most half the levels of
+the proven hull.  The lazily filled ln Gamma cache (below) then fills
+about half as many blocks on a cold pass.
+
 ln C(k,l) = ln Gamma(k+1) - ln Gamma(l+1) - ln Gamma(k-l+1) reads ln Gamma
 from a cache of blocks of LGAMMA_BLOCK consecutive arguments, each filled
 by math.lgamma the first time one of its entries is read.  The three
@@ -100,6 +135,11 @@ CHUNK_TERMS = 1 << 20
 # to exactly 0.0: np.exp(x) == 0.0 for x < -1075 ln 2 = -745.13, and the 15
 # nats between absorb the rounding of logmag (see the module docstring)
 DEAD_GAP = 760.0
+
+# a level sum is first tried over the narrow window of the levels within
+# this many nats of its row's top, certified against _tail_bound(k) on the
+# levels it leaves out (see the module docstring)
+NARROW_GAP = 60.0
 
 # bergman_coeff_closed tests a pair for an exact zero of 1 + zeta*conj(omega)
 # where its float log|1 + zeta*conj(omega)| lies below this: at an exact zero
@@ -248,7 +288,7 @@ def _extract(x: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
     return q.sum(axis=1), x - q
 
 
-def _row_sums(x: np.ndarray) -> np.ndarray:
+def _row_sums(x: np.ndarray, tail=None) -> np.ndarray:
     """The correctly rounded sum of each row of the 2-D block x: the value
     math.fsum(row) gives, sign of zero included.
 
@@ -266,10 +306,18 @@ def _row_sums(x: np.ndarray) -> np.ndarray:
     exact-zero r, which is +0.0 as fsum's is.  A row that fails the
     certificate (a near-tie, cancellation below the residual's scale, NaN
     or inf) is summed by math.fsum.
+
+    tail, if given, one bound for every row or one per row, bounds the
+    summed magnitudes of terms that belong to the row but are left out of
+    x.  It is added to err, so a row that passes has r as the correctly
+    rounded sum of the whole row, the terms left out included; a row with
+    a nonzero tail is never taken as exact.  Such a row that fails comes
+    back NaN, since x alone cannot give its sum.
     """
     rows, n = x.shape
     if not n:
-        return np.zeros(rows)
+        return np.zeros(rows) if tail is None else np.where(
+            tail > 0, math.nan, np.zeros(rows))
     m = max(1, (n - 1).bit_length())
     with np.errstate(invalid="ignore", over="ignore"):
         t1, p = _extract(x, m)
@@ -278,33 +326,57 @@ def _row_sums(x: np.ndarray) -> np.ndarray:
         a, e0 = _two_sum(t1, t2)
         c, e1 = _two_sum(e0, p.sum(axis=1))
         r, e2 = _two_sum(a, c)
-        err = _up(_up(np.abs(e1) + np.abs(e2)) + _up(2 * n * EPS * mass))
+        bound = _up(2 * n * EPS * mass)
+        exact = (e1 == 0) & (e2 == 0) & (mass == 0)
+        if tail is not None:
+            bound = _up(bound + tail)
+            exact &= tail == 0
+        err = _up(_up(np.abs(e1) + np.abs(e2)) + bound)
         gap = np.minimum(np.nextafter(r, math.inf) - r,
                          r - np.nextafter(r, -math.inf))
-        exact = (e1 == 0) & (e2 == 0) & (mass == 0)
         rejected = ~((2.0 * err < gap) | exact)
+    if tail is not None:
+        r[rejected & (tail > 0)] = math.nan
+        rejected &= tail == 0
     for i in np.flatnonzero(rejected).tolist():
         r[i] = math.fsum(x[i].tolist())
     return r
+
+
+def _rescaled_sums(logmag: np.ndarray, phase: np.ndarray, tail_re=None,
+                   tail_im=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each row of terms exp(logmag + i*phase) summed, as the row's top
+    logmag and the real and imaginary parts of its sum rescaled by e^-top.
+
+    The real and imaginary parts of the rescaled terms are each summed
+    correctly rounded by _row_sums, so the only error left is the rounding
+    of each term.  Dead terms (logmag -inf) add exact zeros.  tail_re and
+    tail_im, if given, bound in units of each row's top term the real and
+    the imaginary parts of the terms of levels left out of the rows, as
+    _row_sums takes them; a part they leave uncertain comes back NaN.
+    """
+    top = logmag.max(axis=1, initial=-math.inf)
+    mags = np.exp(logmag - np.where(top > -math.inf, top, 0.0)[:, None])
+    # every imaginary part is +0.0 where every phase is 0.0, as where arg
+    # omega equals arg zeta, and then so is its correctly rounded sum
+    im = (_row_sums(mags * np.sin(phase), tail_im)
+          if phase.any() or tail_im is not None and np.any(tail_im)
+          else np.zeros(top.size))
+    return top, _row_sums(mags * np.cos(phase), tail_re), im
 
 
 def _level_sums(logmag: np.ndarray, phase: np.ndarray) -> Batch:
     """Each row of terms exp(logmag + i*phase) summed, as the arrays
     (logmag, phase) of the row sums.
 
-    The row's largest logmag is factored out and the real and imaginary
-    parts of the rescaled terms are each summed correctly rounded by
-    _row_sums, so the only error left is the rounding of each term.  Dead
-    terms (logmag -inf) add exact zeros; a row without a live term is the
-    exact zero.  _row_sums works on the whole block at once and hands only
-    the rows its certificate rejects to math.fsum; both give the same bits.
-    hilbert_route_terms sums with math.fsum alone, so that as the level
-    sum's independent oracle it checks _row_sums too.
+    The row's largest logmag is factored out and the rescaled terms are
+    summed correctly rounded (_rescaled_sums); a row without a live term is
+    the exact zero.  _row_sums works on the whole block at once and hands
+    only the rows its certificate rejects to math.fsum; both give the same
+    bits.  hilbert_route_terms sums with math.fsum alone, so that as the
+    level sum's independent oracle it checks _row_sums too.
     """
-    top = logmag.max(axis=1, initial=-math.inf)
-    mags = np.exp(logmag - np.where(top > -math.inf, top, 0.0)[:, None])
-    return _lift(top, _row_sums(mags * np.cos(phase)),
-                 _row_sums(mags * np.sin(phase)))
+    return _lift(*_rescaled_sums(logmag, phase))
 
 
 def logc_rel_difference(a: LogComplex, b: LogComplex) -> float:
@@ -376,20 +448,37 @@ def _pairs(k: int, levels: np.ndarray, z: np.ndarray,
     return lm_z + lm_w, ph_z - ph_w
 
 
-def _window(k: int, lo: int, s: np.ndarray) -> np.ndarray:
-    """Levels lo..k that can hold a nonzero term of the rescaled pair sums
+def _window(k: int, lo: int, s: np.ndarray,
+            gap: float = DEAD_GAP) -> np.ndarray:
+    """Levels lo..k within `gap` nats of the top of the rescaled pair sums
     whose log|zeta| + log|omega| are s: the hull of the rows' windows.
 
-    Each row's window is clamp(c, lo, k) +- REACH(k) with its real mode
-    c = k/(1 + e^{-s}); the module docstring proves that every level
-    outside it rescales to exactly 0.0.
+    Each row's window is clamp(c, lo, k) +- sqrt(gap (k+2)/2) + 2 with its
+    real mode c = k/(1 + e^{-s}), and every level outside it lies more than
+    gap nats below the row's top (module docstring).  At gap = DEAD_GAP
+    those levels rescale to exactly 0.0; at NARROW_GAP their summed
+    magnitudes are at most _tail_bound(k) of the top term.
     """
-    reach = math.sqrt(DEAD_GAP * (k + 2) / 2.0) + 2.0
+    reach = _reach(k, gap)
     with np.errstate(over="ignore"):
-        centre = np.clip(k / (1.0 + np.exp(-s)), lo, k)
-    first = max(lo, math.floor(centre.min() - reach))
-    last = min(k, math.ceil(centre.max() + reach))
+        mode = k / (1.0 + np.exp(-s))
+    # clamping is monotone, so the clamped extremes are the hull's centres
+    first = max(lo, math.floor(min(max(mode.min(), lo), k) - reach))
+    last = min(k, math.ceil(min(max(mode.max(), lo), k) + reach))
     return np.arange(first, last + 1)
+
+
+def _reach(k: int, gap: float) -> float:
+    """The half-width of a row's window at `gap` about its clamped mode."""
+    return math.sqrt(gap * (k + 2) / 2.0) + 2.0
+
+
+def _tail_bound(k: int) -> float:
+    """tau(k) = 4 e^{-G} (1 + sqrt((k+2)/(8G))), G = NARROW_GAP: a bound on
+    the summed magnitudes of a row's rescaled terms at levels outside its
+    narrow window, in units of its top term (module docstring)."""
+    return 4.0 * math.exp(-NARROW_GAP) * (
+        1.0 + math.sqrt((k + 2) / (8.0 * NARROW_GAP)))
 
 
 def _per_point(w: Points, width: int, block: Callable[[Points], Batch]
@@ -422,17 +511,49 @@ def _pair_sums(k: int, lo: int, z: ProjectivePoint, w: Points,
 
     Only the window of levels that can survive the rescaling by the row's
     top term is evaluated; the sum is bit for bit the one over all levels.
+    Where a chunk's narrow hull (_window at NARROW_GAP) holds at most half
+    the levels of that proven hull, the chunk is first summed over the
+    narrow one and certified against _tail_bound(k); only the rows the
+    certificate leaves open take the levels it left out and are summed over
+    the proven window.
     """
     lo = max(lo, 0)
     z_aff = _log_affine([z])
+    tail = _tail_bound(k)
+    reach = _reach(k, NARROW_GAP)
 
-    def block(ws: Points) -> Batch:
-        w_aff = _log_affine(ws)
-        levels = _window(k, lo, z_aff[0] + w_aff[0])
+    def terms(levels: np.ndarray, w_aff: np.ndarray) -> Batch:
         logmag, phase = _pairs(k, levels, z_aff, w_aff)
         if shift is not None:
             phase = phase + shift(levels)
-        return _level_sums(logmag, phase)
+        return logmag, phase
+
+    def block(ws: Points) -> Batch:
+        w_aff = _log_affine(ws)
+        s = z_aff[0] + w_aff[0]
+        proven = _window(k, lo, s)
+        # a narrow hull holds at least min(reach, k - lo) + 1 levels, so
+        # where that is more than half the proven hull it is not built
+        narrow = (_window(k, lo, s, NARROW_GAP)
+                  if 2 * (min(reach, k - lo) + 1) <= proven.size else proven)
+        if not 0 < 2 * narrow.size <= proven.size:
+            return _level_sums(*terms(proven, w_aff))
+        logmag, phase = terms(narrow, w_aff)
+        # where arg omega equals arg zeta bit for bit and no shift turns
+        # the terms, every phase is exactly 0.0, left-out levels included
+        flat = (w_aff[1] == z_aff[1]) & (shift is None)
+        top, re, im = _rescaled_sums(logmag, phase, tail,
+                                     np.where(flat, 0.0, tail))
+        rows = np.flatnonzero(np.isnan(re) | np.isnan(im))
+        if rows.size:
+            rest = _window(k, lo, s[rows])
+            sub = w_aff[:, rows]
+            parts = (terms(rest[rest < narrow[0]], sub),
+                     (logmag[rows], phase[rows]),
+                     terms(rest[rest > narrow[-1]], sub))
+            top[rows], re[rows], im[rows] = _rescaled_sums(
+                *(np.hstack(part) for part in zip(*parts)))
+        return _lift(top, re, im)
 
     return _per_point(w, k + 1 - lo, block)
 
@@ -631,10 +752,13 @@ def hilbert_route_terms(cfg: SpectralConfig, z: ProjectivePoint,
     bins[freqs % (2 * nodes)] -= coeffs * np.exp(1j * freqs * t0)
     bracket = np.fft.ifft(bins)[:nodes] * (2 * nodes)
     bracket /= np.tan(0.5 * (np.arange(nodes) + 0.5) * hh)
-    hilbert = complex(math.fsum(bracket.real),
-                      math.fsum(bracket.imag)) * hh / (2.0 * math.pi)
+    # math.fsum reads a list of floats at about half the cost of numpy
+    # scalars, with the same sum
+    hilbert = complex(math.fsum(bracket.real.tolist()),
+                      math.fsum(bracket.imag.tolist())) * hh / (2.0 * math.pi)
 
-    full = complex(math.fsum(coeffs.real), math.fsum(coeffs.imag))
+    full = complex(math.fsum(coeffs.real.tolist()),
+                   math.fsum(coeffs.imag.tolist()))
     # the exact zero where the level sum has no live term, not rounding noise
     value = (0.5 * (1j * hilbert + full + mean)
              if np.any(live[max(cut, 0):]) else 0j)

@@ -163,6 +163,16 @@ class ExperimentConfig:
             return list(self.k_list)
         if self.k_min < 1 or self.k_max < self.k_min or self.k_ratio <= 1.0:
             raise ConfigError("need 1 <= k_min <= k_max and k_ratio > 1")
+        # the sweep takes one step per factor k_ratio, and steps beyond one
+        # per integer in k_min..k_max can only repeat a weight
+        steps = math.ceil(math.log(self.k_max / self.k_min)
+                          / math.log1p(self.k_ratio - 1.0))
+        if steps > self.k_max - self.k_min + 1:
+            raise ConfigError(
+                f"k_ratio {self.k_ratio!r} takes {steps} steps from k_min "
+                f"{self.k_min} to k_max {self.k_max}, more than the "
+                f"{self.k_max - self.k_min + 1} weights between them; "
+                f"raise k_ratio")
         ks = []
         value = float(self.k_min)
         while value <= self.k_max + 1e-9:

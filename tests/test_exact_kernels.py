@@ -494,6 +494,189 @@ def test_level_sum_window_drops_only_exact_zeros(k):
     assert (dropped_levels > 0) == (k > 10)
 
 
+# --- the certified narrow window -------------------------------------------
+
+def fsum_reference(k, lo, z, ws, t=None, cut=0):
+    """bits of the level sums over every level lo..k, each part summed by
+    math.fsum over the same float terms the kernels make."""
+    levels = np.arange(max(lo, 0), k + 1)
+    z_aff = exact_kernels._log_affine([z])
+    out = []
+    for w in ws:
+        logmag, phase = (a[0] for a in exact_kernels._pairs(
+            k, levels, z_aff, exact_kernels._log_affine([w])))
+        if t is not None:
+            phase = phase + (levels - cut) * t
+        top = logmag.max(initial=-math.inf)
+        mags = np.exp(logmag - (top if top > -math.inf else 0.0))
+        re = math.fsum((mags * np.cos(phase)).tolist())
+        im = math.fsum((mags * np.sin(phase)).tolist())
+        out += batch_bits(exact_kernels._lift(np.array([top]),
+                                              np.array([re]),
+                                              np.array([im])))
+    return out
+
+
+@pytest.fixture
+def attempts(monkeypatch):
+    """Per chunk summed over the narrow window: the rows it took and the
+    rows its certificate left open, which then took the proven window."""
+    seen = []
+    rescaled_sums = exact_kernels._rescaled_sums
+
+    def spy(logmag, phase, tail_re=None, tail_im=None):
+        top, re, im = rescaled_sums(logmag, phase, tail_re, tail_im)
+        if tail_re is not None:
+            seen.append((re.size, int(np.sum(np.isnan(re) | np.isnan(im)))))
+        return top, re, im
+    monkeypatch.setattr(exact_kernels, "_rescaled_sums", spy)
+    return seen
+
+
+def band_point(rng, k, energy=0.5, theta=0.3):
+    return level_point(energy + rng.uniform(-1, 1) / math.sqrt(k),
+                       theta + rng.uniform(-2, 2) / math.sqrt(k))
+
+
+@pytest.mark.parametrize("k", [10 ** 3, 10 ** 4, 10 ** 5])
+def test_narrow_window_rows_that_pass(k, attempts):
+    # band pairs hardly cancel: every row passes on the narrow window
+    rng = np.random.default_rng(31)
+    z = band_point(rng, k)
+    ws = [band_point(rng, k) for _ in range(6)]
+    cfg = SpectralConfig(k, 0.5)
+    assert (batch_bits(partial_coeff(cfg, z, ws))
+            == fsum_reference(k, cfg.cut_index, z, ws))
+    assert batch_bits(bergman_coeff(k, z, ws)) == fsum_reference(k, 0, z, ws)
+    assert attempts == [(6, 0), (6, 0)]
+
+
+@pytest.mark.parametrize("k", [10 ** 4, 10 ** 5])
+def test_narrow_window_rows_that_fail_take_the_proven_window(k, attempts):
+    # an off-orbit pair's sum cancels far below its top term, beyond what
+    # the tail bound allows, so its row is summed over the proven window
+    z, w = level_point(0.5, 0.3), level_point(0.62, 1.4)
+    cfg = SpectralConfig(k, 0.5)
+    for lo, value in ((cfg.cut_index, partial_coeff(cfg, z, w)),
+                      (0, bergman_coeff(k, z, w))):
+        assert bits([value]) == fsum_reference(k, lo, z, [w])
+    assert attempts == [(1, 1), (1, 1)]
+
+
+@pytest.mark.parametrize("k", [10 ** 3, 10 ** 5])
+def test_narrow_window_diagonal_rows_have_no_imaginary_tail(k, attempts):
+    # at w = z every phase is exactly 0.0, so the imaginary sum is exactly
+    # 0.0 over any window; a tail bound on it would leave every diagonal
+    # row open, so its bound is 0
+    z = level_point(0.3, 2.1)
+    for energy in (0.2, 0.3, 0.45):
+        cfg = SpectralConfig(k, energy)
+        value = partial_coeff(cfg, z, z)
+        assert value.phase == 0.0
+        assert bits([value]) == fsum_reference(k, cfg.cut_index, z, [z])
+    assert attempts == [(1, 0)] * 3
+    tail = exact_kernels._tail_bound(k)
+    assert math.isnan(exact_kernels._row_sums(np.zeros((1, 5)), tail)[0])
+
+
+@pytest.mark.parametrize("k", [10 ** 3, 10 ** 5])
+def test_narrow_window_propagator_shift(k, attempts):
+    # the propagator at time t peaks at w = z turned by t, where its rows
+    # pass; the shift keeps the tail bound on the imaginary parts, so at
+    # t = 0, where it turns no term, the exact-zero imaginary sum of the
+    # diagonal row is left open and takes the proven window
+    z = level_point(0.5, 0.3)
+    cfg = SpectralConfig(k, 0.5)
+    for t in (0.7, 2.9, 0.0):
+        w = level_point(0.5, 0.3 + t)
+        assert (bits([propagator_coeff(cfg, t, z, w)])
+                == fsum_reference(k, 0, z, [w], t, cfg.cut_index))
+    assert attempts == [(1, 0), (1, 0), (1, 1)]
+
+
+def test_narrow_window_exact_zero_rows(attempts):
+    # zeta = 0 with the cut above level 0: every term is dead, and the
+    # row, left open by the tail bound, is the exact zero either way
+    k = 10 ** 4
+    z = level_point(0.5, 0.3)
+    cfg = SpectralConfig(k, 0.5)
+    zero = bits([LogComplex.zero()])
+    assert bits([partial_coeff(cfg, ORIGIN, z)]) == zero
+    assert fsum_reference(k, cfg.cut_index, ORIGIN, [z]) == zero
+    assert attempts == [(1, 1)]
+    # an empty cut evaluates no level at all
+    assert bits([partial_coeff(SpectralConfig(k, 1.2), z, z)]) == zero
+    assert attempts == [(1, 1)]
+
+
+def test_narrow_window_chunks_mix_passing_and_open_rows(attempts):
+    # 240 points at k = 10^4 span two chunks; each chunk holds band points,
+    # which pass, and off-orbit ones, which take the proven window
+    k = 10 ** 4
+    rng = np.random.default_rng(35)
+    z = level_point(0.5, 0.3)
+    ws = []
+    for i in range(240):
+        ws.append(z if i % 3 == 0 else band_point(rng, k) if i % 3 == 1
+                  else level_point(0.5 + rng.uniform(0.05, 0.1),
+                                   rng.uniform(0, 2 * math.pi)))
+    cfg = SpectralConfig(k, 0.5)
+    assert len(ws) * (k + 1 - cfg.cut_index) > CHUNK_TERMS
+    assert (batch_bits(partial_coeff(cfg, z, ws))
+            == fsum_reference(k, cfg.cut_index, z, ws))
+    assert len(attempts) == 2
+    assert all(0 < open_rows < rows for rows, open_rows in attempts)
+
+
+@pytest.mark.parametrize("k", [10, 50, 10 ** 3, 10 ** 4, 10 ** 5])
+def test_tail_bound_covers_the_mass_outside_the_narrow_window(k):
+    # the summed rescaled magnitudes of every level outside a row's narrow
+    # window, for modes inside, at and beyond the ends of lo..k
+    tail = exact_kernels._tail_bound(k)
+    worst = 0.0
+    for s in (-6.0, -1.0, 0.0, 0.4, 3.0):
+        z = ProjectivePoint(math.exp(s / 2), 1)
+        z_aff = exact_kernels._log_affine([z])
+        mode = k / (1.0 + math.exp(-s))
+        for lo in {0, int(mode * 0.9), int(mode),
+                   min(int(mode + 2 * math.sqrt(k)), k), k}:
+            levels = np.arange(lo, k + 1)
+            logmag = exact_kernels._pairs(k, levels, z_aff, z_aff)[0][0]
+            mags = np.exp(logmag - logmag.max())
+            narrow = exact_kernels._window(k, lo, np.array([s]),
+                                           exact_kernels.NARROW_GAP)
+            outside = math.fsum(mags[~np.isin(levels, narrow)].tolist())
+            assert outside <= tail, (s, lo)
+            worst = max(worst, outside)
+    # the narrow window reaches past both ends of 0..k at k = 10 only
+    assert (worst > 0) == (k > 10)
+
+
+@pytest.mark.parametrize("k, band, narrow", [
+    (80, False, False), (400, False, False), (1000, True, True),
+    (10 ** 5, True, True),
+], ids=["k80-grid", "k400-grid", "k1000-band", "k1e5-band"])
+def test_narrow_window_only_where_its_hull_is_at_most_half(k, band, narrow,
+                                                           attempts):
+    # a row of heatmap cells around the orbit keeps the proven window, as
+    # at the heatmaps' k = 80 and 400: the narrow hull holds more than half
+    # its levels; band pairs take the narrow one
+    rng = np.random.default_rng(37)
+    z = level_point(0.5, 0.0)
+    ws = ([band_point(rng, k, theta=0.0) for _ in range(4)] if band
+          else [ProjectivePoint(complex(x, 0.4), 1)
+                for x in np.linspace(-2.0, 2.0, 81).tolist()])
+    cfg = SpectralConfig(k, 0.5)
+    s = (exact_kernels._log_affine([z])[0]
+         + exact_kernels._log_affine(ws)[0])
+    proven = exact_kernels._window(k, cfg.cut_index, s)
+    hull = exact_kernels._window(k, cfg.cut_index, s,
+                                 exact_kernels.NARROW_GAP)
+    assert (2 * hull.size <= proven.size) == narrow
+    partial_coeff(cfg, z, ws)
+    assert bool(attempts) == narrow
+
+
 # --- equivariant kernel -----------------------------------------------------
 
 def test_equivariant_example_k1():

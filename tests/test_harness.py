@@ -52,6 +52,37 @@ def test_config_k_grid_geometric():
     assert cfg.k_grid() == [4, 9]
 
 
+def test_config_k_grid_takes_as_many_steps_as_weights():
+    # 10..11 at 1.05 takes ceil(ln 1.1 / ln 1.05) = 2 steps for 2 weights
+    assert ExperimentConfig(k_min=10, k_max=11, k_ratio=1.05).k_grid() == [
+        10, 11]
+    assert ExperimentConfig(k_min=7, k_max=7, k_ratio=1.01).k_grid() == [7]
+
+
+# a ratio so close to 1 that the sweep would take about 1.2e8 steps, once
+# per factor, for at most 999,991 weights
+CRAWLING_SWEEP = {"k_min": 10, "k_max": 10 ** 6, "k_ratio": 1.0000001}
+
+
+@pytest.mark.parametrize("experiment", ["error-scaling",
+                                        "diagonal-microsupport"])
+def test_k_sweep_with_more_steps_than_weights_exit_2(experiment):
+    report = run_experiment(ExperimentConfig(experiment=experiment,
+                                             **CRAWLING_SWEEP))
+    assert report.exit_code == EXIT_CONFIG
+    assert ("k_ratio 1.0000001 takes 115129261 steps from k_min 10 to "
+            "k_max 1000000, more than the 999991 weights between them"
+            in report.message)
+
+
+def test_cli_k_sweep_with_more_steps_than_weights_exit_2(capsys):
+    code = main(["error-scaling", "--k-min", "10", "--k-max", "1000000",
+                 "--k-ratio", "1.0000001"])
+    assert code == EXIT_CONFIG
+    assert ("more than the 999991 weights between them; raise k_ratio"
+            in capsys.readouterr().err)
+
+
 def test_config_base_point_formats():
     assert ExperimentConfig().base_point() == ProjectivePoint(1, 1)
     cfg = ExperimentConfig(z0=[2.0, 1.0])
