@@ -29,10 +29,14 @@ class ProjectivePoint:
     z1: complex
 
     def __post_init__(self):
-        if self.z0 == 0 and self.z1 == 0:
+        z0, z1 = complex(self.z0), complex(self.z1)
+        if not (cmath.isfinite(z0) and cmath.isfinite(z1)):
+            raise ValueError(f"homogeneous coordinates [{z0} : {z1}] must "
+                             f"be finite")
+        if z0 == 0 and z1 == 0:
             raise ValueError("homogeneous coordinates must not both vanish")
-        object.__setattr__(self, "z0", complex(self.z0))
-        object.__setattr__(self, "z1", complex(self.z1))
+        object.__setattr__(self, "z0", z0)
+        object.__setattr__(self, "z1", z1)
 
     @property
     def in_chart(self) -> bool:

@@ -409,8 +409,12 @@ def _log_affine(points: Points) -> np.ndarray:
     coordinates zeta.  A coordinate is read with the math calls of
     ProjectivePoint.log_affine, whose z1 = 1 terms subtract an exact 0.0,
     so [zeta:1] gives the same bits either way (zeta = 0 gives -inf, 0.0).
+    A non-finite coordinate raises ValueError, as ProjectivePoint does.
     """
     if isinstance(points, np.ndarray):
+        bad = points[~np.isfinite(points)]
+        if bad.size:
+            raise ValueError(f"chart coordinate {bad[0]} is not finite")
         zetas = points.tolist()
         return np.array([[math.log(abs(v)) if v else -math.inf
                           for v in zetas],

@@ -34,7 +34,7 @@ from .circle_spectral import (SpectralConfig, default_node_count,
 from .cp1_geometry import ChartError, ProjectivePoint, height
 from .exact_kernels import (bergman_coeff, equivariant_coeff, partial_coeff)
 from .rotated_observables import (RotationAxis, caps_disjoint, caps_tangent,
-                                  projection_product_norm)
+                                  corner_width, projection_product_norm)
 
 EXIT_OK = 0
 EXIT_THRESHOLD = 1
@@ -623,11 +623,13 @@ def _two_proj(config: ExperimentConfig) -> RunReport:
     ks = config.k_grid()
     rows = []
     norms = []
+    widths = []
     for k in ks:
         norm = projection_product_norm(k, u1, config.e1, u2, config.e2)
         rows.append((k, norm,
                      math.log(norm) if norm > 0 else -math.inf))
         norms.append(norm)
+        widths.append(corner_width(k, u1, config.e1, u2, config.e2))
     _emit_csv(config, ["k", "norm", "log_norm"], rows,
               ["experiment: two-proj",
                f"axes: {list(u1.u)} / {list(u2.u)}",
@@ -643,6 +645,10 @@ def _two_proj(config: ExperimentConfig) -> RunReport:
                           [p[1] for p in finite],
                           "projection product norm decay", "k", "log norm")
     floored = sum(n <= NORM_FLOOR for n in norms)
+    # besides the floored norms, the most block columns one norm built and
+    # how many norms needed the full block
+    counts = {"floored": floored, "max_width": max(w for w, _ in widths),
+              "full_blocks": sum(w == n for w, n in widths)}
     floor_note = (f"{floored} of {len(norms)} norms at or below the "
                   f"{NORM_FLOOR:.0e} fit cut-off")
     if disjoint:
@@ -651,13 +657,13 @@ def _two_proj(config: ExperimentConfig) -> RunReport:
             message = f"disjoint caps: {floor_note} (orthogonal ranges)"
             return RunReport(EXIT_OK, message,
                              {"disjoint": True, "max_norm": max(norms),
-                              "floored": floored})
+                              **counts})
         if len(positive) < 3:
             message = (f"disjoint caps: the decay fit needs 3 norms above "
                        f"the cut-off, got {len(positive)}; {floor_note}")
             return RunReport(EXIT_THRESHOLD, message,
                              {"disjoint": True, "max_norm": max(norms),
-                              "floored": floored})
+                              **counts})
         fit = linear_fit(np.array([p[0] for p in positive], dtype=float),
                          np.log(np.array([p[1] for p in positive])))
         ok = fit.slope < 0 and fit.r_squared >= 0.9
@@ -666,13 +672,13 @@ def _two_proj(config: ExperimentConfig) -> RunReport:
                    f"of the fit")
         return RunReport(EXIT_OK if ok else EXIT_THRESHOLD, message,
                          {"disjoint": True, "slope": fit.slope,
-                          "r_squared": fit.r_squared, "floored": floored})
+                          "r_squared": fit.r_squared, **counts})
     floor = min(norms)
     ok = floor >= 0.5
     message = (f"overlapping caps: norm floor {floor:.4f} over the sweep; "
                f"{floor_note}")
     return RunReport(EXIT_OK if ok else EXIT_THRESHOLD, message,
-                     {"disjoint": False, "floor": floor, "floored": floored})
+                     {"disjoint": False, "floor": floor, **counts})
 
 
 _RUNNERS = {

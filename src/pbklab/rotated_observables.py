@@ -9,8 +9,14 @@ matrix in closed form.  Disjoint caps make the two spectral projections
 asymptotically orthogonal, and the product norm is measurable ground truth.
 It is the largest singular value of one block of Wigner d-functions,
 built row by row from its closed-form edge entries by the three-term
-eigenvector recurrence run in its stable directions, with no eigensolver:
-O(k (k - ceil(k e_2))) for the rows, and no rounding floor in the norm.
+eigenvector recurrence run in its stable directions, with no eigensolver
+and no rounding floor in the norm.  Only the block's first w columns are
+built, the corner nearest both cap boundaries: an O(k) certificate, a
+continued-fraction bound on how fast every row decays along the columns,
+shows that the rest move the norm by at most 2^-107 relative.  For
+disjoint caps w stays bounded in k, so a norm costs O(k w) for the rows
+plus the SVD of a (k - ceil(k e_1) + 1) x w block; overlapping and
+near-tangent caps fail the certificate and take the full block.
 """
 from __future__ import annotations
 
@@ -30,6 +36,13 @@ CAP_TANGENCY_TOL = 1e-9  # |axis angle - radius sum| that counts as tangent
 POWER_RESTARTS = 5
 POWER_MAX_ITER = 10_000
 POWER_REL_TOL = 1e-10
+
+# _descend rescales a column pair before a bound on its growth lets an
+# entry leave [2^-RENORM_BITS, 2^RENORM_BITS]
+RENORM_BITS = 900
+# the certified corner leaves out block columns whose summed squares are
+# at most this fraction of the squared norm of the columns it keeps
+CORNER_EXCESS = 2.0 ** -106
 
 _SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 _SIGMA_Y = np.array([[0.0, -1j], [1j, 0.0]], dtype=complex)
@@ -290,24 +303,114 @@ def _descend(diag: np.ndarray, off: np.ndarray, lam: np.ndarray,
     diag holds the n+1 diagonal entries and off the n off-diagonal ones;
     column j has eigenvalue lam[j] and row n equal to mant[j] 2^expo[j].
     Each step solves off[l-1] v[l-1] + (diag[l] - lam) v[l] + off[l] v[l+1]
-    = 0 for v[l-1], then rescales the column's last two entries by the
-    power of two that brings the larger into [1/2, 1), which is exact; the
-    exponent accumulates per column.  Row stop + i of the eigenvectors is
-    returned as mant[i] 2^expo[i].
+    = 0 for v[l-1].  With s_l = max_j |lam[j] - diag[l]| the largest of
+    |v[l-1]|, |v[l]| is at most (s_l + off[l]) / off[l-1] times the largest
+    of |v[l]|, |v[l+1]|, and, solving the same equation for v[l+1], at
+    least off[l] / (s_l + off[l-1]) times it.  The columns are rescaled by
+    the power of two that brings the larger of their last two entries
+    into [1/2, 1) only when those bounds say it could leave
+    [2^-RENORM_BITS, 2^RENORM_BITS].  In between it stays over 2^100
+    clear of the subnormal range and of overflow, so each step rounds as
+    it would after a rescaling at every step, and every value is bit for
+    bit the one that gives.  The exponent accumulates per column, and row stop + i
+    is returned as mant[i] 2^expo[i] with |mant[i]| in [1/2, 1) or 0.
     """
     n = diag.size - 1
     out_mant = np.empty((n - stop + 1, lam.size))
-    out_expo = np.empty((n - stop + 1, lam.size), dtype=np.int64)
-    out_mant[-1], out_expo[-1] = mant, expo
+    out_mant[-1] = mant
+    spread = np.maximum(np.abs(lam.max() - diag), np.abs(lam.min() - diag))
     off = np.append(off, 0.0)
+    # log2 bounds on the growth and the shrinkage of step l, at index l - 1;
+    # the first step's v[n+1] is 0, so the pair cannot shrink there
+    grow = np.log2(np.maximum((spread[1:] + off[1:]) / off[:-1], 1.0))
+    shrink = np.log2(np.maximum((spread[1:-1] + off[:-2]) / off[1:-1], 1.0))
+    grow, shrink = grow.tolist(), shrink.tolist() + [0.0]
+    diag_l, off_l = diag.tolist(), off.tolist()
+    # the exponents in force at each row, as an index into expos
+    expos, segment = [expo], [0] * (n - stop + 1)
+    high, low = 0.0, -1.0
     cur, prev = mant, np.zeros(lam.size)
     for l in range(n, stop, -1):
-        new = ((lam - diag[l]) * cur - off[l] * prev) / off[l - 1]
-        _, shift = np.frexp(np.maximum(np.abs(new), np.abs(cur)))
-        prev, cur = np.ldexp(cur, -shift), np.ldexp(new, -shift)
-        expo = expo + shift
-        out_mant[l - 1 - stop], out_expo[l - 1 - stop] = cur, expo
-    return out_mant, out_expo
+        if (high + grow[l - 1] > RENORM_BITS
+                or low - shrink[l - 1] < -RENORM_BITS):
+            _, shift = np.frexp(np.maximum(np.abs(cur), np.abs(prev)))
+            prev, cur = np.ldexp(prev, -shift), np.ldexp(cur, -shift)
+            expos.append(expos[-1] + shift)
+            high, low = 0.0, -1.0
+        new = ((lam - diag_l[l]) * cur - off_l[l] * prev) / off_l[l - 1]
+        high += grow[l - 1]
+        low -= shrink[l - 1]
+        out_mant[l - 1 - stop] = new
+        segment[l - 1 - stop] = len(expos) - 1
+        prev, cur = cur, new
+    out_mant, shift = np.frexp(out_mant)
+    return out_mant, np.array(expos)[segment] + shift
+
+
+def _corner_width(k: int, cos_b: float, off: np.ndarray, r0: int,
+                  c0: int) -> int:
+    """How many block columns c0, c0+1, .. certify the block's norm.
+
+    Rows of V obey a three-term recurrence in m as well, that of T with
+    beta -> -beta (d(-beta) is the transpose of d(beta)), with eigenvalue
+    l - k/2, so on every row l
+    off[m-1] |V[l, m-1]| >= |b_m| |V[l, m]| - off[m] |V[l, m+1]| with
+    b_m = cos beta (m - k/2) - (l - k/2).  Let g_m be the least |b_m| over
+    the block rows l = r0..k.  If g_m > off[m-1] + off[m] for every m in
+    c0+1..k, the continued fraction
+    rbar_m = off[m-1] / (g_m - off[m] rbar_(m+1)), rbar_(k+1) = 0,
+    stays below 1 and bounds |V[l, m] / V[l, m-1]| on every row at once.
+    Then the columns from c0 + w on, B_2, have
+    |B_2|_F^2 <= |B[:, 0]|^2 sum_(m >= c0+w) prod_(j = c0+1..m) rbar_j^2,
+    and sigma(B)^2 <= sigma(B_1)^2 + |B_2|_F^2 with |B[:, 0]| <= sigma(B_1)
+    for the first w columns B_1.  w is the least width at which that sum is
+    at most CORNER_EXCESS, so sigma(B_1) is sigma(B) to 2^-107 relative,
+    far below an ulp; rounding in g_m and off moves the sum by relative
+    amounts that the 2^52 between CORNER_EXCESS and an ulp absorbs.  Where
+    the condition fails somewhere, as for overlapping or near-tangent
+    caps, w is the full width k - c0 + 1.  Cost O(k), before any row.
+    """
+    m = np.arange(c0 + 1, k + 1)
+    # b_m vanishes at l = k/2 + cos beta (m - k/2) <= k, so g_m = r0 - that
+    # where it lies below r0; where it does not, this is <= 0 and fails
+    gap = r0 - (0.5 * k + cos_b * (m - 0.5 * k))
+    below, above = off[m - 1], np.append(off, 0.0)[m]
+    if not np.all(gap > below + above):
+        return k - c0 + 1
+    ratio, ratios = 0.0, []
+    for g, a, b in zip(gap[::-1].tolist(), below[::-1].tolist(),
+                       above[::-1].tolist()):
+        ratio = a / (g - b * ratio)
+        ratios.append(ratio)
+    # mass[i] bounds the squared ratio of column c0 + 1 + i to column c0
+    mass = np.cumprod(np.square(ratios[::-1]))
+    tail = np.cumsum(mass[::-1])[::-1]
+    fits = np.flatnonzero(tail <= CORNER_EXCESS)
+    return int(fits[0]) + 1 if fits.size else k - c0 + 1
+
+
+def _block_shape(k: int, u1: RotationAxis, e1: float, u2: RotationAxis,
+                 e2: float
+                 ) -> tuple[float, int, int, np.ndarray, np.ndarray, int]:
+    """beta, the block's first row r0 and column c0, T's diagonal and
+    off-diagonal, and the certified width (_corner_width); width 0 where
+    beta = 0 and there is no block to build."""
+    beta, _ = _cap_angles(u1, e1, u2, e2)
+    sin_b, cos_b = math.sin(beta), math.cos(beta)
+    r0, c0 = snapped_ceil(k * e1), snapped_ceil(k * e2)
+    l = np.arange(k + 1)
+    diag = cos_b * (l - 0.5 * k)
+    off = 0.5 * sin_b * np.sqrt((l[:-1] + 1.0) * (k - l[:-1]))
+    width = _corner_width(k, cos_b, off, r0, c0) if sin_b != 0.0 else 0
+    return beta, r0, c0, diag, off, width
+
+
+def corner_width(k: int, u1: RotationAxis, e1: float, u2: RotationAxis,
+                 e2: float) -> tuple[int, int]:
+    """(w, n): how many of the block's n = k - ceil(k e2) + 1 columns
+    projection_product_norm builds for these caps; w = 0 for beta = 0."""
+    _, _, c0, _, _, width = _block_shape(k, u1, e1, u2, e2)
+    return width, k - c0 + 1
 
 
 def projection_product_norm(k: int, u1: RotationAxis, e1: float,
@@ -324,8 +427,14 @@ def projection_product_norm(k: int, u1: RotationAxis, e1: float,
     of T = sin beta J_x + cos beta J_z, column m for eigenvalue m - k/2:
     the cosine of the smallest principal angle between the two ranges.
 
-    Only that block is built, with no eigensolver.  T is tridiagonal with
-    known eigenvalues, so column m (the Wigner d-function
+    Only the block's first w columns are built, with no eigensolver.  w is
+    set by an O(k) certificate before any row (_corner_width): away from
+    the cap boundaries the entries decay geometrically in m, and where a
+    continued-fraction bound on that decay holds on every block row, the
+    columns left out move the norm by at most 2^-107 relative.  For
+    disjoint caps w stays bounded in k (66 at k = 4000 for beta = 2.2);
+    for overlapping or near-tangent caps it is the full width.  T is
+    tridiagonal with known eigenvalues, so column m (the Wigner d-function
     d^(k/2)_(l-k/2, m-k/2)(beta)) follows from its closed-form edge entries
     |v_k| = sqrt(C(k, m)) cos^m(beta/2) sin^(k-m)(beta/2) and |v_0| =
     sqrt(C(k, m)) sin^m(beta/2) cos^(k-m)(beta/2), with v_0/v_k of sign
@@ -335,21 +444,17 @@ def projection_product_norm(k: int, u1: RotationAxis, e1: float,
     centred at the junction t_m = round(k/2 + (m - k/2) cos beta), upward
     from row 0 through the lower one.  The downward pass gives rows t_m..k
     and an upward pass the rows below t_m, run only where t_m > r0 (never
-    for disjoint caps).  Columns are scaled by exact powers of two at every
-    step, and the block's SVD is taken after dividing by its largest
-    power-of-two scale, so norms far below the double range's floor
-    resolve.  Cost O(k (k - c0)) for the rows plus the block's SVD.
-    beta = 0 gives identical caps and exactly 1.0.
+    for disjoint caps).  Columns are scaled by exact powers of two, and the
+    block's SVD is taken after dividing by its largest power-of-two scale,
+    so norms far below the double range's floor resolve.  Cost O(k w) for
+    the rows plus the SVD of the (k - r0 + 1) x w block.  beta = 0 gives
+    identical caps and exactly 1.0.
     """
-    beta, _ = _cap_angles(u1, e1, u2, e2)
-    sin_b, cos_b = math.sin(beta), math.cos(beta)
-    if sin_b == 0.0:
+    beta, r0, c0, diag, off, width = _block_shape(k, u1, e1, u2, e2)
+    if width == 0:
         return 1.0
-    r0, c0 = snapped_ceil(k * e1), snapped_ceil(k * e2)
-    l = np.arange(k + 1)
-    diag = cos_b * (l - 0.5 * k)
-    off = 0.5 * sin_b * np.sqrt((l[:-1] + 1.0) * (k - l[:-1]))
-    m = l[c0:]
+    cos_b = math.cos(beta)
+    m = np.arange(c0, c0 + width)
     lam = m - 0.5 * k
     half_c, half_s = math.cos(0.5 * beta), math.sin(0.5 * beta)
     mant, expo = _descend(diag, off, lam,

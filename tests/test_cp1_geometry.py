@@ -34,6 +34,17 @@ def test_operations_scale_invariant(p, lam):
     assert projective_equal(gradient_flow(0.3, p), gradient_flow(0.3, q))
 
 
+@pytest.mark.parametrize("z0, z1", [(complex(math.nan, 0.0), 1.0),
+                                     (1.0, complex(0.0, math.inf)),
+                                     (-math.inf, 0.0)])
+def test_point_refuses_non_finite_coordinates(z0, z1):
+    # a NaN coordinate would reach the kernels' window arithmetic and fail
+    # there, naming neither the point nor the kernel
+    with pytest.raises(ValueError, match="must be finite") as info:
+        ProjectivePoint(z0, z1)
+    assert f"[{complex(z0)} : {complex(z1)}]" in str(info.value)
+
+
 def test_rotate_examples():
     p = ProjectivePoint(1, 1)
     assert projective_equal(rotate(0.0, p), p)

@@ -1,5 +1,6 @@
 import cmath
 import math
+import re
 
 import numpy as np
 import pytest
@@ -315,6 +316,26 @@ def test_bergman_sum_matches_closed_form():
                         theta + rng.uniform(-1, 1) / math.sqrt(k))
         assert logc_rel_difference(bergman_coeff(k, z, w),
                                    bergman_coeff_closed(k, z, w)) <= 1e-10
+
+
+@pytest.mark.parametrize("bad", [complex(math.nan, 0.0),
+                                 complex(0.5, math.inf)])
+def test_batch_refuses_non_finite_chart_coordinates(bad):
+    # a NaN zeta used to reach math.floor in _window and raise "cannot
+    # convert float NaN to integer"; every kernel now names the coordinate
+    z = level_point(0.5, 0.3)
+    ws = np.array([0.5 + 0.1j, bad])
+    calls = [lambda: partial_coeff(SpectralConfig(10, 0.5), z, ws),
+             lambda: propagator_coeff(SpectralConfig(10, 0.5), 0.3, z, ws),
+             lambda: equivariant_coeff(10, 5, z, ws),
+             lambda: bergman_coeff(10, z, ws),
+             lambda: bergman_coeff_closed(10, z, ws),
+             lambda: section_coeff(10, 3, ws)]
+    for call in calls:
+        with pytest.raises(ValueError,
+                           match=re.escape(f"chart coordinate {bad} is not "
+                                           f"finite")):
+            call()
 
 
 ANTIPODAL_PAIRS = [(ProjectivePoint(1, 1), ProjectivePoint(-1, 1)),

@@ -583,6 +583,26 @@ def test_two_proj_disjoint_decay(tmp_path):
     assert report.summary["floored"] == 0
 
 
+@pytest.mark.parametrize("beta, k_list, max_width, full_blocks", [
+    # disjoint: the block's 6, 11 and 21 columns at k = 20, 40 and 80 are
+    # all needed; at 160 and 320 the corner takes 34 of 41 and 43 of 81
+    (2.2, [20, 40, 80, 160, 320], 43, 3),
+    (0.8, [20, 40, 80], 21, 3),  # overlapping caps: always the full block
+    (0.0, [10, 20], 0, 0),  # identical caps: no block is built
+])
+def test_two_proj_reports_corner_widths(tmp_path, beta, k_list, max_width,
+                                        full_blocks):
+    out = tmp_path / "tp.csv"
+    report = run_experiment(ExperimentConfig(
+        experiment="two-proj", u2=[math.sin(beta), 0.0, math.cos(beta)],
+        k_list=k_list, out=str(out)))
+    assert report.exit_code == EXIT_OK
+    assert report.summary["max_width"] == max_width
+    assert report.summary["full_blocks"] == full_blocks
+    # the widths reach the summary only, never the CSV
+    assert read_rows(str(out))[1] == ["k", "norm", "log_norm"]
+
+
 def test_two_proj_antipodal_caps_all_floored():
     # antipodal axes give exactly orthogonal ranges: every norm is rounding
     # noise, so every weight is counted at the fit's cut-off

@@ -5,12 +5,14 @@ import pytest
 
 from pbklab.circle_spectral import snapped_ceil, spectral_projector_eig
 from pbklab.cli import main
-from pbklab.rotated_observables import (RotationAxis, axis_to_su2,
-                                        caps_disjoint, caps_tangent,
+from pbklab.rotated_observables import (CORNER_EXCESS, RotationAxis,
+                                        axis_to_su2, caps_disjoint,
+                                        caps_tangent, corner_width,
                                         operator_norm_power_iteration,
                                         projection_product_norm,
                                         rotated_height_operator,
                                         su2_rep_matrix, _cap_angles,
+                                        _descend, _edge_entries,
                                         _rep_binomial)
 
 Z_AXIS = RotationAxis((0.0, 0.0, 1.0))
@@ -414,3 +416,162 @@ def test_disjoint_norms_decay_past_the_double_rounding_floor():
     for k in (1500, 2000):
         predicted = logs[1000] + slope * (k - 1000)
         assert abs(logs[k] - predicted) <= 0.01 * abs(logs[k])
+
+
+# --- the certified corner -------------------------------------------------------
+
+def _tridiagonal(k, beta):
+    # T = sin beta J_x + cos beta J_z: its diagonal and off-diagonal
+    l = np.arange(k + 1)
+    return (math.cos(beta) * (l - 0.5 * k),
+            0.5 * math.sin(beta) * np.sqrt((l[:-1] + 1.0) * (k - l[:-1])))
+
+
+def _full_block(k, beta, e1, e2):
+    # every column c0..k of the block, as (mant, expo): the downward pass,
+    # then an upward pass for each column whose junction lies above r0
+    r0, c0 = snapped_ceil(k * e1), snapped_ceil(k * e2)
+    diag, off = _tridiagonal(k, beta)
+    m = np.arange(c0, k + 1)
+    lam = m - 0.5 * k
+    half_c, half_s = math.cos(0.5 * beta), math.sin(0.5 * beta)
+    mant, expo = _descend(diag, off, lam,
+                          *_edge_entries(k, m, half_c, half_s), r0)
+    junction = np.rint(0.5 * k + lam * math.cos(beta)).astype(int)
+    for j in np.flatnonzero(junction > r0):
+        seed, seed_expo = _edge_entries(k, m[j:j + 1], half_s, half_c)
+        seed *= (-1.0) ** (k - m[j])
+        low_mant, low_expo = _descend(diag[::-1], off[::-1], lam[j:j + 1],
+                                      seed, seed_expo, k - junction[j] + 1)
+        rows = slice(r0, junction[j])
+        mant[:junction[j] - r0, j] = low_mant[::-1][rows, 0]
+        expo[:junction[j] - r0, j] = low_expo[::-1][rows, 0]
+    return mant, expo
+
+
+def _block_norm(mant, expo):
+    scale = int(expo.max())
+    block = np.ldexp(mant, expo - scale)
+    block[np.abs(block) < 2.0 ** -500] = 0.0
+    return math.ldexp(float(np.linalg.svd(block, compute_uv=False)[0]),
+                      scale)
+
+
+def _ulps(a, b):
+    return abs(a - b) / math.ulp(b) if b else abs(a)
+
+
+@pytest.mark.parametrize("beta", [1.9, 2.2, 2.4, math.pi - 1e-6])
+@pytest.mark.parametrize("e1, e2", [(0.85, 0.8), (0.7, 0.85), (0.75, 0.75)])
+@pytest.mark.parametrize("k", [40, 320, 1000])
+def test_corner_norm_matches_full_block(beta, e1, e2, k):
+    # the columns the certificate leaves out move the norm by at most
+    # 2^-107 relative, so only the SVD's own rounding separates the two
+    tilted = RotationAxis.polar(beta)
+    norm = projection_product_norm(k, Z_AXIS, e1, tilted, e2)
+    reference = _block_norm(*_full_block(k, beta, e1, e2))
+    assert _ulps(norm, reference) <= 4
+
+
+@pytest.mark.parametrize("beta, k", [
+    (2.0 * math.acos(0.5) + 1e-3, 100),  # disjoint, 0.001 rad from tangency
+    (0.8, 160),  # overlapping
+    (0.8, 1000),
+])
+def test_corner_falls_back_to_the_full_block(beta, k):
+    tilted = RotationAxis.polar(beta)
+    width, full = corner_width(k, Z_AXIS, 0.75, tilted, 0.75)
+    assert width == full == k - snapped_ceil(0.75 * k) + 1
+    assert (projection_product_norm(k, Z_AXIS, 0.75, tilted, 0.75)
+            == _block_norm(*_full_block(k, beta, 0.75, 0.75)))
+
+
+@pytest.mark.parametrize("beta, e1, e2", [(2.2, 0.75, 0.75),
+                                          (1.9, 0.85, 0.8),
+                                          (2.4, 0.7, 0.85)])
+@pytest.mark.parametrize("k", [160, 640])
+def test_corner_certificate_premise_on_the_full_block(beta, e1, e2, k):
+    # past column c0 no row's |V[l, m]| grows with m, and the columns left
+    # out carry at most CORNER_EXCESS of the corner's squared norm
+    mant, expo = _full_block(k, beta, e1, e2)
+    width, full = corner_width(k, Z_AXIS, e1, RotationAxis.polar(beta), e2)
+    assert 0 < width < full == mant.shape[1]
+    log2_abs = np.log2(np.abs(mant)) + expo
+    assert np.all(np.diff(log2_abs, axis=1) <= 1e-9)
+    scale = int(expo.max())
+    block = np.ldexp(mant, expo - scale)
+    corner = np.linalg.svd(block[:, :width], compute_uv=False)[0]
+    assert np.sum(np.square(block[:, width:])) <= CORNER_EXCESS * corner ** 2
+
+
+def test_corner_width_stays_bounded_in_k():
+    # away from tangency the corner does not grow with k: 51, 66 and 71
+    # columns of 161, 1001 and 4001 at beta = 2.2
+    tilted = RotationAxis.polar(2.2)
+    widths = [corner_width(k, Z_AXIS, 0.75, tilted, 0.75)
+              for k in (640, 4000, 16000)]
+    assert widths == [(51, 161), (66, 1001), (71, 4001)]
+    assert corner_width(40, Z_AXIS, 0.75, Z_AXIS, 0.75) == (0, 11)
+
+
+def _descend_every_step(diag, off, lam, mant, expo, stop):
+    # the recurrence with the column pair rescaled into [1/2, 1) at every
+    # step: row stop + i as mant[i] 2^expo[i]
+    n = diag.size - 1
+    off = np.append(off, 0.0)
+    rows = [(mant, expo)]
+    cur, prev = mant, np.zeros(lam.size)
+    for l in range(n, stop, -1):
+        new = ((lam - diag[l]) * cur - off[l] * prev) / off[l - 1]
+        _, shift = np.frexp(np.maximum(np.abs(new), np.abs(cur)))
+        prev, cur = np.ldexp(cur, -shift), np.ldexp(new, -shift)
+        expo = expo + shift
+        rows.append((cur, expo))
+    return (np.array([r[0] for r in rows[::-1]]),
+            np.array([r[1] for r in rows[::-1]]))
+
+
+def _canonical(mant, expo):
+    # the same values with mantissas in [1/2, 1), and exponent 0 at zeros
+    frac, shift = np.frexp(mant)
+    return frac, np.where(frac == 0.0, 0, expo + shift)
+
+
+@pytest.mark.parametrize("k", [17, 160, 640])
+@pytest.mark.parametrize("beta", [1e-9, 0.8, 2.2])
+def test_lazy_renormalisation_keeps_every_value(k, beta):
+    # every column, from row k to row 0, through both stable and unstable
+    # stretches: beta = 1e-9 grows by up to ~2^40 a step, so it rescales
+    # every few dozen rows; the values must be the per-step ones, bit for
+    # bit
+    diag, off = _tridiagonal(k, beta)
+    m = np.arange(k + 1)
+    args = (diag, off, m - 0.5 * k,
+            *_edge_entries(k, m, math.cos(0.5 * beta),
+                           math.sin(0.5 * beta)), 0)
+    lazy = _descend(*args)
+    every = _canonical(*_descend_every_step(*args))
+    # the rows come back with every mantissa in [1/2, 1) in magnitude
+    np.testing.assert_array_equal(lazy[0], _canonical(*lazy)[0])
+    np.testing.assert_array_equal(lazy[0], every[0])
+    np.testing.assert_array_equal(_canonical(*lazy)[1], every[1])
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_lazy_renormalisation_on_uneven_off_diagonals(seed):
+    # two adjacent off-diagonals of 2^-600 make two steps in a row grow by
+    # about 2^600 each, so the growth bound must rescale between them; lam
+    # need not be eigenvalues for the identity to hold
+    rng = np.random.default_rng(seed)
+    n = 400
+    diag = rng.standard_normal(n + 1)
+    off = np.ones(n)
+    off[[300, 299, 150, 149]] = 2.0 ** -600
+    lam = rng.standard_normal(8)
+    mant = rng.uniform(0.5, 1.0, 8) * rng.choice([-1.0, 1.0], 8)
+    expo = rng.integers(-50, 50, 8)
+    args = (diag, off, lam, mant, expo, 0)
+    lazy = _descend(*args)
+    every = _canonical(*_descend_every_step(*args))
+    np.testing.assert_array_equal(lazy[0], every[0])
+    np.testing.assert_array_equal(_canonical(*lazy)[1], every[1])
