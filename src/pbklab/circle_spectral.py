@@ -27,15 +27,21 @@ oracle's tie rule and moved into min(spectrum) - 1 .. max(spectrum) + 1
 spectrum, is the fewest nodes that make both rules exact
 (hilbert_node_count).  With N nodes and B = A - ceil(E),
 every node propagator is a power of T = e^{i(pi/N)B} (times T^{1/2} for
-the Hilbert nodes), so both node sums are matrix polynomials in T.  After
-one series exponential per projector, the Hilbert sum takes ~2 sqrt(N)
-matrix products by Paterson-Stockmeyer and the mean sum, a geometric
-series in T^2, at most 3 log2(N) by binary doubling.  This gives a route
-to the projector that never touches an eigendecomposition; the
-eigendecomposition route is kept alongside as an oracle.
+the Hilbert nodes), so both node sums are matrix polynomials in T.  The
+one series exponential per projector gives T^{1/2}; its argument has
+2-norm at most (pi/2N)(span + INTEGER_SPECTRUM_TOL) < pi/2, so it needs
+no squaring.  The mean sum, taken over nodes symmetric about t = 0, is
+W + W^H with W of degree N - 1 in T, as the Hilbert sum is, and both are
+read off one Paterson-Stockmeyer table of powers of T: 9 matrix
+products for the two together at N = 18.
+This gives a route to the projector that never touches an
+eigendecomposition; the eigendecomposition route is kept alongside as an
+oracle, and an IntegerSpectrumOperator keeps the eigenpairs its
+validation computed for it.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -46,6 +52,9 @@ INTEGER_SPECTRUM_TOL = 1e-8
 EIGENVALUE_TIE_TOL = 1e-9
 EXPM_TERM_TOL = 1e-16
 EXPM_MAX_SQUARINGS = 64
+# the largest norm the Taylor series sums without squaring: the quadrature's
+# arguments, below pi/2, take none
+EXPM_SERIES_NORM = 2.0
 RANDOM_SPECTRUM_BOUND = 8
 
 
@@ -73,13 +82,17 @@ class IntegerSpectrumOperator:
     """Hermitian matrix whose unitary group e^{itA} is 2*pi-periodic.
 
     Construction validates finite entries, Hermitian symmetry (max-norm
-    1e-12) and that every eigenvalue is within 1e-8 of an integer; the
-    rounded integer spectrum is cached for the quadrature's cut and node
-    count, never for the quadrature values themselves.
+    1e-12) and that every eigenvalue is within 1e-8 of an integer.  The
+    one eigendecomposition this takes is kept: its eigenpairs serve the
+    eigen oracle (spectral_projector_eig), and the rounded integer
+    spectrum the quadrature's cut, node count and norm bound, never the
+    quadrature values themselves.
     """
 
     matrix: np.ndarray
     spectrum: tuple[int, ...] = field(init=False)
+    eigenvalues: np.ndarray = field(init=False, repr=False)
+    eigenvectors: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=complex)
@@ -90,7 +103,7 @@ class IntegerSpectrumOperator:
         if np.max(np.abs(m - m.conj().T)) > HERMITIAN_TOL:
             raise ValueError("matrix is not Hermitian to 1e-12 in max-norm")
         m = 0.5 * (m + m.conj().T)
-        eigs = np.linalg.eigvalsh(m)
+        eigs, vecs = np.linalg.eigh(m)
         rounded = np.round(eigs)
         if np.max(np.abs(eigs - rounded)) > INTEGER_SPECTRUM_TOL:
             raise ValueError(
@@ -99,29 +112,34 @@ class IntegerSpectrumOperator:
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "spectrum",
                            tuple(int(v) for v in rounded))
+        object.__setattr__(self, "eigenvalues", eigs)
+        object.__setattr__(self, "eigenvectors", vecs)
 
     @property
     def dimension(self) -> int:
         return self.matrix.shape[0]
 
 
-def expm_series(m: np.ndarray) -> np.ndarray:
+def expm_series(m: np.ndarray, norm: float | None = None) -> np.ndarray:
     """Matrix exponential by scaling-and-squaring of the Taylor series.
 
-    m is scaled by 2^-s so that b = m / 2^s has ||b||_1 <= 1/2.  The Taylor
-    degree is fixed in advance as the smallest n with
-    ||b||_1^(n+1) / (n+1)! < EXPM_TERM_TOL, a bound on the first omitted
-    term; the degree-n polynomial is summed by _power_polynomial and then
-    squared s times.  No eigendecomposition is involved, which keeps the
-    quadrature route to spectral projectors independent of the eigen-oracle.
+    norm bounds ||m|| in an operator norm; by default it is ||m||_1.  m
+    is scaled by 2^-s so that b = m / 2^s has norm at most
+    EXPM_SERIES_NORM.  The Taylor degree is fixed in advance as the
+    smallest n with ||b||^(n+1) / (n+1)! < EXPM_TERM_TOL, a bound on the
+    first omitted term; the degree-n polynomial is summed by
+    _power_polynomials and then squared s times.  No eigendecomposition
+    is involved, which keeps the quadrature route to spectral projectors
+    independent of the eigen-oracle.
     """
     m = np.asarray(m, dtype=complex)
-    norm = float(np.linalg.norm(m, 1))
-    if not math.isfinite(norm):
+    if norm is None:
+        norm = float(np.linalg.norm(m, 1))
+    if not (math.isfinite(norm) and np.all(np.isfinite(m))):
         raise ValueError("matrix exponential needs finite entries")
     s = 0
-    if norm > 0.5:
-        s = int(math.ceil(math.log2(norm / 0.5)))
+    if norm > EXPM_SERIES_NORM:
+        s = int(math.ceil(math.log2(norm / EXPM_SERIES_NORM)))
         if s > EXPM_MAX_SQUARINGS:
             raise ValueError(f"matrix norm {norm:.3e} needs more than "
                              f"{EXPM_MAX_SQUARINGS} squarings")
@@ -135,7 +153,7 @@ def expm_series(m: np.ndarray) -> np.ndarray:
     inv_factorials[0] = 1.0
     for j in range(1, degree + 1):
         inv_factorials[j] = inv_factorials[j - 1] / j
-    result = _power_polynomial(inv_factorials, m / 2.0 ** s)
+    result, = _power_polynomials([inv_factorials], m / 2.0 ** s)
     for _ in range(s):
         result = result @ result
     return result
@@ -190,11 +208,15 @@ def spectral_projector_quadrature(op: IntegerSpectrumOperator,
     integrands, so the only error is rounding.  The node sums are the
     polynomials (1/N) sum_{j<N} T^{2j} and (sum_{j<N} c_j T^j) T^{1/2} in
     T = e^{i(pi/N)(A - ceil(E))}, with c_j the cotangent weights.  Only
-    T^{1/2} comes from the exponential series.  The mean sum is
-    G_N(T^2) / N with G_N(S) = sum_{j<N} S^j, summed by binary doubling
-    (9 matrix products at N = 18, T^2 included); the Hilbert sum is
-    summed by _power_polynomial (9 at N = 18, the factor T^{1/2}
-    included).  N = 18 is the most a spectrum in [-8, 8] can take.
+    T^{1/2} comes from the exponential series, scaled by the bound
+    (pi/2N)(span + INTEGER_SPECTRUM_TOL) on its argument's 2-norm, which
+    needs no squaring.  The mean sum's nodes, taken symmetric about
+    t = 0, fold it to W + W^H with W a polynomial of degree N - 1 in T,
+    like the Hilbert sum, and both come from one Paterson-Stockmeyer
+    table of powers of T (_power_polynomials).  At N = 18, the most a
+    spectrum in [-8, 8] can take, that is 19 matrix products: 8 for the
+    exponential, 1 for T, 9 for the two sums and 1 for the factor
+    T^{1/2}.
     """
     cut, nodes = _matrix_cut(op, energy)
 
@@ -203,81 +225,90 @@ def spectral_projector_quadrature(op: IntegerSpectrumOperator,
 
     # U(t) e^{-i cut t} = e^{itB} with B = A - cut; every node is a power of
     # T = e^{i(pi/N)B} = half_step^2, times half_step for the Hilbert nodes.
-    half_step = expm_series(1j * (0.5 * math.pi / nodes)
-                            * (op.matrix - cut * ident))
+    # ||B||_2 = max |lambda - cut| over the eigenvalues lambda, each within
+    # INTEGER_SPECTRUM_TOL of its integer p.
+    theta = 0.5 * math.pi / nodes
+    span = max(abs(p - cut) for p in op.spectrum)
+    half_step = expm_series(1j * theta * (op.matrix - cut * ident),
+                            norm=theta * (span + INTEGER_SPECTRUM_TOL))
     step = half_step @ half_step
 
     # mean term: (1/2pi) int U(t) e^{-i cut t} over the full period, by the
-    # rectangle rule on the nodes 2j pi/N of [0, 2pi): (1/N) sum_{j<N} T^{2j}.
-    # The integrand has frequencies |q| < N, so this rule is exact like the
-    # midpoint rule on (2j+1)pi/N, whose sum is the same one times T.
-    mean_term = _geometric_sum(step @ step, nodes) / nodes
+    # rectangle rule on N nodes; the integrand has frequencies |q| < N, so
+    # the rule is exact on the nodes 2j pi/N and on the midpoints
+    # (2j+1) pi/N alike.  Taken symmetric about t = 0, where the node
+    # propagators pair up as T^j and T^-j = (T^j)^H, the sum is W + W^H:
+    # odd N on the nodes, W = (1/N)(1/2 + T^2 + .. + T^(N-1)); even N on
+    # the midpoints, W = (1/N)(T + T^3 + .. + T^(N-1)).
+    mean_coeffs = np.zeros(nodes)
+    mean_coeffs[nodes - 1::-2] = 1.0 / nodes
+    if nodes % 2:
+        mean_coeffs[0] = 0.5 / nodes
 
     # Hilbert term: (1/2pi) int_0^pi (U(-t)e^{i cut t} - U(t)e^{-i cut t})
     # cot(t/2) dt, midpoint rule on t_j = (j+1/2)pi/N, where e^{i t_j B} =
     # T^j half_step; the U(-t) half is the adjoint X^H of the U(t) half X.
     t = (np.arange(nodes) + 0.5) * (math.pi / nodes)
-    x = _power_polynomial(1.0 / (2 * nodes * np.tan(0.5 * t)),
-                          step) @ half_step
-    hilbert_term = x.conj().T - x
+    w, x = _power_polynomials(
+        [mean_coeffs, 1.0 / (2 * nodes * np.tan(0.5 * t))], step)
 
-    return 0.5 * (1j * hilbert_term + ident + mean_term)
+    # i (X^H - X) + W + W^H = Z + Z^H with Z = W - i X
+    z = w - 1j * (x @ half_step)
+    return 0.5 * (ident + z + z.conj().T)
 
 
-def _power_polynomial(coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """sum_m coeffs[m] X^m for real coeffs, Paterson-Stockmeyer style.
+def _table_size(lengths: tuple[int, ...]) -> int:
+    """The table size s of _power_polynomials with the fewest matrix
+    products for polynomials of these lengths; of equal counts, the one
+    with the fewest Horner steps."""
+    def products(s):
+        blocks = [-(-n // s) for n in lengths]
+        horner = sum(b - 1 for b in blocks)
+        giant = s > 1 and horner > 0
+        return max(s - 2, 0) + giant + horner, horner
+    return min(range(1, max(lengths) + 1), key=products)
 
-    With s = isqrt(len(coeffs)), X^0 .. X^{s-1} are stored and the
-    coefficients, zero-padded to nb blocks of s, form an (nb x s) array.
-    One real matrix product of that array with the stored powers, viewed
-    as (s x 2d^2) reals, gives every block sum at once; the block sums are
-    then combined by Horner's rule in X^s.  Besides that product: s - 1
-    matrix products for the table and, when nb > 1, one for X^s and
-    nb - 1 Horner steps.
+
+def _power_polynomials(polys, x: np.ndarray) -> list[np.ndarray]:
+    """[sum_m p[m] X^m for p in polys], for real coefficient arrays p,
+    from one Paterson-Stockmeyer table.
+
+    X^0 .. X^{s-1} are stored, s from _table_size.  Each polynomial's
+    coefficients, zero-padded to nb blocks of s, form an (nb x s) array;
+    one real matrix product of all those arrays, stacked, with the stored
+    powers, viewed as (s x 2d^2) reals, gives every block sum at once.
+    Each polynomial is then combined by Horner's rule in X^s.  Besides
+    that product: s - 2 matrix products for the table (X^0 and X^1 come
+    free) and, when some nb > 1, one for X^s and nb - 1 Horner steps per
+    polynomial.
     """
-    coeffs = np.asarray(coeffs, dtype=float)
+    polys = [np.asarray(p, dtype=float) for p in polys]
     d = x.shape[0]
-    s = math.isqrt(len(coeffs))
-    nb = -(-len(coeffs) // s)
+    s = _table_size(tuple(len(p) for p in polys))
     powers = np.empty((s, d, d), dtype=complex)
     powers[0] = np.eye(d)
-    for r in range(1, s):
+    if s > 1:
+        powers[1] = x
+    for r in range(2, s):
         np.matmul(powers[r - 1], x, out=powers[r])
-    blocks = np.zeros(nb * s)
-    blocks[:len(coeffs)] = coeffs
-    block_sums = (blocks.reshape(nb, s)
-                  @ powers.reshape(s, d * d).view(float)).view(complex)
-    block_sums = block_sums.reshape(nb, d, d)
-    result = block_sums[-1]
-    if nb > 1:
-        top = powers[-1] @ x
-        for block_sum in block_sums[-2::-1]:
-            result = result @ top + block_sum
-    return result
-
-
-def _geometric_sum(s_mat: np.ndarray, n: int) -> np.ndarray:
-    """G_n = sum_{j<n} S^j by binary doubling, for n >= 1.
-
-    Walks the bits of n below the leading one, carrying S^m alongside G_m:
-    G_2m = G_m + S^m G_m, and a set bit adds G_2m+1 = G_2m + S^2m.  Each
-    bit takes the doubling product and the squaring S^2m, and a set bit
-    one more product for S^2m+1; the last bit skips what no bit after it
-    needs.
-    """
-    g = np.eye(s_mat.shape[0], dtype=complex)
-    power = s_mat
-    bits = bin(n)[3:]
-    for i, bit in enumerate(bits):
-        g = g + power @ g
-        last = i == len(bits) - 1
-        if bit == "1" or not last:
-            power = power @ power
-        if bit == "1":
-            g = g + power
-            if not last:
-                power = power @ s_mat
-    return g
+    counts = [-(-len(p) // s) for p in polys]
+    blocks = np.zeros((sum(counts), s))
+    start = 0
+    for p, nb in zip(polys, counts):
+        blocks[start:start + nb].reshape(-1)[:len(p)] = p
+        start += nb
+    block_sums = (blocks @ powers.reshape(s, d * d).view(float)
+                  ).view(complex).reshape(-1, d, d)
+    if max(counts) > 1:
+        top = powers[-1] @ x if s > 1 else x
+    results = []
+    for sums in np.split(block_sums, np.cumsum(counts)[:-1]):
+        result = sums[-1]
+        for block_sum in sums[-2::-1]:
+            result = result @ top
+            result += block_sum
+        results.append(result)
+    return results
 
 
 def spectral_projector_eig(a, energy: float) -> np.ndarray:
@@ -290,15 +321,16 @@ def spectral_projector_eig(a, energy: float) -> np.ndarray:
     the same side of the cut in both.  The quadrature route applies the
     same rule to the integer spectrum (_matrix_cut).
 
-    Accepts an IntegerSpectrumOperator or any Hermitian matrix.
+    Accepts an IntegerSpectrumOperator, whose stored eigenpairs it reads,
+    or any Hermitian matrix, which it diagonalizes.
     """
     if isinstance(a, IntegerSpectrumOperator):
-        m = a.matrix
+        eigvals, eigvecs = a.eigenvalues, a.eigenvectors
     else:
         m = np.asarray(a, dtype=complex)
         if np.max(np.abs(m - m.conj().T)) > HERMITIAN_TOL:
             raise ValueError("matrix is not Hermitian to 1e-12 in max-norm")
-    eigvals, eigvecs = np.linalg.eigh(m)
+        eigvals, eigvecs = np.linalg.eigh(m)
     scale = float(np.abs(eigvals).max(initial=0.0))
     keep = eigvals >= energy - EIGENVALUE_TIE_TOL * scale
     v = eigvecs[:, keep]

@@ -34,7 +34,8 @@ from .circle_spectral import (SpectralConfig, default_node_count,
 from .cp1_geometry import ChartError, ProjectivePoint, height
 from .exact_kernels import (bergman_coeff, equivariant_coeff, partial_coeff)
 from .rotated_observables import (RotationAxis, caps_disjoint, caps_tangent,
-                                  corner_width, projection_product_norm)
+                                  corner_width, projection_product_log_norm,
+                                  projection_product_norm)
 
 EXIT_OK = 0
 EXIT_THRESHOLD = 1
@@ -42,7 +43,8 @@ EXIT_CONFIG = 2
 
 # the disjoint two-proj fit's cut-off: it leaves norms at or below this
 # out of the log-linear fit, and the summary counts them.  It is not the
-# norm route's resolution, which reaches 8.8e-23 at k = 3000
+# norm route's resolution: log_norm stays finite past the double range's
+# floor, as at k = 60,000 for beta = 2.2 and levels 0.75
 NORM_FLOOR = 1e-12
 
 
@@ -626,8 +628,11 @@ def _two_proj(config: ExperimentConfig) -> RunReport:
     widths = []
     for k in ks:
         norm = projection_product_norm(k, u1, config.e1, u2, config.e2)
-        rows.append((k, norm,
-                     math.log(norm) if norm > 0 else -math.inf))
+        # below the normal floats the norm has lost bits or underflowed,
+        # and its log is taken again from the unrounded singular value
+        rows.append((k, norm, math.log(norm) if norm >= sys.float_info.min
+                     else projection_product_log_norm(k, u1, config.e1, u2,
+                                                      config.e2)))
         norms.append(norm)
         widths.append(corner_width(k, u1, config.e1, u2, config.e2))
     _emit_csv(config, ["k", "norm", "log_norm"], rows,
@@ -639,7 +644,7 @@ def _two_proj(config: ExperimentConfig) -> RunReport:
                "columns: weight k, operator norm of the projector "
                "product, its natural log"])
     if config.svg:
-        finite = [(k, math.log(n)) for k, n in zip(ks, norms) if n > 0]
+        finite = [(k, log) for k, _, log in rows if log > -math.inf]
         if finite:
             svg_line_plot(config.svg, [p[0] for p in finite],
                           [p[1] for p in finite],

@@ -21,6 +21,7 @@ near-tangent caps fail the certificate and take the full block.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -448,11 +449,36 @@ def projection_product_norm(k: int, u1: RotationAxis, e1: float,
     block's SVD is taken after dividing by its largest power-of-two scale,
     so norms far below the double range's floor resolve.  Cost O(k w) for
     the rows plus the SVD of the (k - r0 + 1) x w block.  beta = 0 gives
-    identical caps and exactly 1.0.
+    identical caps and exactly 1.0.  The float underflows past 2^-1074
+    (k = 46,834 at beta = 2.2 and levels 0.75); projection_product_log_norm
+    carries on.
     """
+    return math.ldexp(*_scaled_norm(k, u1, e1, u2, e2))
+
+
+def projection_product_log_norm(k: int, u1: RotationAxis, e1: float,
+                                u2: RotationAxis, e2: float) -> float:
+    """Natural log of projection_product_norm, finite past its underflow.
+
+    math.log of the norm wherever the norm is a normal float, so the two
+    agree bit for bit there; below, log(sigma) + scale ln 2 from the
+    singular value sigma and the power-of-two scale the norm is built
+    from.  -inf only for a block that is exactly zero.
+    """
+    sigma, scale = _scaled_norm(k, u1, e1, u2, e2)
+    norm = math.ldexp(sigma, scale)
+    if norm >= sys.float_info.min:
+        return math.log(norm)
+    return math.log(sigma) + scale * math.log(2.0) if sigma > 0 else -math.inf
+
+
+def _scaled_norm(k: int, u1: RotationAxis, e1: float, u2: RotationAxis,
+                 e2: float) -> tuple[float, int]:
+    """(sigma, scale) with projection_product_norm = sigma 2^scale, sigma
+    the block's largest singular value after division by 2^scale."""
     beta, r0, c0, diag, off, width = _block_shape(k, u1, e1, u2, e2)
     if width == 0:
-        return 1.0
+        return 1.0, 0
     cos_b = math.cos(beta)
     m = np.arange(c0, c0 + width)
     lam = m - 0.5 * k
@@ -480,5 +506,4 @@ def projection_product_norm(k: int, u1: RotationAxis, e1: float,
     # relative; left in, they reach the SVD as slow subnormal arithmetic,
     # which tripled its time at k = 2000
     block[np.abs(block) < 2.0 ** -500] = 0.0
-    return math.ldexp(float(np.linalg.svd(block, compute_uv=False)[0]),
-                      scale)
+    return float(np.linalg.svd(block, compute_uv=False)[0]), scale

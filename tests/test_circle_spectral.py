@@ -11,6 +11,7 @@ from pbklab.circle_spectral import (IntegerSpectrumOperator, SpectralConfig,
                                     random_integer_spectrum_operator,
                                     snapped_ceil, spectral_projector_eig,
                                     spectral_projector_quadrature)
+from pbklab.harness import ExperimentConfig, run_experiment
 
 
 # --- operator construction ------------------------------------------------
@@ -34,6 +35,29 @@ def test_rejects_non_finite_entries(value):
 def test_spectrum_is_cached():
     op = IntegerSpectrumOperator(np.diag([3.0, -2.0, 0.0]))
     assert op.spectrum == (-2, 0, 3)
+
+
+def test_constructor_takes_one_eigendecomposition(monkeypatch):
+    calls = []
+    for name in ("eig", "eigh", "eigvals", "eigvalsh"):
+        routine = getattr(np.linalg, name)
+
+        def counted(*args, _routine=routine, _name=name, **kwargs):
+            calls.append(_name)
+            return _routine(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    random_integer_spectrum_operator(8, np.random.default_rng(2))
+    assert calls == ["eigh"]
+
+
+def test_eig_projector_reads_the_stored_eigenpairs():
+    rng = np.random.default_rng(3)
+    for dim in (1, 8, 33, 64):
+        op = random_integer_spectrum_operator(dim, rng)
+        for energy in rng.uniform(-5, 5, size=3):
+            assert np.array_equal(spectral_projector_eig(op, energy),
+                                  spectral_projector_eig(op.matrix, energy))
 
 
 def test_snapped_ceil():
@@ -60,21 +84,41 @@ def _hermitian(dim, seed):
 
 @pytest.mark.parametrize("dim", [1, 6])
 @pytest.mark.parametrize("norm", [0.0, 1e-3, 0.5, 0.5 * (1 + 2.0 ** -52),
-                                  40.0],
-                         ids=["zero", "1e-3", "half", "above-half", "40"])
+                                  2.0, 2.0 * (1 + 2.0 ** -52), 40.0],
+                         ids=["zero", "1e-3", "half", "above-half", "two",
+                              "above-two", "40"])
 def test_expm_series_matches_eigh_exponential(dim, norm):
-    # ||i theta H||_1 = norm: exactly 1/2 is the largest norm summed without
-    # squaring, the next double above it takes one squaring
+    # ||i theta H||_1 = norm: exactly EXPM_SERIES_NORM = 2 is the largest
+    # norm summed without squaring, the next double above it takes one
+    # squaring
     h = _hermitian(dim, 3)
     theta = norm / np.linalg.norm(1j * h, 1)
     m = 1j * theta * h
-    if norm in (0.5, 0.5 * (1 + 2.0 ** -52)):
+    if norm in (0.5, 0.5 * (1 + 2.0 ** -52), 2.0, 2.0 * (1 + 2.0 ** -52)):
         assert np.linalg.norm(m, 1) == norm
     w, v = np.linalg.eigh(h)
     exact = (v * np.exp(1j * theta * w)) @ v.conj().T
     # rounding of the reference and of the squarings, well below the
     # first omitted Taylor term at one degree less
     assert np.max(np.abs(expm_series(m) - exact)) <= 4e-15 + 1e-15 * norm
+
+
+@pytest.mark.parametrize("dim", [1, 8, 33, 64])
+def test_expm_series_at_the_quadrature_argument(dim):
+    # i theta (A - cut) with theta = pi/2N and the 2-norm bound the
+    # quadrature passes, (pi/2N)(span + INTEGER_SPECTRUM_TOL) < pi/2
+    rng = np.random.default_rng(dim)
+    op = random_integer_spectrum_operator(dim, rng)
+    cut, nodes = circle_spectral._matrix_cut(op, float(rng.uniform(-5, 5)))
+    theta = 0.5 * math.pi / nodes
+    norm = theta * (max(abs(p - cut) for p in op.spectrum)
+                    + circle_spectral.INTEGER_SPECTRUM_TOL)
+    assert norm < circle_spectral.EXPM_SERIES_NORM
+    shifted = op.matrix - cut * np.eye(dim)
+    w, v = np.linalg.eigh(shifted)
+    exact = (v * np.exp(1j * theta * w)) @ v.conj().T
+    got = expm_series(1j * theta * shifted, norm=norm)
+    assert np.max(np.abs(got - exact)) <= 4e-15 + 1e-15 * norm
 
 
 def test_expm_series_rejects_non_finite():
@@ -182,29 +226,28 @@ def test_far_cut_is_clamped_to_the_spectrum(energy):
 
 
 def test_power_polynomial_matches_naive_sum():
-    # lengths 1..130: length 1 takes no Horner step, and lengths that are
-    # no multiple of isqrt(length) leave a short last block
+    # for n = 1..130, a polynomial of length n alone, then in one table
+    # with another of length n taken at every other power (the
+    # quadrature's mean sum), and with one of length 2n - 1: length 1
+    # takes no Horner step, and lengths that are no multiple of the table
+    # size leave a short last block
     rng = np.random.default_rng(5)
     x = expm_series(0.3j * random_integer_spectrum_operator(3, rng).matrix)
+    powers = [np.eye(3, dtype=complex)]
+    for _ in range(2 * 130):
+        powers.append(powers[-1] @ x)
     for length in range(1, 131):
         coeffs = rng.standard_normal(length)
-        naive = sum(c * np.linalg.matrix_power(x, m)
-                    for m, c in enumerate(coeffs))
-        got = circle_spectral._power_polynomial(coeffs, x)
-        assert np.max(np.abs(got - naive)) <= 1e-12 * np.abs(coeffs).sum(), \
-            length
-
-
-def test_geometric_sum_matches_naive_sum():
-    # n = 1..130: powers of two take only doubling steps, all-ones bit
-    # patterns the set-bit step after every doubling, odd n after the last
-    rng = np.random.default_rng(6)
-    s_mat = expm_series(0.3j * random_integer_spectrum_operator(3, rng).matrix)
-    naive = np.zeros((3, 3), dtype=complex)
-    for n in range(1, 131):
-        naive += np.linalg.matrix_power(s_mat, n - 1)
-        got = circle_spectral._geometric_sum(s_mat, n)
-        assert np.max(np.abs(got - naive)) <= 1e-12 * n, n
+        alternate = np.zeros(length)
+        alternate[length - 1::-2] = rng.standard_normal((length + 1) // 2)
+        longer = rng.standard_normal(2 * length - 1)
+        for polys in ([coeffs], [alternate, coeffs], [longer, coeffs]):
+            got = circle_spectral._power_polynomials(polys, x)
+            assert len(got) == len(polys)
+            for p, value in zip(polys, got):
+                naive = sum(c * powers[m] for m, c in enumerate(p))
+                assert np.max(np.abs(value - naive)) \
+                    <= 1e-12 * np.abs(p).sum(), (length, len(p))
 
 
 def test_quadrature_needs_no_eigendecomposition(monkeypatch):
@@ -219,14 +262,33 @@ def test_quadrature_needs_no_eigendecomposition(monkeypatch):
     calls = []
     series = circle_spectral.expm_series
 
-    def counted(m):
+    def counted(m, **kwargs):
         calls.append(m.shape)
-        return series(m)
+        return series(m, **kwargs)
 
     monkeypatch.setattr(circle_spectral, "expm_series", counted)
     quad = spectral_projector_quadrature(op, 0.4)
     assert len(calls) == 1
     assert np.max(np.abs(quad - oracle)) <= 1e-9
+
+
+def test_quadrature_never_reads_the_stored_eigenpairs():
+    op = random_integer_spectrum_operator(12, np.random.default_rng(9))
+    before = spectral_projector_quadrature(op, 0.4)
+    object.__setattr__(op, "eigenvalues", np.full_like(op.eigenvalues,
+                                                       math.nan))
+    object.__setattr__(op, "eigenvectors", np.full_like(op.eigenvectors,
+                                                        math.nan))
+    assert np.array_equal(spectral_projector_quadrature(op, 0.4), before)
+
+
+@pytest.mark.parametrize("seed", range(1, 9))
+def test_selftest_deviation_stays_at_rounding(seed):
+    # the default selftest's dimension and trial count: 1.8e-15 at most
+    # over these seeds (6.1e-15 with the 1-norm-scaled exponential)
+    report = run_experiment(ExperimentConfig(
+        experiment="selftest-hilbert", dim=64, trials=100, seed=seed))
+    assert report.summary["max_deviation"] < 1e-14
 
 
 @pytest.mark.parametrize("dim", [1, 2, 8, 33, 64])

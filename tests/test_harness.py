@@ -603,6 +603,20 @@ def test_two_proj_reports_corner_widths(tmp_path, beta, k_list, max_width,
     assert read_rows(str(out))[1] == ["k", "norm", "log_norm"]
 
 
+def test_two_proj_log_norm_past_the_norm_underflow(tmp_path):
+    # beta = 2.2: the norm underflows to 0.0 by k = 60,000, and its log is
+    # written all the same, below the one at k = 40,000
+    out = tmp_path / "tp.csv"
+    run_experiment(ExperimentConfig(
+        experiment="two-proj", u2=[math.sin(2.2), 0.0, math.cos(2.2)],
+        k_list=[40_000, 60_000], out=str(out)))
+    (_, norm_40k, log_40k), (_, norm_60k, log_60k) = \
+        [[float(v) for v in row] for row in read_rows(str(out))[2]]
+    assert norm_40k > 0.0 and norm_60k == 0.0
+    assert math.log(norm_40k) == log_40k
+    assert -math.inf < log_60k < log_40k
+
+
 def test_two_proj_antipodal_caps_all_floored():
     # antipodal axes give exactly orthogonal ranges: every norm is rounding
     # noise, so every weight is counted at the fit's cut-off

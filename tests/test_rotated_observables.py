@@ -9,6 +9,7 @@ from pbklab.rotated_observables import (CORNER_EXCESS, RotationAxis,
                                         axis_to_su2, caps_disjoint,
                                         caps_tangent, corner_width,
                                         operator_norm_power_iteration,
+                                        projection_product_log_norm,
                                         projection_product_norm,
                                         rotated_height_operator,
                                         su2_rep_matrix, _cap_angles,
@@ -401,6 +402,28 @@ def test_small_disjoint_norms_match_high_precision_reference(k, reference,
     tilted = RotationAxis.polar(2.2)
     norm = projection_product_norm(k, Z_AXIS, 0.75, tilted, 0.75)
     assert abs(norm - reference) <= bound * reference
+
+
+def test_log_norm_is_math_log_of_a_normal_norm():
+    tilted = RotationAxis.polar(2.2)
+    for k in (40, 640, 4000):
+        norm = projection_product_norm(k, Z_AXIS, 0.75, tilted, 0.75)
+        assert projection_product_log_norm(k, Z_AXIS, 0.75, tilted, 0.75) \
+            == math.log(norm)
+
+
+def test_log_norm_stays_finite_past_the_norm_underflow():
+    # beta = 2.2, levels 0.75: the norm is 3.8e-277 at k = 40,000 and
+    # underflows to 0.0 by k = 60,000, while its log keeps decaying at
+    # the same rate
+    tilted = RotationAxis.polar(2.2)
+    assert projection_product_norm(60_000, Z_AXIS, 0.75, tilted, 0.75) == 0.0
+    logs = {k: projection_product_log_norm(k, Z_AXIS, 0.75, tilted, 0.75)
+            for k in (40_000, 60_000)}
+    assert math.isfinite(logs[60_000])
+    assert logs[60_000] < math.log(5e-324) < logs[40_000]
+    rate = (logs[60_000] - logs[40_000]) / 20_000
+    assert abs(rate - logs[40_000] / 40_000) <= 0.01 * abs(rate)
 
 
 def test_disjoint_norms_decay_past_the_double_rounding_floor():
