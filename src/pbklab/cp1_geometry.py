@@ -49,12 +49,20 @@ class ProjectivePoint:
         return self.z0 / self.z1
 
     def log_affine(self) -> tuple[float, float]:
-        """(log|zeta|, arg zeta), robust for extreme magnitude ratios."""
+        """(log|zeta|, arg zeta), robust for extreme magnitude ratios.
+
+        A coordinate whose modulus overflows raises ValueError.
+        """
         if self.z1 == 0:
             raise ChartError("point [1:0] lies outside the chart z1 != 0")
         if self.z0 == 0:
             return (-math.inf, 0.0)
-        logabs = math.log(abs(self.z0)) - math.log(abs(self.z1))
+        try:
+            logabs = math.log(abs(self.z0)) - math.log(abs(self.z1))
+        except OverflowError:
+            raise ValueError(f"homogeneous coordinates [{self.z0} : "
+                             f"{self.z1}] have a modulus that "
+                             f"overflows") from None
         phase = (math.atan2(self.z0.imag, self.z0.real)
                  - math.atan2(self.z1.imag, self.z1.real))
         return (logabs, phase)

@@ -23,9 +23,12 @@ batch runs through one routine for kappa_{k,l} over a block of points x
 levels and one that sums each row, a chunk of points of about CHUNK_TERMS
 level terms at a time.  It stays in arrays from the row sums to the
 caller, with no LogComplex per point: _lift turns a whole block of row
-sums into log-polar form, with math.log of the complex abs and
-math.atan2 per value, since numpy's arctan2 and complex abs miss those
-by an ulp on a share of inputs.
+sums into log-polar form.  Per-value libm calls are mapped over the
+values (math.log, math.atan2, and math.exp and math.log1p for the
+section lead), since numpy's log, arctan2, exp and log1p, and np.abs of
+a complex array, miss those by an ulp on a share of inputs.  The modulus
+comes from np.hypot, which is abs of the complex value bit for bit: both
+are libm's hypot.
 
 A level sum evaluates only the O(sqrt(k)) window of levels whose terms
 survive the rescaling exp(logmag - top); every level outside it rescales to
@@ -88,13 +91,23 @@ argument ranges are read apart, so a window fills O(sqrt(k)) entries, and
 a cold level sum costs O(sqrt(k)) in time and memory, as a warm one does.
 
 A block of level sums is summed row by row correctly rounded in numpy
-(_row_sums): two error-free extraction passes split each row into parts
-whose sums are exact and a residual far below the row's largest term, a
-rounding certificate checks that the combined value is the correctly
-rounded one, and only a row that fails it (a near-tie, or cancellation
-below the residual's scale) goes to math.fsum.  The
-result is math.fsum's bit for bit, by proof rather than by test, so the
-sums stay deterministic and independent of numpy's summation order.  The
+(_row_sums), in two stages of error-free extraction (Rump, Ogita &
+Oishi).  The first splits the whole block at one sigma = 2^(e+m), with
+2^e above the block's largest |x| and 2^m >= n for rows of n terms.  By
+Sterbenz's lemma each high part q = (sigma + x) - sigma is exact and a
+multiple of 2^(e+m-53), and a row's partial sums of q stay such
+multiples below sigma, so numpy sums them exactly; the residual
+p = x - q is exact too, with |p| <= 2^(e+m-53).  So sum|p| <=
+n 2^(e+m-53) a priori, numpy's sum of p is within gamma_{n-1} of that,
+in any order, and a rounding certificate on the TwoSum of the two row
+sums accepts the correctly rounded value.  A rescaled row's top term is
+1.0, so at the heatmaps' k nearly every row passes.  Only the rows it
+leaves open (a near-tie, a row far below the block's largest term,
+cancellation) go on from their residual to a second extraction at each
+row's own scale, with a certificate on the summed |p| of what is left,
+and only a row that fails that too goes to math.fsum.  The result is
+math.fsum's bit for bit, by proof rather than by test, so the sums stay
+deterministic and independent of numpy's summation order.  The
 Hilbert-route assembly below keeps its own math.fsum calls: it is the
 independent oracle for the level sum, and so also checks _row_sums.
 
@@ -244,16 +257,27 @@ class LogComplex:
         return cmath.exp(complex(self.logmag, self.phase))
 
 
+def _log_polar(re: np.ndarray, im: np.ndarray, mod: np.ndarray) -> Batch:
+    """(log|v|, arg v) of each v = re + i*im with modulus mod, (-inf, 0.0)
+    where v is zero: math.log and math.atan2 mapped over the values, which
+    numpy's log and arctan2 miss by an ulp on a share of inputs."""
+    zero = mod == 0
+    logabs = np.fromiter(map(math.log, np.where(zero, 1.0, mod).tolist()),
+                         float, mod.size)
+    logabs[zero] = -math.inf
+    phase = np.fromiter(map(math.atan2, im.tolist(), re.tolist()), float,
+                        mod.size)
+    phase[zero] = 0.0
+    return logabs, phase
+
+
 def _lift(top, re: np.ndarray, im: np.ndarray) -> Batch:
     """(logmag, phase) of each exp(top) * (re + i*im), (-inf, 0.0) where
-    re + i*im is zero.  Magnitude and angle come from math.log of the
-    complex abs and math.atan2 per value, which numpy's versions miss by an
-    ulp on a share of inputs."""
-    re, im = re.tolist(), im.tolist()
-    logabs = np.array([math.log(abs(complex(r, i))) if r or i else -math.inf
-                       for r, i in zip(re, im)])
-    phase = np.array([math.atan2(i, r) if r or i else 0.0
-                      for r, i in zip(re, im)])
+    re + i*im is zero, as LogComplex.from_complex takes one value: the
+    modulus is np.hypot, which is abs of the complex value bit for bit
+    (both are libm's hypot; np.abs of a complex array is not), and the log
+    and angle are _log_polar's."""
+    logabs, phase = _log_polar(re, im, np.hypot(re, im))
     return top + logabs, phase
 
 
@@ -280,7 +304,9 @@ def _extract(x: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
     |q| <= 2^e, as rounding is monotone; for 2^m >= n, m >= 1, every
     partial sum of a row's n values q is a multiple of 2^(e+m-53) of size
     at most sigma = 2^53 * 2^(e+m-53), so a float: numpy sums them exactly
-    in whatever order it takes.
+    in whatever order it takes.  _row_sums takes the same split of a whole
+    block at one sigma first, and this one per row only on the residuals
+    of the rows that the first split leaves open.
     """
     sigma = np.ldexp(1.0, np.frexp(np.abs(x).max(axis=1))[1] + m)[:, None]
     q = sigma + x
@@ -288,58 +314,99 @@ def _extract(x: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
     return q.sum(axis=1), x - q
 
 
+def _rounds_to(r: np.ndarray, err: np.ndarray) -> np.ndarray:
+    """Where every real number within err of r rounds to r: 2 err is below
+    the smaller of the gaps from r to its neighbours (False for NaN)."""
+    gap = np.minimum(np.nextafter(r, math.inf) - r,
+                     r - np.nextafter(r, -math.inf))
+    return 2.0 * err < gap
+
+
 def _row_sums(x: np.ndarray, tail=None) -> np.ndarray:
     """The correctly rounded sum of each row of the 2-D block x: the value
     math.fsum(row) gives, sign of zero included.
 
-    Two extraction passes (Rump, Ogita & Oishi, SIAM J. Sci. Comput. 31,
-    2008) write a row of n terms as t1 + t2 + sum(p): t1 and t2 are exact,
-    and |p| is below 2^(2m-104) times the row's largest term.  numpy sums
-    p to t3 within gamma_{n-1} sum|p| <= 2n eps fl(sum|p|) (n eps <= 1/4).
-    TwoSum writes t1 + t2 = a + e0 exactly, and two more write
-    e0 + t3 = c + e1 and a + c = r + e2, so the exact sum lies within
-    err = |e1| + |e2| + that bound of r; err is evaluated with each rounded
-    step pushed one ulp up.  r is the correctly rounded sum when 2 err is
-    below the smaller of the gaps from r to its neighbours, or when e1, e2
-    and p are all zero, so that r is the sum itself.  No q is -0.0, since
-    x - x is +0.0 when rounding to nearest, so neither are t1, a and an
-    exact-zero r, which is +0.0 as fsum's is.  A row that fails the
-    certificate (a near-tie, cancellation below the residual's scale, NaN
-    or inf) is summed by math.fsum.
+    Extraction passes (Rump, Ogita & Oishi, SIAM J. Sci. Comput. 31, 2008)
+    split the rows into exact parts and a small residual, in two stages.
+
+    The first stage splits the whole block at one sigma = 2^(e+m), with
+    2^e > max|x| over the block and 2^m >= n, m >= 1, for rows of n terms
+    (_extract's split at a single sigma): by Sterbenz's lemma every
+    q = (sigma + x) - sigma is exact, a multiple of 2^(e+m-53), so every
+    partial sum of a row's q stays such a multiple below sigma and numpy
+    sums them exactly to t1; the residual p = x - q is exact, with
+    |p| <= 2^(e+m-53).  That bounds sum|p| <= n 2^(e+m-53) a priori, so no
+    pass sums |p|: numpy sums p to t2 within
+    gamma_{n-1} sum|p| <= 2n eps n 2^(e+m-53) = B, in any order
+    ((n-1) eps <= 1/2; 2n^2 is exact for n < 2^26).  TwoSum writes
+    t1 + t2 = r + e1 exactly, so the row sum lies within |e1| + B of r, and
+    r is its correctly rounded value when twice that, each rounded step
+    pushed one ulp up, is below the smaller of the gaps from r to its
+    neighbours.  For a block of rescaled rows, each with a top term of
+    magnitude about 1, B is near 2^-84 at n = 81, so nearly every row
+    passes.
+
+    A row that fails (a near-tie, a row far below the block's largest
+    term, cancellation, an exact 0) goes on from t1 and its residual: one
+    extraction per row (_extract, at the residual's own scale) writes the
+    residual as t2 + sum(p'), with |p'| below 2^(m-53) times the
+    residual's largest term, and numpy sums p' to t3 within
+    gamma_{n-1} sum|p'| <= 2n eps fl(sum|p'|) (n eps <= 1/4).  TwoSum
+    writes t1 + t2 = a + e0 exactly, and two more write e0 + t3 = c + e1
+    and a + c = r + e2, so the exact sum lies within
+    err = |e1| + |e2| + that bound of r; r is kept where 2 err is below
+    its gaps, or where e1, e2 and p' are all zero, so that r is the sum
+    itself.  No q is -0.0, since x - x is +0.0 when rounding to nearest, so
+    neither are t1, a and an exact-zero r, which is +0.0 as fsum's is.  A
+    row that fails this certificate too (a near-tie, cancellation below
+    the residual's scale, NaN or inf) is summed by math.fsum.  A block
+    that holds NaN or inf, or whose sigma would overflow, skips the first
+    stage.
 
     tail, if given, one bound for every row or one per row, bounds the
     summed magnitudes of terms that belong to the row but are left out of
-    x.  It is added to err, so a row that passes has r as the correctly
-    rounded sum of the whole row, the terms left out included; a row with
-    a nonzero tail is never taken as exact.  Such a row that fails comes
-    back NaN, since x alone cannot give its sum.
+    x.  It is added to both certificates, so a row that passes has r as
+    the correctly rounded sum of the whole row, the terms left out
+    included; a row with a nonzero tail is never taken as exact.  Such a
+    row that fails comes back NaN, since x alone cannot give its sum.
     """
     rows, n = x.shape
+    tail = np.zeros(rows) if tail is None else np.broadcast_to(tail, rows)
     if not n:
-        return np.zeros(rows) if tail is None else np.where(
-            tail > 0, math.nan, np.zeros(rows))
+        return np.where(tail > 0, math.nan, 0.0)
     m = max(1, (n - 1).bit_length())
     with np.errstate(invalid="ignore", over="ignore"):
-        t1, p = _extract(x, m)
-        t2, p = _extract(p, m)
+        big = float(np.abs(x).max(initial=0.0))
+        e = math.frexp(big)[1]
+        if math.isfinite(big) and e + m < 1024:
+            sigma = math.ldexp(1.0, e + m)
+            q = x + sigma
+            q -= sigma
+            t1 = q.sum(axis=1)
+            p = np.subtract(x, q, out=q)
+            r, e1 = _two_sum(t1, p.sum(axis=1))
+            bound = _up(math.ldexp(2.0 * n * n, e + m - 106))
+            open_rows = np.flatnonzero(
+                ~_rounds_to(r, _up(np.abs(e1) + _up(bound + tail))))
+        else:
+            t1, p, r = np.zeros(rows), x, np.zeros(rows)
+            open_rows = np.arange(rows)
+        if not open_rows.size:
+            return r
+        tail = tail[open_rows]
+        t2, p = _extract(p[open_rows], m)
         mass = np.abs(p).sum(axis=1)
-        a, e0 = _two_sum(t1, t2)
+        a, e0 = _two_sum(t1[open_rows], t2)
         c, e1 = _two_sum(e0, p.sum(axis=1))
-        r, e2 = _two_sum(a, c)
-        bound = _up(2 * n * EPS * mass)
-        exact = (e1 == 0) & (e2 == 0) & (mass == 0)
-        if tail is not None:
-            bound = _up(bound + tail)
-            exact &= tail == 0
-        err = _up(_up(np.abs(e1) + np.abs(e2)) + bound)
-        gap = np.minimum(np.nextafter(r, math.inf) - r,
-                         r - np.nextafter(r, -math.inf))
-        rejected = ~((2.0 * err < gap) | exact)
-    if tail is not None:
-        r[rejected & (tail > 0)] = math.nan
-        rejected &= tail == 0
-    for i in np.flatnonzero(rejected).tolist():
-        r[i] = math.fsum(x[i].tolist())
+        s, e2 = _two_sum(a, c)
+        bound = _up(_up(2 * n * EPS * mass) + tail)
+        exact = (e1 == 0) & (e2 == 0) & (mass == 0) & (tail == 0)
+        failed = ~(_rounds_to(s, _up(_up(np.abs(e1) + np.abs(e2)) + bound))
+                   | exact)
+    s[failed & (tail > 0)] = math.nan
+    for i in np.flatnonzero(failed & (tail == 0)).tolist():
+        s[i] = math.fsum(x[open_rows[i]].tolist())
+    r[open_rows] = s
     return r
 
 
@@ -356,13 +423,19 @@ def _rescaled_sums(logmag: np.ndarray, phase: np.ndarray, tail_re=None,
     _row_sums takes them; a part they leave uncertain comes back NaN.
     """
     top = logmag.max(axis=1, initial=-math.inf)
-    mags = np.exp(logmag - np.where(top > -math.inf, top, 0.0)[:, None])
+    mags = logmag - np.where(top > -math.inf, top, 0.0)[:, None]
+    np.exp(mags, out=mags)
     # every imaginary part is +0.0 where every phase is 0.0, as where arg
     # omega equals arg zeta, and then so is its correctly rounded sum
-    im = (_row_sums(mags * np.sin(phase), tail_im)
-          if phase.any() or tail_im is not None and np.any(tail_im)
-          else np.zeros(top.size))
-    return top, _row_sums(mags * np.cos(phase), tail_re), im
+    if phase.any() or tail_im is not None and np.any(tail_im):
+        im = np.sin(phase)
+        im *= mags
+        im = _row_sums(im, tail_im)
+    else:
+        im = np.zeros(top.size)
+    re = np.cos(phase)
+    re *= mags
+    return top, _row_sums(re, tail_re), im
 
 
 def _level_sums(logmag: np.ndarray, phase: np.ndarray) -> Batch:
@@ -393,33 +466,28 @@ def logc_rel_difference(a: LogComplex, b: LogComplex) -> float:
 # section coefficients
 # ---------------------------------------------------------------------------
 
-def _log1p_exp_sq(logabs: float) -> float:
-    """log(1 + |zeta|^2) from log|zeta|, stable for all magnitudes."""
-    if logabs == -math.inf:
-        return 0.0
-    if logabs > 0:
-        return 2.0 * logabs + math.log1p(math.exp(-2.0 * logabs))
-    return math.log1p(math.exp(2.0 * logabs))
-
-
 def _log_affine(points: Points) -> np.ndarray:
     """Rows log|zeta| and arg zeta, a column per point.
 
     points is a batch: a sequence of ProjectivePoints or an array of chart
-    coordinates zeta.  A coordinate is read with the math calls of
+    coordinates zeta.  A coordinate is read with the libm calls of
     ProjectivePoint.log_affine, whose z1 = 1 terms subtract an exact 0.0,
-    so [zeta:1] gives the same bits either way (zeta = 0 gives -inf, 0.0).
-    A non-finite coordinate raises ValueError, as ProjectivePoint does.
+    so [zeta:1] gives the same bits either way (zeta = 0 gives -inf, 0.0):
+    its modulus by np.hypot, which is abs(zeta) bit for bit, then
+    _log_polar.  A coordinate that is not finite, or whose modulus
+    overflows, raises ValueError, as ProjectivePoint does.
     """
     if isinstance(points, np.ndarray):
-        bad = points[~np.isfinite(points)]
+        re, im = points.real, points.imag
+        with np.errstate(over="ignore", invalid="ignore"):
+            mod = np.hypot(re, im)
+        bad = points[~np.isfinite(mod)]
         if bad.size:
-            raise ValueError(f"chart coordinate {bad[0]} is not finite")
-        zetas = points.tolist()
-        return np.array([[math.log(abs(v)) if v else -math.inf
-                          for v in zetas],
-                         [math.atan2(v.imag, v.real) if v else 0.0
-                          for v in zetas]])
+            raise ValueError(f"chart coordinate {bad[0]} is not finite"
+                             if not np.isfinite(bad[0]) else
+                             f"chart coordinate {bad[0]} has a modulus that "
+                             f"overflows")
+        return np.array(_log_polar(re, im, mod))
     return np.array([p.log_affine() for p in points]).T
 
 
@@ -429,17 +497,22 @@ def _sections(k: int, levels: np.ndarray, binom: np.ndarray,
     """(logmag, phase) of kappa_{k,l}(p): a row per point, a column per level.
 
     binom is log_binomial(k, levels); logabs and arg are the points'
-    log|zeta| and arg zeta.  Those and the (1+|zeta|^2)^{-k/2} lead stay in
-    math calls, which numpy's exp, log1p and atan2 miss by an ulp on a few %
-    of inputs.
+    log|zeta| and arg zeta.  The (1+|zeta|^2)^{-k/2} lead maps math.exp and
+    math.log1p over the points, which numpy's exp and log1p miss by an ulp
+    on a few % of inputs: log(1 + |zeta|^2) is
+    2 max(a, 0) + log1p(exp(-2|a|)) with a = log|zeta|, stable for all
+    magnitudes (0.0 at zeta = 0, where a = -inf).
     """
-    lead = np.array([-0.5 * k * _log1p_exp_sq(a) for a in logabs.tolist()])
-    base = 0.5 * (math.log(k + 1.0) + binom - LOG_2PI)
+    log1p = np.fromiter(map(math.log1p, map(math.exp,
+                                            (-2.0 * np.abs(logabs)).tolist())),
+                        float, logabs.size)
+    lead = -0.5 * k * (2.0 * np.maximum(logabs, 0.0) + log1p)
+    logmag = np.add.outer(lead, 0.5 * (math.log(k + 1.0) + binom - LOG_2PI))
     # l log|zeta|, with zeta^0 = 1 also at zeta = 0, where log|zeta| = -inf
-    power = np.multiply(logabs[:, None], levels, where=levels > 0,
-                        out=np.zeros((logabs.size, levels.size)))
-    phase = np.multiply.outer(arg, levels)
-    return base + lead[:, None] + power, phase
+    logmag += (np.multiply.outer(logabs, levels) if levels.all() else
+               np.multiply(logabs[:, None], levels, where=levels > 0,
+                           out=np.zeros((logabs.size, levels.size))))
+    return logmag, np.multiply.outer(arg, levels)
 
 
 def _pairs(k: int, levels: np.ndarray, z: np.ndarray,
@@ -449,7 +522,8 @@ def _pairs(k: int, levels: np.ndarray, z: np.ndarray,
     binom = log_binomial(k, levels)
     lm_z, ph_z = _sections(k, levels, binom, *z)
     lm_w, ph_w = _sections(k, levels, binom, *ws)
-    return lm_z + lm_w, ph_z - ph_w
+    lm_w += lm_z
+    return lm_w, np.subtract(ph_z, ph_w, out=ph_w)
 
 
 def _window(k: int, lo: int, s: np.ndarray,
@@ -529,7 +603,7 @@ def _pair_sums(k: int, lo: int, z: ProjectivePoint, w: Points,
     def terms(levels: np.ndarray, w_aff: np.ndarray) -> Batch:
         logmag, phase = _pairs(k, levels, z_aff, w_aff)
         if shift is not None:
-            phase = phase + shift(levels)
+            phase += shift(levels)
         return logmag, phase
 
     def block(ws: Points) -> Batch:

@@ -45,6 +45,15 @@ def test_point_refuses_non_finite_coordinates(z0, z1):
     assert f"[{complex(z0)} : {complex(z1)}]" in str(info.value)
 
 
+@pytest.mark.parametrize("z0, z1", [(complex(1.7e308, 1.7e308), 1.0),
+                                     (1.0, complex(-1.5e308, 1.5e308))])
+def test_log_affine_refuses_a_modulus_that_overflows(z0, z1):
+    # the point is finite, but abs() of a coordinate overflows
+    p = ProjectivePoint(z0, z1)
+    with pytest.raises(ValueError, match="have a modulus that overflows"):
+        p.log_affine()
+
+
 def test_rotate_examples():
     p = ProjectivePoint(1, 1)
     assert projective_equal(rotate(0.0, p), p)

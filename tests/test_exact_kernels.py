@@ -115,10 +115,12 @@ def test_row_sums_equal_fsum_bitwise(rows):
     ([0.0, -0.0], 0.0),
     ([-3.5], -3.5),
     ([], 0.0),
+    # a sigma of 2^1025 would overflow: the first stage is skipped
+    ([1.7e308, -1.7e308, 1e292], 1e292),
 ], ids=["tie-up", "tie-down", "cancel-1e-16", "cancel-2^-60",
         "residual-tie", "sigma-binade", "subnormal-zero", "subnormal",
         "negative-zero", "negative-zeros", "signed-zeros", "single",
-        "empty"])
+        "empty", "sigma-overflow"])
 def test_row_sums_pinned_cases(row, expected):
     got, want = row_sum_hex([row])
     assert got == want == [expected.hex()]
@@ -139,6 +141,31 @@ def test_row_sums_long_row_and_mixed_block():
     assert got == want
 
 
+# chart coordinates and complex values at the edges of the map rewrites:
+# zero with either sign in either part, points on the axes, subnormal and
+# 1e+-300 parts
+EDGE_VALUES = [complex(r, i) for r, i in [
+    (0.0, 0.0), (-0.0, 0.0), (0.0, -0.0), (-0.0, -0.0),
+    (2.5, 0.0), (-2.5, 0.0), (2.5, -0.0), (-2.5, -0.0),
+    (0.0, 0.75), (-0.0, 0.75), (0.0, -0.75), (-0.0, -0.75),
+    (5e-324, 0.0), (-0.0, 5e-324), (5e-324, -5e-324), (2.2e-308, 1e-310),
+    (1e300, 0.0), (-1e300, 1e300), (0.0, -1e300), (1e-300, 0.0),
+    (-1e-300, -1e-300), (1e300, 1e-300), (1e-300, 1e300), (1.0, 1.0),
+    (1e154, 1e154), (1.7e308, 0.0), (0.0, -1.7e308)]]
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_row_sums_skip_the_first_stage_on_a_non_finite_block(bad):
+    # np.frexp of a NaN or infinite block maximum gives the exponent 0, so
+    # a sigma taken from it would be too small for the block's other rows:
+    # the four terms near -2 then split off exactly, but their partial sums
+    # round (the sigma-binade case).  Such a block skips the first stage
+    near_two = [-(2 - 2.0 ** -51), -(2 - 3 * 2.0 ** -51), -(2 - 2.0 ** -51),
+                -(2 - 5 * 2.0 ** -51)]
+    got, want = row_sum_hex([[bad, 0.0, 1.0, 0.0], near_two])
+    assert got == want
+
+
 def test_lift_matches_logcomplex_from_complex():
     # a block of sums goes to log-polar form as LogComplex.from_complex
     # takes one value, bit for bit; numpy's arctan2 and complex abs differ
@@ -150,6 +177,10 @@ def test_lift_matches_logcomplex_from_complex():
     # signed zeros, which are the exact zero, and values next to them
     re[:6] = [0.0, -0.0, 0.0, -0.0, 1e-300, -0.0]
     im[:6] = [0.0, 0.0, -0.0, -0.0, 0.0, 5e-324]
+    # the edge values: axes, subnormal and 1e+-300 parts
+    edges = len(EDGE_VALUES)
+    re[6:6 + edges] = [v.real for v in EDGE_VALUES]
+    im[6:6 + edges] = [v.imag for v in EDGE_VALUES]
     top = rng.uniform(-50, 50, 2000)
     want = [LogComplex.from_complex(complex(r, i))
             for r, i in zip(re.tolist(), im.tolist())]
@@ -158,17 +189,162 @@ def test_lift_matches_logcomplex_from_complex():
          for t, w in zip(top.tolist(), want)])
 
 
+def test_log_affine_batch_matches_projective_point():
+    # the array path maps math.log and math.atan2 over np.hypot; it gives
+    # ProjectivePoint.log_affine's bits for [zeta:1], sign of zero included
+    rng = np.random.default_rng(8)
+    zetas = EDGE_VALUES + [complex(*v) for v in (
+        rng.standard_normal((500, 2)) * np.exp(rng.uniform(-690, 690,
+                                                           (500, 1))))]
+    logabs, arg = exact_kernels._log_affine(np.array(zetas))
+    want = [ProjectivePoint(v, 1).log_affine() for v in zetas]
+    got = list(zip(logabs.tolist(), arg.tolist()))
+    assert [(a.hex(), b.hex()) for a, b in got] == [
+        (a.hex(), b.hex()) for a, b in want]
+    # and the sequence path reads the same points the same way
+    assert np.array_equal(exact_kernels._log_affine(
+        [ProjectivePoint(v, 1) for v in zetas]), np.array([logabs, arg]))
+
+
+@pytest.mark.parametrize("k", [1, 80, 2000, 10 ** 9])
+def test_section_lead_matches_scalar_formula(k):
+    # the (1+|zeta|^2)^{-k/2} lead, computed by mapping math.exp and
+    # math.log1p over the points, against the scalar formula per point;
+    # levels without level 0 take np.multiply.outer for l log|zeta|, with
+    # the same bits as the masked product that keeps zeta^0 = 1 at zeta = 0
+    rng = np.random.default_rng(9)
+    zetas = EDGE_VALUES[:-2] + [complex(*v) for v in (
+        rng.standard_normal((200, 2)) * np.exp(rng.uniform(-300, 300,
+                                                           (200, 1))))]
+    logabs, arg = exact_kernels._log_affine(np.array(zetas))
+
+    def lead(a):
+        if a == -math.inf:
+            return -0.5 * k * 0.0
+        if a > 0:
+            return -0.5 * k * (2.0 * a + math.log1p(math.exp(-2.0 * a)))
+        return -0.5 * k * math.log1p(math.exp(2.0 * a))
+    levels = np.arange(0, min(k, 3) + 1)
+    binom = log_binomial(k, levels)
+    logmag, phase = exact_kernels._sections(k, levels, binom, logabs, arg)
+    base = 0.5 * (math.log(k + 1.0) + binom[0] - exact_kernels.LOG_2PI)
+    assert [v.hex() for v in logmag[:, 0].tolist()] == [
+        ((lead(a) + base) + 0.0).hex() for a in logabs.tolist()]
+    rest, rest_phase = exact_kernels._sections(k, levels[1:], binom[1:],
+                                               logabs, arg)
+    assert np.array_equal(rest, logmag[:, 1:])
+    assert np.array_equal(rest_phase, phase[:, 1:])
+
+
 def test_heatmap_grid_sums_rarely_reach_fsum(monkeypatch, tmp_path):
-    # a k = 80 heatmap: its level sums go to math.fsum only where the
-    # rounding certificate rejects a row, on fewer than 1% of its cells
-    calls = []
-    fsum = math.fsum
-    monkeypatch.setattr(math, "fsum",
-                        lambda terms: calls.append(1) or fsum(terms))
+    # a k = 80 heatmap: the first stage of its row sums, one extraction at
+    # one sigma for the whole block, certifies all but a few rows; only
+    # those take a per-row extraction (_extract), and they go on to
+    # math.fsum only where that certificate rejects them too, on fewer
+    # than 1% of its cells
+    seen = {"rows": 0, "open": 0, "fsum": 0}
+
+    def count(key, call, size):
+        def counted(x, *args):
+            seen[key] += size(x)
+            return call(x, *args)
+        return counted
+    monkeypatch.setattr(exact_kernels, "_row_sums",
+                        count("rows", exact_kernels._row_sums, len))
+    monkeypatch.setattr(exact_kernels, "_extract",
+                        count("open", exact_kernels._extract, len))
+    monkeypatch.setattr(math, "fsum", count("fsum", math.fsum, lambda _: 1))
     cfg = ExperimentConfig(experiment="heatmap", kind="partial", k=80,
                            e=0.5, grid_n=81, out=str(tmp_path / "h.csv"))
     assert run_experiment(cfg).exit_code == 0
-    assert len(calls) < 0.01 * 81 * 81
+    # the real and the imaginary part of every cell
+    assert seen["rows"] == 2 * 81 * 81
+    assert seen["open"] < 0.01 * seen["rows"]
+    assert seen["fsum"] < 0.01 * 81 * 81
+
+
+@st.composite
+def mixed_blocks(draw):
+    """A block of rows of n in {1, 2^m, 2^m + 1} terms, each row of its own
+    kind and scale (so rows far below the block's largest term share its
+    sigma), and a tail of None, one bound or one bound per row."""
+    m = draw(st.integers(0, 7))
+    n = draw(st.sampled_from([1, 2 ** m, 2 ** m + 1]))
+    rows = []
+    for _ in range(draw(st.integers(1, 6))):
+        kind = draw(st.sampled_from(["scaled", "cancelling", "zeros",
+                                     "subnormal"]))
+        if kind == "zeros":
+            row = draw(st.lists(st.sampled_from([0.0, -0.0]), min_size=n,
+                                max_size=n))
+        elif kind == "subnormal":
+            row = [i * 5e-324 for i in draw(st.lists(
+                st.integers(-2 ** 20, 2 ** 20), min_size=n, max_size=n))]
+        else:
+            scale = 2.0 ** draw(st.integers(-1060, 1000))
+            row = [v * scale for v in draw(st.lists(
+                st.floats(-1.0, 1.0), min_size=n, max_size=n))]
+            if kind == "cancelling":
+                # the row's first half, then its negation, nudged by an ulp
+                half = row[:(n + 1) // 2]
+                nudge = draw(st.sampled_from([0.0, 1.0, -1.0]))
+                row = half + [-math.nextafter(v, nudge * math.inf)
+                              if nudge else -v for v in half][:n // 2]
+        rows.append(row)
+    bounds = st.sampled_from([0.0, 5e-324, 1e-300, 2.0 ** -60, 1e-20, 1.0])
+    tail = draw(st.one_of(st.none(), bounds,
+                          st.lists(bounds, min_size=len(rows),
+                                   max_size=len(rows))))
+    return rows, tail
+
+
+@given(mixed_blocks())
+def test_row_sums_on_mixed_blocks_equal_fsum_bitwise(drawn):
+    # whether the first stage certifies a row or leaves it to the per-row
+    # extraction and math.fsum, the value is fsum's; a row with a tail t
+    # comes back NaN or as the correctly rounded sum of the row with any
+    # left-out terms up to t, so fsum's with t and with -t added as well
+    rows, tail = drawn
+    got = exact_kernels._row_sums(np.array(rows, dtype=float).reshape(
+        len(rows), -1), None if tail is None else np.array(tail))
+    tails = [0.0] * len(rows) if tail is None else (
+        tail if isinstance(tail, list) else [tail] * len(rows))
+    for row, t, r in zip(rows, tails, got.tolist()):
+        if t and math.isnan(r):
+            continue
+        assert {r.hex(), math.fsum(row).hex(), math.fsum(row + [t]).hex(),
+                math.fsum(row + [-t]).hex()} == {r.hex()}
+
+
+def test_row_sums_first_stage_bound_covers_sequential_rounding():
+    # numpy sums a row of a Fortran-ordered block one term after another.
+    # The row holds 1, -1 and 2^7 M, which the first stage splits off
+    # exactly (n = 63 terms, m = 6, 2^e = 2 and M = 2^(e+m-53) = 2^-46),
+    # and then residuals p < M, each picked so that the running float sum
+    # of the p rounds up by nearly half an ulp.  That float sum t2 then
+    # exceeds the exact sum by more than half the gap of r = 2^7 M + t2,
+    # which TwoSum finds exact: a bound of 2n eps M would certify r, and
+    # only the a priori gamma_{n-1} n M sends the row on
+    n, big = 63, 2.0 ** -46
+    ulp = big * exact_kernels.EPS
+
+    def rounding(a, b):
+        # a + b - fl(a + b), exactly (TwoSum)
+        t = a + b
+        bb = t - a
+        return (a - (t - bb)) + (b - bb)
+    residuals, t2 = [], 0.0
+    for i in range(n - 3):
+        picks = [big - j * ulp for j in range(1, 200)]
+        if i == n - 4:
+            picks = [v for v in picks if rounding(128 * big, t2 + v) == 0.0]
+        pick = min(picks, key=lambda v: rounding(t2, v))
+        residuals.append(pick)
+        t2 += pick
+    assert math.fsum([t2] + [-v for v in residuals]) > 2 ** 7 * ulp
+    row = [1.0, -1.0, 128 * big] + residuals
+    got = exact_kernels._row_sums(np.asfortranarray([row]))
+    assert got[0].hex() == math.fsum(row).hex()
 
 
 # --- section coefficients ---------------------------------------------------
@@ -336,6 +512,34 @@ def test_batch_refuses_non_finite_chart_coordinates(bad):
                            match=re.escape(f"chart coordinate {bad} is not "
                                            f"finite")):
             call()
+
+
+def test_batch_refuses_a_chart_coordinate_whose_modulus_overflows():
+    # |zeta| = 2.4e308 overflows: abs(zeta) raised OverflowError, and
+    # np.hypot gives inf, which would have come back as a NaN sum
+    z = level_point(0.5, 0.3)
+    bad = complex(1.7e308, 1.7e308)
+    calls = [lambda ws: partial_coeff(SpectralConfig(10, 0.5), z, ws),
+             lambda ws: propagator_coeff(SpectralConfig(10, 0.5), 0.3, z, ws),
+             lambda ws: equivariant_coeff(10, 5, z, ws),
+             lambda ws: bergman_coeff(10, z, ws),
+             lambda ws: bergman_coeff_closed(10, z, ws),
+             lambda ws: section_coeff(10, 3, ws)]
+    for call in calls:
+        with pytest.raises(ValueError, match=re.escape(
+                f"chart coordinate {bad} has a modulus that overflows")):
+            call(np.array([0.5 + 0.1j, bad]))
+        # one point, or a sequence of them
+        for ws in (ProjectivePoint(bad, 1), [ORIGIN, ProjectivePoint(bad, 1)]):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"[{bad} : (1+0j)] have a modulus that overflows")):
+                call(ws)
+    # as the first point too
+    with pytest.raises(ValueError, match="modulus that overflows"):
+        partial_coeff(SpectralConfig(10, 0.5), ProjectivePoint(bad, 1),
+                      np.array([0.5j]))
+    # a finite modulus near the top of the range is still read
+    assert math.isfinite(section_coeff(10, 3, np.array([1.7e308]))[0][0])
 
 
 ANTIPODAL_PAIRS = [(ProjectivePoint(1, 1), ProjectivePoint(-1, 1)),

@@ -372,6 +372,20 @@ def test_cli_heatmap_rejects_non_finite_grid_bound(flag, value, capsys):
             in capsys.readouterr().err)
 
 
+def test_cli_heatmap_rejects_a_grid_whose_modulus_overflows(capsys):
+    # the grid's corner 1.3e308 (1 + i) has a modulus of 1.8e308, past the
+    # largest double; abs() of it raised OverflowError, and the run exited
+    # 1 with a traceback
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["heatmap", "--k", "10", "--grid-min=0",
+                     "--grid-max=1.3e308", "--grid-n", "8"])
+    assert code == EXIT_CONFIG
+    assert caught == []
+    assert ("chart coordinate (1.3e+308+1.3e+308j) has a modulus that "
+            "overflows" in capsys.readouterr().err)
+
+
 @pytest.mark.parametrize("argv, fragment", [
     (["heatmap", "--kind", "equivariant", "--e", "2", "--k", "12"],
      "ceil(kE) = 24 lies outside 0..12 at E = 2, k = 12"),
