@@ -8,7 +8,7 @@ from .cp1_geometry import (ChartError, ProjectivePoint, gradient_flow, height,
 from .exact_kernels import (LogComplex, bergman_coeff, bergman_coeff_closed,
                             equivariant_coeff, logc_rel_difference,
                             partial_coeff, partial_via_hilbert,
-                            propagator_coeff, section_coeff, toeplitz_diag)
+                            section_coeff, toeplitz_diag)
 from .asymptotics import (AsymptoticPrediction, FitResult, ScalingProbe,
                           error_metric, loglog_fit, predict_equivariant,
                           predict_partial, stirling_estimate)
@@ -28,7 +28,7 @@ __all__ = [
     "height", "level_point", "logc_rel_difference", "loglog_fit",
     "partial_coeff", "partial_via_hilbert", "predict_equivariant",
     "predict_partial", "projection_product_norm", "projective_equal",
-    "propagator_coeff", "rotate", "rotated_height_operator",
+    "rotate", "rotated_height_operator",
     "run_experiment", "section_coeff", "snapped_ceil",
     "spectral_projector_eig", "spectral_projector_quadrature",
     "stirling_estimate", "su2_rep_matrix", "toeplitz_diag", "xh_norm",

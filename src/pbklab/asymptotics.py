@@ -3,18 +3,20 @@
 The scaled partial-kernel coefficient at probe points a/sqrt(k),
 b/sqrt(k) off a level-E circle orbit has leading term
 
-    exp(-(a^2+b^2)||X_H||^2/2) e^{-iN ceil(kE/N) t} N (1 - i cot(Nt/2))
+    exp(-(a^2+b^2)||X_H||^2/2) e^{-i ceil(kE) t} (1 - i cot(t/2))
         / (2 ||X_H|| sqrt(pi k)),
 
-valid away from the stabilizer set {sin(Nt/2) = 0}; the single-eigenspace
-analogue replaces the cotangent factor by N/(||X_H|| sqrt(pi k)) and is
-regular on the whole circle.  "Scaled" means the (2pi/k)^n normalization;
+valid away from the stabilizer set {sin(t/2) = 0}, the paper's formula
+at stabilizer order N = 1: the rotation of the projective line acts
+freely off the poles.  The single-eigenspace analogue replaces the
+cotangent factor by 1/(||X_H|| sqrt(pi k)) and is regular on the whole
+circle.  "Scaled" means the (2pi/k)^n normalization;
 multiplying back by (k/2pi)^n gives the raw coefficient that the exact
 engines produce.  Both conventions are carried explicitly because mixing
 them up silently is the one foreseeable way to get every experiment wrong
 by a power of k.
 
-The predictors read k, N and the cut N ceil(kE/N) from a SpectralConfig
+The predictors read k and the cut ceil(kE) from a SpectralConfig
 and the probe geometry (z0, a, b, t0) from a ScalingProbe.
 """
 from __future__ import annotations
@@ -60,16 +62,16 @@ class ScalingProbe:
 
     def points(self, k: int) -> tuple[ProjectivePoint, ProjectivePoint]:
         s = math.sqrt(k)
-        # the flow factor e^shift and the flowed coordinate e^shift z0 must
+        # the flow factor e^flow and the flowed coordinate e^flow z0 must
         # both stay inside e^+-MAX_FLOW; rotate keeps |z0|
         log_z0 = math.log(abs(self.basepoint.z0))
         for name, offset in (("a", self.a), ("b", self.b)):
-            shift = offset / s
-            if not max(abs(shift), abs(shift + log_z0)) <= MAX_FLOW:
+            flow = offset / s
+            if not max(abs(flow), abs(flow + log_z0)) <= MAX_FLOW:
                 raise ValueError(
                     f"probe offset {name} = {offset!r} at weight k = {k} asks "
-                    f"the gradient flow for e^{shift:.6g}, which takes |z0| "
-                    f"from e^{log_z0:.6g} to e^{shift + log_z0:.6g}, outside "
+                    f"the gradient flow for e^{flow:.6g}, which takes |z0| "
+                    f"from e^{log_z0:.6g} to e^{flow + log_z0:.6g}, outside "
                     f"the float range e^+-{MAX_FLOW:g}")
         z = gradient_flow(self.a / s, self.basepoint)
         w = gradient_flow(self.b / s, rotate(self.t0, self.basepoint))
@@ -98,13 +100,12 @@ class AsymptoticPrediction:
 
 def _leading(cfg: SpectralConfig, dimension: int, probe: ScalingProbe,
              shape: complex) -> AsymptoticPrediction:
-    """exp(-(a^2+b^2)||X_H||^2/2) e^{-i cut t0} N shape / (||X_H|| sqrt(pi k)),
+    """exp(-(a^2+b^2)||X_H||^2/2) e^{-i cut t0} shape / (||X_H|| sqrt(pi k)),
     with ||X_H|| the orbit speed at z0."""
     xh = xh_norm(probe.basepoint)
     a, b = probe.a, probe.b
     lead = (math.exp(-0.5 * (a * a + b * b) * xh * xh)
-            * cmath.exp(-1j * cfg.cut_index * probe.t0)
-            * cfg.stabilizer_order * shape
+            * cmath.exp(-1j * cfg.cut_index * probe.t0) * shape
             / (xh * math.sqrt(math.pi * cfg.k)))
     order = "k^-3/2" if a == 0.0 and b == 0.0 else "k^-1"
     return AsymptoticPrediction(lead, order, cfg.k, dimension)
@@ -113,10 +114,10 @@ def _leading(cfg: SpectralConfig, dimension: int, probe: ScalingProbe,
 def predict_partial(cfg: SpectralConfig, dimension: int,
                     probe: ScalingProbe) -> AsymptoticPrediction:
     """Leading term of the scaled partial-kernel coefficient at the probe."""
-    half_angle = 0.5 * cfg.stabilizer_order * probe.t0
+    half_angle = 0.5 * probe.t0
     if abs(math.sin(half_angle)) < STABILIZER_EXCLUSION:
         raise ValueError(
-            "t0 lies in the stabilizer exclusion zone |sin(N t /2)| < 1e-3")
+            "t0 lies in the stabilizer exclusion zone |sin(t0/2)| < 1e-3")
     return _leading(cfg, dimension, probe,
                     0.5 * (1.0 - 1j * (1.0 / math.tan(half_angle))))
 

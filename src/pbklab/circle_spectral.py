@@ -29,11 +29,11 @@ spectrum, is the fewest nodes that make both rules exact
 every node propagator is a power of T = e^{i(pi/N)B} (times T^{1/2} for
 the Hilbert nodes), so both node sums are matrix polynomials in T.  The
 one series exponential per projector gives T^{1/2}; its argument has
-2-norm at most (pi/2N)(span + INTEGER_SPECTRUM_TOL) < pi/2, so it needs
-no squaring.  The mean sum, taken over nodes symmetric about t = 0, is
-W + W^H with W of degree N - 1 in T, as the Hilbert sum is, and both are
-read off one Paterson-Stockmeyer table of powers of T: 9 matrix
-products for the two together at N = 18.
+2-norm at most (pi/2N)(span + INTEGER_SPECTRUM_TOL) < pi/2, inside the
+series bound EXPM_SERIES_NORM.  The mean sum, taken over nodes symmetric
+about t = 0, is W + W^H with W of degree N - 1 in T, as the Hilbert sum
+is, and both are read off one Paterson-Stockmeyer table of powers of T:
+9 matrix products for the two together at N = 18.
 This gives a route to the projector that never touches an
 eigendecomposition; the eigendecomposition route is kept alongside as an
 oracle, and an IntegerSpectrumOperator keeps the eigenpairs its
@@ -51,9 +51,8 @@ HERMITIAN_TOL = 1e-12
 INTEGER_SPECTRUM_TOL = 1e-8
 EIGENVALUE_TIE_TOL = 1e-9
 EXPM_TERM_TOL = 1e-16
-EXPM_MAX_SQUARINGS = 64
-# the largest norm the Taylor series sums without squaring: the quadrature's
-# arguments, below pi/2, take none
+# the largest norm expm_series takes: the quadrature's arguments stay
+# below pi/2
 EXPM_SERIES_NORM = 2.0
 RANDOM_SPECTRUM_BOUND = 8
 
@@ -121,41 +120,35 @@ class IntegerSpectrumOperator:
 
 
 def expm_series(m: np.ndarray, norm: float | None = None) -> np.ndarray:
-    """Matrix exponential by scaling-and-squaring of the Taylor series.
+    """Matrix exponential by the Taylor series, for ||m|| <= EXPM_SERIES_NORM.
 
-    norm bounds ||m|| in an operator norm; by default it is ||m||_1.  m
-    is scaled by 2^-s so that b = m / 2^s has norm at most
-    EXPM_SERIES_NORM.  The Taylor degree is fixed in advance as the
-    smallest n with ||b||^(n+1) / (n+1)! < EXPM_TERM_TOL, a bound on the
-    first omitted term; the degree-n polynomial is summed by
-    _power_polynomials and then squared s times.  No eigendecomposition
-    is involved, which keeps the quadrature route to spectral projectors
-    independent of the eigen-oracle.
+    norm bounds ||m|| in an operator norm; by default it is ||m||_1.  A
+    larger norm raises ValueError: the series is summed as it stands,
+    with no scaling and squaring.  The Taylor degree is fixed in advance
+    as the smallest n with ||m||^(n+1) / (n+1)! < EXPM_TERM_TOL, a bound
+    on the first omitted term, and the degree-n polynomial is summed by
+    _power_polynomials.  No eigendecomposition is involved, which keeps
+    the quadrature route to spectral projectors independent of the
+    eigen-oracle.
     """
     m = np.asarray(m, dtype=complex)
     if norm is None:
         norm = float(np.linalg.norm(m, 1))
     if not (math.isfinite(norm) and np.all(np.isfinite(m))):
         raise ValueError("matrix exponential needs finite entries")
-    s = 0
     if norm > EXPM_SERIES_NORM:
-        s = int(math.ceil(math.log2(norm / EXPM_SERIES_NORM)))
-        if s > EXPM_MAX_SQUARINGS:
-            raise ValueError(f"matrix norm {norm:.3e} needs more than "
-                             f"{EXPM_MAX_SQUARINGS} squarings")
-    b_norm = norm / 2.0 ** s
+        raise ValueError(f"matrix norm {norm:.17g} exceeds the series bound "
+                         f"{EXPM_SERIES_NORM:g}")
     degree = 0
-    omitted = b_norm
+    omitted = norm
     while omitted >= EXPM_TERM_TOL:
         degree += 1
-        omitted *= b_norm / (degree + 1)
+        omitted *= norm / (degree + 1)
     inv_factorials = np.empty(degree + 1)
     inv_factorials[0] = 1.0
     for j in range(1, degree + 1):
         inv_factorials[j] = inv_factorials[j - 1] / j
-    result, = _power_polynomials([inv_factorials], m / 2.0 ** s)
-    for _ in range(s):
-        result = result @ result
+    result, = _power_polynomials([inv_factorials], m)
     return result
 
 
@@ -208,12 +201,12 @@ def spectral_projector_quadrature(op: IntegerSpectrumOperator,
     integrands, so the only error is rounding.  The node sums are the
     polynomials (1/N) sum_{j<N} T^{2j} and (sum_{j<N} c_j T^j) T^{1/2} in
     T = e^{i(pi/N)(A - ceil(E))}, with c_j the cotangent weights.  Only
-    T^{1/2} comes from the exponential series, scaled by the bound
-    (pi/2N)(span + INTEGER_SPECTRUM_TOL) on its argument's 2-norm, which
-    needs no squaring.  The mean sum's nodes, taken symmetric about
-    t = 0, fold it to W + W^H with W a polynomial of degree N - 1 in T,
-    like the Hilbert sum, and both come from one Paterson-Stockmeyer
-    table of powers of T (_power_polynomials).  At N = 18, the most a
+    T^{1/2} comes from the exponential series, given the bound
+    (pi/2N)(span + INTEGER_SPECTRUM_TOL) < pi/2 on its argument's 2-norm.
+    The mean sum's nodes, taken symmetric about t = 0, fold it to W + W^H
+    with W a polynomial of degree N - 1 in T, like the Hilbert sum, and
+    both come from one Paterson-Stockmeyer table of powers of T
+    (_power_polynomials).  At N = 18, the most a
     spectrum in [-8, 8] can take, that is 19 matrix products: 8 for the
     exponential, 1 for T, 9 for the two sums and 1 for the factor
     T^{1/2}.
@@ -355,28 +348,24 @@ def random_integer_spectrum_operator(dim: int, rng: np.random.Generator
 
 @dataclass(frozen=True)
 class SpectralConfig:
-    """Bundle (k, E, N) with the derived spectral cut.
+    """Bundle (k, E) with the derived spectral cut ceil(k*E).
 
-    The admissible frequencies live on the lattice N*Z, so the cut index is
-    N*ceil(k*E/N); for N = 1 this is ceil(k*E).  The kernels and the
-    leading-term predictors all read the cut from cut_index.
+    The rotation of the projective line acts freely off the poles, so the
+    paper's stabilizer order N is 1 and every integer frequency is
+    admissible.  The kernels and the leading-term predictors all read the
+    cut from cut_index.
     """
 
     k: int
     energy: float
-    stabilizer_order: int = 1
 
     def __post_init__(self):
         if self.k < 1 or int(self.k) != self.k:
             raise ValueError("k must be a positive integer")
-        if self.stabilizer_order < 1 or int(self.stabilizer_order) != self.stabilizer_order:
-            raise ValueError("stabilizer order must be a positive integer")
         if not math.isfinite(self.energy):
             raise ValueError(f"energy level {self.energy} must be finite")
         object.__setattr__(self, "k", int(self.k))
-        object.__setattr__(self, "stabilizer_order", int(self.stabilizer_order))
 
     @property
     def cut_index(self) -> int:
-        n = self.stabilizer_order
-        return n * snapped_ceil(self.k * self.energy / n)
+        return snapped_ceil(self.k * self.energy)

@@ -35,6 +35,12 @@ class ProjectivePoint:
                              f"be finite")
         if z0 == 0 and z1 == 0:
             raise ValueError("homogeneous coordinates must not both vanish")
+        # every reader of the point takes abs() of its coordinates
+        try:
+            abs(z0), abs(z1)
+        except OverflowError:
+            raise ValueError(f"homogeneous coordinates [{z0} : {z1}] have a "
+                             f"modulus that overflows") from None
         object.__setattr__(self, "z0", z0)
         object.__setattr__(self, "z1", z1)
 
@@ -49,20 +55,12 @@ class ProjectivePoint:
         return self.z0 / self.z1
 
     def log_affine(self) -> tuple[float, float]:
-        """(log|zeta|, arg zeta), robust for extreme magnitude ratios.
-
-        A coordinate whose modulus overflows raises ValueError.
-        """
+        """(log|zeta|, arg zeta), robust for extreme magnitude ratios."""
         if self.z1 == 0:
             raise ChartError("point [1:0] lies outside the chart z1 != 0")
         if self.z0 == 0:
             return (-math.inf, 0.0)
-        try:
-            logabs = math.log(abs(self.z0)) - math.log(abs(self.z1))
-        except OverflowError:
-            raise ValueError(f"homogeneous coordinates [{self.z0} : "
-                             f"{self.z1}] have a modulus that "
-                             f"overflows") from None
+        logabs = math.log(abs(self.z0)) - math.log(abs(self.z1))
         phase = (math.atan2(self.z0.imag, self.z0.real)
                  - math.atan2(self.z1.imag, self.z1.real))
         return (logabs, phase)

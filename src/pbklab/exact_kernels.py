@@ -75,14 +75,14 @@ sum lies below about 2^53 tau of its top term, a cancellation by more than
 about 2^26 at k = 10^6.  Only that row then takes the levels of its proven
 window that the narrow hull left out, reuses its narrow terms, and is
 summed as over the proven window.  Where arg omega equals arg zeta bit for
-bit and no shift turns the terms, every phase is exactly 0.0 at every
-level, so the imaginary tail is exactly 0; a diagonal pair's imaginary
-sum, exactly 0.0, would fail any certificate with a tail.  Such a block's
-imaginary sums are +0.0, the correctly rounded sum of +0.0 terms, and are
-not evaluated (_rescaled_sums).  A chunk tries
-the narrow window only where its hull holds at most half the levels of
-the proven hull.  The lazily filled ln Gamma cache (below) then fills
-about half as many blocks on a cold pass.
+bit, every phase is exactly 0.0 at every level, so the imaginary tail is
+exactly 0; a diagonal pair's imaginary sum, exactly 0.0, would fail any
+certificate with a tail.  Such a block's imaginary sums are +0.0, the
+correctly rounded sum of +0.0 terms, and are not evaluated
+(_rescaled_sums).  A chunk tries the narrow window only where its hull
+holds at most half the levels of the proven hull.  The lazily filled
+ln Gamma cache (below) then fills about half as many blocks on a cold
+pass.
 
 ln C(k,l) = ln Gamma(k+1) - ln Gamma(l+1) - ln Gamma(k-l+1) reads ln Gamma
 from a cache of blocks of LGAMMA_BLOCK consecutive arguments, each filled
@@ -112,14 +112,15 @@ Hilbert-route assembly below keeps its own math.fsum calls: it is the
 independent oracle for the level sum, and so also checks _row_sums.
 
 The partial kernel (levels l >= ceil(kE)) also admits a Hilbert-transform
-assembly from the shifted propagator kernel
+assembly from the propagator kernel, its frequencies centred at the cut,
 
     prop_t = sum_l e^{it(l - ceil(kE))} kappa_{k,l}(z) conj(kappa_{k,l}(w)),
 
 namely partial = (i*H_term + full + mean_term)/2 with the mean and Hilbert
 integrals discretized by the open midpoint rule.  For these finite integer
 frequency contents the identity is exact, which makes it a sharp
-consistency check of both engines.
+consistency check of both engines.  prop_t is never evaluated pointwise:
+the assembly reads its samples off one FFT of the level coefficients.
 """
 from __future__ import annotations
 
@@ -581,11 +582,10 @@ def _zero_rule(logmag: np.ndarray, phase: np.ndarray) -> Batch:
             np.where(live, phase, 0.0).ravel())
 
 
-def _pair_sums(k: int, lo: int, z: ProjectivePoint, w: Points,
-               shift: Callable[[np.ndarray], np.ndarray] | None = None
-               ) -> LogComplex | Batch:
-    """sum over levels l >= lo of kappa_{k,l}(z) conj(kappa_{k,l}(w)), each
-    term turned by e^{i shift(l)} if shift is given: one value per w.
+def _pair_sums(k: int, lo: int, z: ProjectivePoint,
+               w: Points) -> LogComplex | Batch:
+    """sum over levels l >= lo of kappa_{k,l}(z) conj(kappa_{k,l}(w)): one
+    value per w.
 
     Only the window of levels that can survive the rescaling by the row's
     top term is evaluated; the sum is bit for bit the one over all levels.
@@ -600,12 +600,6 @@ def _pair_sums(k: int, lo: int, z: ProjectivePoint, w: Points,
     tail = _tail_bound(k)
     reach = _reach(k, NARROW_GAP)
 
-    def terms(levels: np.ndarray, w_aff: np.ndarray) -> Batch:
-        logmag, phase = _pairs(k, levels, z_aff, w_aff)
-        if shift is not None:
-            phase += shift(levels)
-        return logmag, phase
-
     def block(ws: Points) -> Batch:
         w_aff = _log_affine(ws)
         s = z_aff[0] + w_aff[0]
@@ -615,20 +609,20 @@ def _pair_sums(k: int, lo: int, z: ProjectivePoint, w: Points,
         narrow = (_window(k, lo, s, NARROW_GAP)
                   if 2 * (min(reach, k - lo) + 1) <= proven.size else proven)
         if not 0 < 2 * narrow.size <= proven.size:
-            return _level_sums(*terms(proven, w_aff))
-        logmag, phase = terms(narrow, w_aff)
-        # where arg omega equals arg zeta bit for bit and no shift turns
-        # the terms, every phase is exactly 0.0, left-out levels included
-        flat = (w_aff[1] == z_aff[1]) & (shift is None)
+            return _level_sums(*_pairs(k, proven, z_aff, w_aff))
+        logmag, phase = _pairs(k, narrow, z_aff, w_aff)
+        # where arg omega equals arg zeta bit for bit, every phase is
+        # exactly 0.0, left-out levels included
+        flat = w_aff[1] == z_aff[1]
         top, re, im = _rescaled_sums(logmag, phase, tail,
                                      np.where(flat, 0.0, tail))
         rows = np.flatnonzero(np.isnan(re) | np.isnan(im))
         if rows.size:
             rest = _window(k, lo, s[rows])
             sub = w_aff[:, rows]
-            parts = (terms(rest[rest < narrow[0]], sub),
+            parts = (_pairs(k, rest[rest < narrow[0]], z_aff, sub),
                      (logmag[rows], phase[rows]),
-                     terms(rest[rest > narrow[-1]], sub))
+                     _pairs(k, rest[rest > narrow[-1]], z_aff, sub))
             top[rows], re[rows], im[rows] = _rescaled_sums(
                 *(np.hstack(part) for part in zip(*parts)))
         return _lift(top, re, im)
@@ -762,17 +756,6 @@ def partial_coeff(cfg: SpectralConfig, z: ProjectivePoint,
     return _pair_sums(cfg.k, cfg.cut_index, z, w)
 
 
-def propagator_coeff(cfg: SpectralConfig, t: float, z: ProjectivePoint,
-                     w: Points) -> LogComplex | Batch:
-    """Kernel coefficient of the shifted propagator at time t.
-
-    sum_l e^{it(l - ceil(kE))} kappa_{k,l}(z) conj(kappa_{k,l}(w)); t = 0
-    and t = 2pi both reproduce the full kernel (integer frequencies).
-    """
-    return _pair_sums(cfg.k, 0, z, w,
-                      lambda levels: (levels - cfg.cut_index) * t)
-
-
 @dataclass(frozen=True)
 class HilbertRouteTerms:
     """The three pieces of the Hilbert-transform kernel assembly."""
@@ -787,7 +770,7 @@ def hilbert_route_terms(cfg: SpectralConfig, z: ProjectivePoint,
                         w: ProjectivePoint) -> HilbertRouteTerms:
     """Assemble partial = (i*H + full + mean)/2 by midpoint quadrature.
 
-    The mean term averages the shifted propagator over a full period; the
+    The mean term averages the propagator prop_t over a full period; the
     Hilbert term integrates (prop(-t) - prop(t)) cot(t/2) over a half
     period.  Midpoint nodes never touch t = 0, where the bracket vanishes
     linearly against the cotangent.

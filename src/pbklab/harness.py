@@ -41,12 +41,6 @@ EXIT_OK = 0
 EXIT_THRESHOLD = 1
 EXIT_CONFIG = 2
 
-# the disjoint two-proj fit's cut-off: it leaves norms at or below this
-# out of the log-linear fit, and the summary counts them.  It is not the
-# norm route's resolution: log_norm stays finite past the double range's
-# floor, as at k = 60,000 for beta = 2.2 and levels 0.75
-NORM_FLOOR = 1e-12
-
 
 class ConfigError(ValueError):
     """Raised for malformed experiment configurations."""
@@ -643,45 +637,35 @@ def _two_proj(config: ExperimentConfig) -> RunReport:
                f"caps_disjoint: {disjoint}", f"seed: {config.seed}",
                "columns: weight k, operator norm of the projector "
                "product, its natural log"])
-    if config.svg:
-        finite = [(k, log) for k, _, log in rows if log > -math.inf]
-        if finite:
-            svg_line_plot(config.svg, [p[0] for p in finite],
-                          [p[1] for p in finite],
-                          "projection product norm decay", "k", "log norm")
-    floored = sum(n <= NORM_FLOOR for n in norms)
-    # besides the floored norms, the most block columns one norm built and
-    # how many norms needed the full block
-    counts = {"floored": floored, "max_width": max(w for w, _ in widths),
+    # log_norm is finite past the norm's underflow; -inf only for a block
+    # that is exactly zero
+    finite = [(k, log) for k, _, log in rows if log > -math.inf]
+    if config.svg and finite:
+        svg_line_plot(config.svg, [p[0] for p in finite],
+                      [p[1] for p in finite],
+                      "projection product norm decay", "k", "log norm")
+    # the most block columns one norm built and how many norms needed the
+    # full block
+    counts = {"max_width": max(w for w, _ in widths),
               "full_blocks": sum(w == n for w, n in widths)}
-    floor_note = (f"{floored} of {len(norms)} norms at or below the "
-                  f"{NORM_FLOOR:.0e} fit cut-off")
     if disjoint:
-        positive = [(k, n) for k, n in zip(ks, norms) if n > NORM_FLOOR]
-        if not positive:
-            message = f"disjoint caps: {floor_note} (orthogonal ranges)"
-            return RunReport(EXIT_OK, message,
-                             {"disjoint": True, "max_norm": max(norms),
-                              **counts})
-        if len(positive) < 3:
-            message = (f"disjoint caps: the decay fit needs 3 norms above "
-                       f"the cut-off, got {len(positive)}; {floor_note}")
+        if len(finite) < 3:
+            message = (f"disjoint caps: the decay fit needs 3 weights with a "
+                       f"nonzero norm, got {len(finite)}")
             return RunReport(EXIT_THRESHOLD, message,
                              {"disjoint": True, "max_norm": max(norms),
                               **counts})
-        fit = linear_fit(np.array([p[0] for p in positive], dtype=float),
-                         np.log(np.array([p[1] for p in positive])))
+        fit = linear_fit(np.array([p[0] for p in finite], dtype=float),
+                         np.array([p[1] for p in finite]))
         ok = fit.slope < 0 and fit.r_squared >= 0.9
         message = (f"disjoint caps: log-norm slope {fit.slope:.4f} per unit "
-                   f"k, r^2 {fit.r_squared:.4f}; {floor_note}, left out "
-                   f"of the fit")
+                   f"k, r^2 {fit.r_squared:.4f}")
         return RunReport(EXIT_OK if ok else EXIT_THRESHOLD, message,
                          {"disjoint": True, "slope": fit.slope,
                           "r_squared": fit.r_squared, **counts})
     floor = min(norms)
     ok = floor >= 0.5
-    message = (f"overlapping caps: norm floor {floor:.4f} over the sweep; "
-               f"{floor_note}")
+    message = f"overlapping caps: norm floor {floor:.4f} over the sweep"
     return RunReport(EXIT_OK if ok else EXIT_THRESHOLD, message,
                      {"disjoint": False, "floor": floor, **counts})
 

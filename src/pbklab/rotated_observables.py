@@ -284,9 +284,9 @@ def _edge_entries(k: int, m: np.ndarray, c: float,
     binom = math.comb(k, int(m[0]))
     for j in m.tolist():
         n = binom.bit_length()
-        shift = max(n - 60, 0)
+        drop = max(n - 60, 0)
         bits.append(n)
-        lead.append(math.ldexp(binom >> shift, shift - n))
+        lead.append(math.ldexp(binom >> drop, drop - n))
         binom = binom * (k - j) // (j + 1)
     bits = np.array(bits)
     frac = (0.5 * (np.log2(lead) + bits % 2) + m * math.log2(fc)
@@ -334,9 +334,9 @@ def _descend(diag: np.ndarray, off: np.ndarray, lam: np.ndarray,
     for l in range(n, stop, -1):
         if (high + grow[l - 1] > RENORM_BITS
                 or low - shrink[l - 1] < -RENORM_BITS):
-            _, shift = np.frexp(np.maximum(np.abs(cur), np.abs(prev)))
-            prev, cur = np.ldexp(prev, -shift), np.ldexp(cur, -shift)
-            expos.append(expos[-1] + shift)
+            _, step = np.frexp(np.maximum(np.abs(cur), np.abs(prev)))
+            prev, cur = np.ldexp(prev, -step), np.ldexp(cur, -step)
+            expos.append(expos[-1] + step)
             high, low = 0.0, -1.0
         new = ((lam - diag_l[l]) * cur - off_l[l] * prev) / off_l[l - 1]
         high += grow[l - 1]
@@ -344,8 +344,8 @@ def _descend(diag: np.ndarray, off: np.ndarray, lam: np.ndarray,
         out_mant[l - 1 - stop] = new
         segment[l - 1 - stop] = len(expos) - 1
         prev, cur = cur, new
-    out_mant, shift = np.frexp(out_mant)
-    return out_mant, np.array(expos)[segment] + shift
+    out_mant, row_expo = np.frexp(out_mant)
+    return out_mant, np.array(expos)[segment] + row_expo
 
 
 def _corner_width(k: int, cos_b: float, off: np.ndarray, r0: int,

@@ -113,9 +113,6 @@ def test_predict_partial_stabilizer_exclusion():
     with pytest.raises(ValueError, match="exclusion"):
         predict_partial(SpectralConfig(100, 0.5), 1,
                         ScalingProbe(ONE_ONE, 0.0, 0.0, 1e-5))
-    with pytest.raises(ValueError, match="exclusion"):
-        predict_partial(SpectralConfig(100, 0.5, stabilizer_order=2), 1,
-                        ScalingProbe(ONE_ONE, 0.0, 0.0, math.pi))
 
 
 # --- equivariant predictor ----------------------------------------------------

@@ -89,17 +89,20 @@ def _hermitian(dim, seed):
                               "above-two", "40"])
 def test_expm_series_matches_eigh_exponential(dim, norm):
     # ||i theta H||_1 = norm: exactly EXPM_SERIES_NORM = 2 is the largest
-    # norm summed without squaring, the next double above it takes one
-    # squaring
+    # norm the series takes; the next double above it, and 40, are refused
     h = _hermitian(dim, 3)
     theta = norm / np.linalg.norm(1j * h, 1)
     m = 1j * theta * h
     if norm in (0.5, 0.5 * (1 + 2.0 ** -52), 2.0, 2.0 * (1 + 2.0 ** -52)):
         assert np.linalg.norm(m, 1) == norm
+    if norm > circle_spectral.EXPM_SERIES_NORM:
+        with pytest.raises(ValueError, match="exceeds the series bound 2"):
+            expm_series(m)
+        return
     w, v = np.linalg.eigh(h)
     exact = (v * np.exp(1j * theta * w)) @ v.conj().T
-    # rounding of the reference and of the squarings, well below the
-    # first omitted Taylor term at one degree less
+    # rounding of the reference and of the series, well below the first
+    # omitted Taylor term at one degree less
     assert np.max(np.abs(expm_series(m) - exact)) <= 4e-15 + 1e-15 * norm
 
 
@@ -232,7 +235,9 @@ def test_power_polynomial_matches_naive_sum():
     # takes no Horner step, and lengths that are no multiple of the table
     # size leave a short last block
     rng = np.random.default_rng(5)
-    x = expm_series(0.3j * random_integer_spectrum_operator(3, rng).matrix)
+    op = random_integer_spectrum_operator(3, rng)
+    v = op.eigenvectors
+    x = (v * np.exp(0.3j * op.eigenvalues)) @ v.conj().T
     powers = [np.eye(3, dtype=complex)]
     for _ in range(2 * 130):
         powers.append(powers[-1] @ x)
@@ -385,12 +390,6 @@ def test_spectral_config_rejects_non_finite_energy(energy):
     with pytest.raises(ValueError, match=f"energy level {energy} must be "
                                          "finite"):
         SpectralConfig(10, energy)
-
-
-def test_spectral_config_lattice():
-    cfg = SpectralConfig(10, 0.55, stabilizer_order=2)
-    # k*E/N = 2.75 -> ceil 3 -> cut on the lattice 2Z is 6
-    assert cfg.cut_index == 6
 
 
 @given(st.integers(min_value=1, max_value=500),

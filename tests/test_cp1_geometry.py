@@ -47,11 +47,13 @@ def test_point_refuses_non_finite_coordinates(z0, z1):
 
 @pytest.mark.parametrize("z0, z1", [(complex(1.7e308, 1.7e308), 1.0),
                                      (1.0, complex(-1.5e308, 1.5e308))])
-def test_log_affine_refuses_a_modulus_that_overflows(z0, z1):
-    # the point is finite, but abs() of a coordinate overflows
-    p = ProjectivePoint(z0, z1)
-    with pytest.raises(ValueError, match="have a modulus that overflows"):
-        p.log_affine()
+def test_point_refuses_a_modulus_that_overflows(z0, z1):
+    # the coordinates are finite, but abs() of one overflows, which every
+    # reader of the point (height, log_affine) would meet
+    with pytest.raises(ValueError, match="have a modulus that overflows") \
+            as info:
+        ProjectivePoint(z0, z1)
+    assert f"[{complex(z0)} : {complex(z1)}]" in str(info.value)
 
 
 def test_rotate_examples():

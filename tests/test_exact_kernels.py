@@ -16,8 +16,7 @@ from pbklab.exact_kernels import (CHUNK_TERMS, LogComplex, bergman_coeff,
                                   hilbert_route_terms, log_binomial,
                                   logc_rel_difference,
                                   partial_coeff, partial_via_hilbert,
-                                  propagator_coeff, section_coeff,
-                                  toeplitz_diag)
+                                  section_coeff, toeplitz_diag)
 from pbklab.harness import ExperimentConfig, run_experiment
 
 ONE_ONE = ProjectivePoint(1, 1)
@@ -445,8 +444,7 @@ def test_kernel_results_hold_python_floats():
     z, w = level_point(0.4, 0.3), level_point(0.6, 1.1)
     results = [section_coeff(12, 5, z), equivariant_coeff(12, 6, z, w),
                bergman_coeff(12, z, w), bergman_coeff_closed(12, z, w),
-               partial_coeff(cfg, z, w), propagator_coeff(cfg, 0.7, z, w),
-               partial_via_hilbert(cfg, z, w),
+               partial_coeff(cfg, z, w), partial_via_hilbert(cfg, z, w),
                partial_coeff(SpectralConfig(12, 2.0), z, w)]
     results += vars(hilbert_route_terms(cfg, z, w)).values()
     for value in results:
@@ -455,7 +453,6 @@ def test_kernel_results_hold_python_floats():
     for batch in (section_coeff(12, 5, [z, w]), bergman_coeff(12, z, [z, w]),
                   bergman_coeff_closed(12, z, [z, w]),
                   partial_coeff(cfg, z, [z, w]),
-                  propagator_coeff(cfg, 0.7, z, [z, w]),
                   equivariant_coeff(12, 6, z, [z, w])):
         assert type(batch) is tuple and len(batch) == 2
         for array in batch:
@@ -502,7 +499,6 @@ def test_batch_refuses_non_finite_chart_coordinates(bad):
     z = level_point(0.5, 0.3)
     ws = np.array([0.5 + 0.1j, bad])
     calls = [lambda: partial_coeff(SpectralConfig(10, 0.5), z, ws),
-             lambda: propagator_coeff(SpectralConfig(10, 0.5), 0.3, z, ws),
              lambda: equivariant_coeff(10, 5, z, ws),
              lambda: bergman_coeff(10, z, ws),
              lambda: bergman_coeff_closed(10, z, ws),
@@ -516,11 +512,11 @@ def test_batch_refuses_non_finite_chart_coordinates(bad):
 
 def test_batch_refuses_a_chart_coordinate_whose_modulus_overflows():
     # |zeta| = 2.4e308 overflows: abs(zeta) raised OverflowError, and
-    # np.hypot gives inf, which would have come back as a NaN sum
+    # np.hypot gives inf, which would have come back as a NaN sum.  A
+    # ProjectivePoint with such a coordinate is refused when it is built
     z = level_point(0.5, 0.3)
     bad = complex(1.7e308, 1.7e308)
     calls = [lambda ws: partial_coeff(SpectralConfig(10, 0.5), z, ws),
-             lambda ws: propagator_coeff(SpectralConfig(10, 0.5), 0.3, z, ws),
              lambda ws: equivariant_coeff(10, 5, z, ws),
              lambda ws: bergman_coeff(10, z, ws),
              lambda ws: bergman_coeff_closed(10, z, ws),
@@ -529,15 +525,6 @@ def test_batch_refuses_a_chart_coordinate_whose_modulus_overflows():
         with pytest.raises(ValueError, match=re.escape(
                 f"chart coordinate {bad} has a modulus that overflows")):
             call(np.array([0.5 + 0.1j, bad]))
-        # one point, or a sequence of them
-        for ws in (ProjectivePoint(bad, 1), [ORIGIN, ProjectivePoint(bad, 1)]):
-            with pytest.raises(ValueError, match=re.escape(
-                    f"[{bad} : (1+0j)] have a modulus that overflows")):
-                call(ws)
-    # as the first point too
-    with pytest.raises(ValueError, match="modulus that overflows"):
-        partial_coeff(SpectralConfig(10, 0.5), ProjectivePoint(bad, 1),
-                      np.array([0.5j]))
     # a finite modulus near the top of the range is still read
     assert math.isfinite(section_coeff(10, 3, np.array([1.7e308]))[0][0])
 
@@ -663,7 +650,6 @@ def test_batched_calls_equal_per_point_calls(k, energy, count):
         "bergman": lambda w: bergman_coeff(k, z, w),
         "closed": lambda w: bergman_coeff_closed(k, z, w),
         "partial": lambda w: partial_coeff(cfg, z, w),
-        "propagator": lambda w: propagator_coeff(cfg, 0.7, z, w),
     }
     # the same points as chart coordinates: every w here is [zeta:1]
     zetas = np.array([w.z0 for w in ws])
@@ -697,15 +683,10 @@ def test_level_sum_window_drops_only_exact_zeros(k):
                                        for d in (-3.0, 0.0, 3.0)]
         for energy in energies:
             cfg = SpectralConfig(k, energy)
-            for lo, kernel, t in [
-                (cfg.cut_index, partial_coeff(cfg, z, w), None),
-                (0, bergman_coeff(k, z, w), None),
-                (0, propagator_coeff(cfg, 0.7, z, w), 0.7),
-            ]:
+            for lo, kernel in [(cfg.cut_index, partial_coeff(cfg, z, w)),
+                               (0, bergman_coeff(k, z, w))]:
                 levels = np.arange(max(lo, 0), k + 1)
                 logmag, phase = exact_kernels._pairs(k, levels, z_aff, w_aff)
-                if t is not None:
-                    phase = phase + (levels - cfg.cut_index) * t
                 full = exact_kernels._level_sums(logmag, phase)
                 assert bits([kernel]) == batch_bits(full), (z, w, energy, lo)
                 kept = exact_kernels._window(k, max(lo, 0), s)
@@ -721,7 +702,7 @@ def test_level_sum_window_drops_only_exact_zeros(k):
 
 # --- the certified narrow window -------------------------------------------
 
-def fsum_reference(k, lo, z, ws, t=None, cut=0):
+def fsum_reference(k, lo, z, ws):
     """bits of the level sums over every level lo..k, each part summed by
     math.fsum over the same float terms the kernels make."""
     levels = np.arange(max(lo, 0), k + 1)
@@ -730,8 +711,6 @@ def fsum_reference(k, lo, z, ws, t=None, cut=0):
     for w in ws:
         logmag, phase = (a[0] for a in exact_kernels._pairs(
             k, levels, z_aff, exact_kernels._log_affine([w])))
-        if t is not None:
-            phase = phase + (levels - cut) * t
         top = logmag.max(initial=-math.inf)
         mags = np.exp(logmag - (top if top > -math.inf else 0.0))
         re = math.fsum((mags * np.cos(phase)).tolist())
@@ -802,21 +781,6 @@ def test_narrow_window_diagonal_rows_have_no_imaginary_tail(k, attempts):
     assert attempts == [(1, 0)] * 3
     tail = exact_kernels._tail_bound(k)
     assert math.isnan(exact_kernels._row_sums(np.zeros((1, 5)), tail)[0])
-
-
-@pytest.mark.parametrize("k", [10 ** 3, 10 ** 5])
-def test_narrow_window_propagator_shift(k, attempts):
-    # the propagator at time t peaks at w = z turned by t, where its rows
-    # pass; the shift keeps the tail bound on the imaginary parts, so at
-    # t = 0, where it turns no term, the exact-zero imaginary sum of the
-    # diagonal row is left open and takes the proven window
-    z = level_point(0.5, 0.3)
-    cfg = SpectralConfig(k, 0.5)
-    for t in (0.7, 2.9, 0.0):
-        w = level_point(0.5, 0.3 + t)
-        assert (bits([propagator_coeff(cfg, t, z, w)])
-                == fsum_reference(k, 0, z, [w], t, cfg.cut_index))
-    assert attempts == [(1, 0), (1, 0), (1, 1)]
 
 
 def test_narrow_window_exact_zero_rows(attempts):
@@ -986,36 +950,7 @@ def test_kernels_hermitian_symmetry():
         assert phase_distance(fwd.phase, -bwd.phase) <= 1e-12
 
 
-# --- propagator and the Hilbert route ---------------------------------------
-
-def test_propagator_at_zero_and_period():
-    cfg = SpectralConfig(11, 0.3)
-    rng = np.random.default_rng(8)
-    z, w = rand_chart_point(rng), rand_chart_point(rng)
-    full = bergman_coeff(11, z, w)
-    for t in (0.0, 2 * math.pi):
-        assert logc_rel_difference(propagator_coeff(cfg, t, z, w),
-                                   full) <= 1e-12
-
-
-def test_propagator_hand_sum_k2():
-    # k = 2, E = 0.5 (cut 1), z = w = [1:1], t = pi:
-    # (3/2pi) * (1/4) * (e^{-i pi} + e^{0} * 2 + e^{i pi}) ... levels
-    # l = 0,1,2 with weights C(2,l)/4 and phases e^{i pi (l-1)}
-    cfg = SpectralConfig(2, 0.5)
-    val = propagator_coeff(cfg, math.pi, ONE_ONE, ONE_ONE).to_complex()
-    expected = 3 / (2 * math.pi) * 0.25 * (cmath.exp(-1j * math.pi)
-                                           + 2 + cmath.exp(1j * math.pi))
-    assert abs(val - expected) <= 1e-14
-
-
-def test_propagator_diagonal_magnitude_only_at_full_rotation():
-    cfg = SpectralConfig(8, 0.25)
-    p = ONE_ONE
-    full = (8 + 1) / (2 * math.pi)
-    assert abs(propagator_coeff(cfg, 0.0, p, p).abs() - full) <= 1e-12
-    assert propagator_coeff(cfg, 1.2, p, p).abs() < full
-
+# --- the Hilbert route -------------------------------------------------------
 
 def test_hilbert_route_hand_sum_k4():
     cfg = SpectralConfig(4, 0.5)
@@ -1046,7 +981,9 @@ def test_hilbert_route_mean_term_is_equivariant():
 def test_hilbert_route_matches_nodewise_propagator_assembly(nodes, energy,
                                                             monkeypatch):
     # the FFT-evaluated quadrature must agree with an explicit midpoint sum
-    # of propagator_coeff calls: at the route's own node count (None), and
+    # of the shifted propagator sum_l e^{it(l - c)} kappa_l(z)
+    # conj(kappa_l(w)), built here from section_coeff: at the route's own
+    # node count (None), and
     # at counts put in place of it, odd and larger; cuts below the spectrum
     # (-1), inside it (3), at k (6), and far below it (-18).  The route
     # moves the far cut to -1, with the node count of -1; the nodewise sum
@@ -1065,12 +1002,19 @@ def test_hilbert_route_matches_nodewise_propagator_assembly(nodes, energy,
     direct = partial_via_hilbert(cfg, z, w).to_complex()
     nodes = counts[0]
     cfg = SpectralConfig(6, min(max(cfg.cut_index, -1), 7) / 6)
+    products = [section_coeff(6, l, z).to_complex()
+                * section_coeff(6, l, w).to_complex().conjugate()
+                for l in range(7)]
+
+    def propagator(t):
+        return sum(cmath.exp(1j * t * (l - cfg.cut_index)) * product
+                   for l, product in enumerate(products))
+
     h = 2 * math.pi / nodes
-    mean = sum(propagator_coeff(cfg, -math.pi + (j + 0.5) * h, z, w)
-               .to_complex() for j in range(nodes)) / nodes
+    mean = sum(propagator(-math.pi + (j + 0.5) * h)
+               for j in range(nodes)) / nodes
     hh = math.pi / nodes
-    hil = sum((propagator_coeff(cfg, -(j + 0.5) * hh, z, w).to_complex()
-               - propagator_coeff(cfg, (j + 0.5) * hh, z, w).to_complex())
+    hil = sum((propagator(-(j + 0.5) * hh) - propagator((j + 0.5) * hh))
               / math.tan(0.5 * (j + 0.5) * hh)
               for j in range(nodes)) * hh / (2 * math.pi)
     full = bergman_coeff(6, z, w).to_complex()

@@ -17,9 +17,9 @@ from pbklab.cli import build_config, build_parser, main
 from pbklab.circle_spectral import SpectralConfig
 from pbklab.cp1_geometry import ProjectivePoint
 from pbklab.exact_kernels import equivariant_coeff, partial_coeff
-from pbklab.harness import (EXIT_CONFIG, EXIT_OK, READS, ConfigError,
-                            ExperimentConfig, format_number, make_rng,
-                            run_experiment, write_csv)
+from pbklab.harness import (EXIT_CONFIG, EXIT_OK, EXIT_THRESHOLD, READS,
+                            ConfigError, ExperimentConfig, format_number,
+                            make_rng, run_experiment, write_csv)
 
 
 def read_rows(path):
@@ -372,6 +372,18 @@ def test_cli_heatmap_rejects_non_finite_grid_bound(flag, value, capsys):
             in capsys.readouterr().err)
 
 
+@pytest.mark.parametrize("argv", [
+    ["error-scaling", "--z0=1.7e308,1.7e308,1,0", "--k-max", "100"],
+    ["diagonal-microsupport", "--z0=1.7e308,1.7e308,1,0"],
+], ids=["error-scaling", "diagonal-microsupport"])
+def test_cli_refuses_a_base_point_whose_modulus_overflows(argv, capsys):
+    # z0 = 1.7e308 (1 + i) is finite, but abs() of it overflows: height
+    # raised OverflowError, and the run exited 1 with a traceback
+    assert main(argv) == EXIT_CONFIG
+    assert ("homogeneous coordinates [(1.7e+308+1.7e+308j) : (1+0j)] have a "
+            "modulus that overflows" in capsys.readouterr().err)
+
+
 def test_cli_heatmap_rejects_a_grid_whose_modulus_overflows(capsys):
     # the grid's corner 1.3e308 (1 + i) has a modulus of 1.8e308, past the
     # largest double; abs() of it raised OverflowError, and the run exited
@@ -594,7 +606,6 @@ def test_two_proj_disjoint_decay(tmp_path):
     assert report.summary["disjoint"] is True
     assert report.summary["slope"] < 0
     assert report.summary["r_squared"] >= 0.9
-    assert report.summary["floored"] == 0
 
 
 @pytest.mark.parametrize("beta, k_list, max_width, full_blocks", [
@@ -631,17 +642,33 @@ def test_two_proj_log_norm_past_the_norm_underflow(tmp_path):
     assert -math.inf < log_60k < log_40k
 
 
-def test_two_proj_antipodal_caps_all_floored():
-    # antipodal axes give exactly orthogonal ranges: every norm is rounding
-    # noise, so every weight is counted at the fit's cut-off
+@pytest.mark.parametrize("k_list, slope", [
+    # the norm falls below 1e-12 from k = 1,700 and underflows to 0.0 past
+    # k = 46,834; its log decays in a straight line all the same
+    ([1000, 1500, 2000, 3000], -0.0161),
+    ([20_000, 40_000, 60_000], -0.0158),
+], ids=["k1000-3000", "k20000-60000"])
+def test_two_proj_fits_the_log_norms_of_tiny_norms(k_list, slope):
+    report = run_experiment(ExperimentConfig(
+        experiment="two-proj", u2=[math.sin(2.2), 0.0, math.cos(2.2)],
+        k_list=k_list))
+    assert report.exit_code == EXIT_OK
+    assert report.summary["slope"] == pytest.approx(slope, abs=5e-5)
+    assert report.summary["r_squared"] >= 0.9999
+
+
+def test_two_proj_antipodal_caps_fit_the_log_norms():
+    # the axis (0, 0, -1) is read as the angle fl(pi), a hair short of the
+    # antipode, where the product would vanish: the norms are tiny but not
+    # zero, and their logs -365.3, -729.4 and -1457.3 (the last past the
+    # norm's underflow) decay in a straight line
     cfg = ExperimentConfig(experiment="two-proj", u2=[0.0, 0.0, -1.0],
                            k_list=[20, 40, 80])
     report = run_experiment(cfg)
     assert report.exit_code == EXIT_OK
     assert report.summary["disjoint"] is True
-    assert report.summary["floored"] == 3
-    assert "3 of 3 norms at or below the 1e-12 fit cut-off" \
-        in report.message
+    assert report.summary["slope"] == pytest.approx(-18.2, abs=0.05)
+    assert "log-norm slope -18.1995 per unit k" in report.message
 
 
 def test_two_proj_identical_axes_norm_one():
@@ -687,14 +714,13 @@ def test_two_proj_single_weight_k(tmp_path):
     report = run_experiment(cfg)
     assert report.exit_code == EXIT_OK
     assert [r[0] for r in read_rows(str(out))[2]] == ["10"]
-    assert "0 of 1 norms" in report.message
     # one weight cannot show a decay on disjoint caps, and says so
     report = run_experiment(ExperimentConfig(
         experiment="two-proj", u2=[math.sin(2.2), 0.0, math.cos(2.2)],
         k_list=[10]))
-    assert report.exit_code == 1
-    assert "the decay fit needs 3 norms above the cut-off, got 1" \
-        in report.message
+    assert report.exit_code == EXIT_THRESHOLD
+    assert ("the decay fit needs 3 weights with a nonzero norm, got 1"
+            in report.message)
 
 
 @pytest.mark.parametrize("k", [0, -3])
