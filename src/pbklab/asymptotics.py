@@ -175,21 +175,41 @@ class FitResult:
     r_squared: float
 
 
+def _fit_data(points: Sequence[tuple[float, float]]
+              ) -> tuple[np.ndarray, np.ndarray]:
+    """The x and y arrays of the (x, y) pairs a line is fitted through.
+
+    A line needs at least 3 pairs, 2 distinct x and finite values, else
+    ValueError: equal x admit any slope, and an infinite value none.
+    """
+    data = np.array(points, dtype=float).reshape(-1, 2)
+    if len(data) < 3:
+        raise ValueError(f"a fit needs at least 3 (x, y) pairs, got "
+                         f"{len(data)}")
+    bad = ~np.isfinite(data).all(axis=1)
+    if bad.any():
+        raise ValueError(f"a fit needs finite data, got the pair "
+                         f"{tuple(data[bad][0].tolist())}")
+    # contiguous columns, as numpy picks its log and sum loops by layout
+    xs, ys = data.T.copy()
+    if (xs == xs[0]).all():
+        raise ValueError(f"a fit needs at least 2 distinct x, got only "
+                         f"x = {xs[0]!r}")
+    return xs, ys
+
+
 def loglog_fit(points: Sequence[tuple[float, float]]) -> FitResult:
-    """Least-squares line through (log x, log y)."""
-    if len(points) < 3:
-        raise ValueError("a log-log fit needs at least 3 points")
-    xs = np.array([p[0] for p in points], dtype=float)
-    ys = np.array([p[1] for p in points], dtype=float)
+    """Least-squares line through (log x, log y) of the (x, y) pairs."""
+    xs, ys = _fit_data(points)
     if np.any(xs <= 0) or np.any(ys <= 0):
         raise ValueError("log-log fit requires strictly positive data")
-    return linear_fit(np.log(xs), np.log(ys))
+    return linear_fit(list(zip(np.log(xs), np.log(ys))))
 
 
-def linear_fit(xs: np.ndarray, ys: np.ndarray) -> FitResult:
-    """Plain least-squares line y = slope*x + intercept with r^2."""
-    xs = np.asarray(xs, dtype=float)
-    ys = np.asarray(ys, dtype=float)
+def linear_fit(points: Sequence[tuple[float, float]]) -> FitResult:
+    """Plain least-squares line y = slope*x + intercept through the (x, y)
+    pairs, with r^2."""
+    xs, ys = _fit_data(points)
     design = np.vstack([xs, np.ones_like(xs)]).T
     (slope, intercept), *_ = np.linalg.lstsq(design, ys, rcond=None)
     predicted = design @ np.array([slope, intercept])

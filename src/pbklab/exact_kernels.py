@@ -72,17 +72,17 @@ proven window's value bit for bit: both sums are correctly rounded over
 the same float terms, since the float argmax lies in the narrow window,
 so the top and every rescaled term are the same.  A row fails where its
 sum lies below about 2^53 tau of its top term, a cancellation by more than
-about 2^26 at k = 10^6.  Only that row then takes the levels of its proven
-window that the narrow hull left out, reuses its narrow terms, and is
-summed as over the proven window.  Where arg omega equals arg zeta bit for
-bit, every phase is exactly 0.0 at every level, so the imaginary tail is
-exactly 0; a diagonal pair's imaginary sum, exactly 0.0, would fail any
-certificate with a tail.  Such a block's imaginary sums are +0.0, the
-correctly rounded sum of +0.0 terms, and are not evaluated
-(_rescaled_sums).  A chunk tries the narrow window only where its hull
-holds at most half the levels of the proven hull.  The lazily filled
-ln Gamma cache (below) then fills about half as many blocks on a cold
-pass.
+about 2^26 at k = 10^6.  Such a row comes back NaN, and the rows that do
+are summed again, in one call, over the hull of their own proven windows,
+as a chunk of those rows alone would be.  Where arg omega equals arg
+zeta bit for bit, every phase is exactly 0.0 at every level, so the
+imaginary tail is exactly 0; a diagonal pair's imaginary sum, exactly
+0.0, would fail any certificate with a tail.  Such a block's imaginary
+sums are +0.0, the correctly rounded sum of +0.0 terms, and are not
+evaluated (_rescaled_sums).  A chunk tries the narrow window only where
+its hull holds at most half the levels of the proven hull.  The lazily
+filled ln Gamma cache (below) then fills about half as many blocks on a
+cold pass.
 
 ln C(k,l) = ln Gamma(k+1) - ln Gamma(l+1) - ln Gamma(k-l+1) reads ln Gamma
 from a cache of blocks of LGAMMA_BLOCK consecutive arguments, each filled
@@ -439,20 +439,6 @@ def _rescaled_sums(logmag: np.ndarray, phase: np.ndarray, tail_re=None,
     return top, _row_sums(re, tail_re), im
 
 
-def _level_sums(logmag: np.ndarray, phase: np.ndarray) -> Batch:
-    """Each row of terms exp(logmag + i*phase) summed, as the arrays
-    (logmag, phase) of the row sums.
-
-    The row's largest logmag is factored out and the rescaled terms are
-    summed correctly rounded (_rescaled_sums); a row without a live term is
-    the exact zero.  _row_sums works on the whole block at once and hands
-    only the rows its certificate rejects to math.fsum; both give the same
-    bits.  hilbert_route_terms sums with math.fsum alone, so that as the
-    level sum's independent oracle it checks _row_sums too.
-    """
-    return _lift(*_rescaled_sums(logmag, phase))
-
-
 def logc_rel_difference(a: LogComplex, b: LogComplex) -> float:
     """|a - b| / max(|a|, |b|); zero when both vanish."""
     if a.is_zero and b.is_zero:
@@ -589,11 +575,11 @@ def _pair_sums(k: int, lo: int, z: ProjectivePoint,
 
     Only the window of levels that can survive the rescaling by the row's
     top term is evaluated; the sum is bit for bit the one over all levels.
-    Where a chunk's narrow hull (_window at NARROW_GAP) holds at most half
-    the levels of that proven hull, the chunk is first summed over the
-    narrow one and certified against _tail_bound(k); only the rows the
-    certificate leaves open take the levels it left out and are summed over
-    the proven window.
+    A chunk is summed once: over its narrow hull (_window at NARROW_GAP),
+    certified against _tail_bound(k), where that holds at most half the
+    levels of the proven hull, else over the proven hull.  The rows the
+    certificate leaves open, NaN, are summed again over their own proven
+    windows.
     """
     lo = max(lo, 0)
     z_aff = _log_affine([z])
@@ -603,28 +589,24 @@ def _pair_sums(k: int, lo: int, z: ProjectivePoint,
     def block(ws: Points) -> Batch:
         w_aff = _log_affine(ws)
         s = z_aff[0] + w_aff[0]
-        proven = _window(k, lo, s)
-        # a narrow hull holds at least min(reach, k - lo) + 1 levels, so
-        # where that is more than half the proven hull it is not built
-        narrow = (_window(k, lo, s, NARROW_GAP)
-                  if 2 * (min(reach, k - lo) + 1) <= proven.size else proven)
-        if not 0 < 2 * narrow.size <= proven.size:
-            return _level_sums(*_pairs(k, proven, z_aff, w_aff))
-        logmag, phase = _pairs(k, narrow, z_aff, w_aff)
-        # where arg omega equals arg zeta bit for bit, every phase is
-        # exactly 0.0, left-out levels included
-        flat = w_aff[1] == z_aff[1]
-        top, re, im = _rescaled_sums(logmag, phase, tail,
-                                     np.where(flat, 0.0, tail))
+        levels = _window(k, lo, s)
+        tail_re = tail_im = None
+        # a narrow hull holds at least min(reach, k - lo) + 1 levels, none
+        # for an empty cut, so where that is none or more than half the
+        # proven hull it is not built
+        if 0 < 2 * (min(reach, k - lo) + 1) <= levels.size:
+            narrow = _window(k, lo, s, NARROW_GAP)
+            if 2 * narrow.size <= levels.size:
+                levels, tail_re = narrow, tail
+                # where arg omega equals arg zeta bit for bit, every phase
+                # is exactly 0.0, left-out levels included
+                tail_im = np.where(w_aff[1] == z_aff[1], 0.0, tail)
+        top, re, im = _rescaled_sums(*_pairs(k, levels, z_aff, w_aff),
+                                     tail_re, tail_im)
         rows = np.flatnonzero(np.isnan(re) | np.isnan(im))
         if rows.size:
-            rest = _window(k, lo, s[rows])
-            sub = w_aff[:, rows]
-            parts = (_pairs(k, rest[rest < narrow[0]], z_aff, sub),
-                     (logmag[rows], phase[rows]),
-                     _pairs(k, rest[rest > narrow[-1]], z_aff, sub))
-            top[rows], re[rows], im[rows] = _rescaled_sums(
-                *(np.hstack(part) for part in zip(*parts)))
+            top[rows], re[rows], im[rows] = _rescaled_sums(*_pairs(
+                k, _window(k, lo, s[rows]), z_aff, w_aff[:, rows]))
         return _lift(top, re, im)
 
     return _per_point(w, k + 1 - lo, block)

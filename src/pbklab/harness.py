@@ -31,7 +31,7 @@ from .circle_spectral import (SpectralConfig, default_node_count,
                               random_integer_spectrum_operator,
                               spectral_projector_eig,
                               spectral_projector_quadrature)
-from .cp1_geometry import ChartError, ProjectivePoint, height
+from .cp1_geometry import ChartError, ProjectivePoint, height, xh_norm
 from .exact_kernels import (bergman_coeff, equivariant_coeff, partial_coeff)
 from .rotated_observables import (RotationAxis, caps_disjoint, caps_tangent,
                                   corner_width, projection_product_log_norm,
@@ -156,6 +156,9 @@ class ExperimentConfig:
                                       f"k_list would override {other}")
             if any(v < 1 for v in self.k_list):
                 raise ConfigError("k values must be positive")
+            if any(a >= b for a, b in zip(self.k_list, self.k_list[1:])):
+                raise ConfigError(f"k_list must be strictly increasing, got "
+                                  f"{self.k_list}")
             return list(self.k_list)
         if self.k_min < 1 or self.k_max < self.k_min or self.k_ratio <= 1.0:
             raise ConfigError("need 1 <= k_min <= k_max and k_ratio > 1")
@@ -537,6 +540,10 @@ def _diagonal_microsupport(config: ExperimentConfig) -> RunReport:
     """Diagonal trichotomy of partial/full ratios plus off-orbit decay."""
     z = config.base_point()
     h = height(z)
+    if xh_norm(z) == 0.0:
+        raise ConfigError(f"base point z0 lies at a pole (height "
+                          f"{format_number(h)}), where ||X_H|| = 0: its "
+                          f"orbit is a point, not a circle")
     k_star = int(config.k if config.k is not None else 800)
     grid = config.k_grid()
     ks = [k for k in grid if k >= 10]
@@ -567,29 +574,19 @@ def _diagonal_microsupport(config: ExperimentConfig) -> RunReport:
     fit_half = loglog_fit(half_pts)
     checks["at_slope"] = fit_half.slope
 
-    # regime H < E: superpolynomial decay of the diagonal value
-    e_above = min(h + 0.2, 0.95)
-    log_vals = []
-    for k in ks:
-        val = partial_coeff(SpectralConfig(k, e_above), z, z)
-        rows.append(("below", k, e_above, val.abs(), val.logmag))
-        log_vals.append((k, val.logmag))
-    fit_below = linear_fit(np.array([p[0] for p in log_vals]),
-                           np.array([p[1] for p in log_vals]))
-    checks["below_slope"] = fit_below.slope
-    checks["below_r2"] = fit_below.r_squared
-
-    # off-orbit pair: (z, w) with different heights
-    w = ProjectivePoint(2.0, 1.0)
-    off_vals = []
-    for k in ks:
-        val = partial_coeff(SpectralConfig(k, h), z, w)
-        rows.append(("off-orbit", k, h, val.abs(), val.logmag))
-        off_vals.append((k, val.logmag))
-    fit_off = linear_fit(np.array([p[0] for p in off_vals]),
-                         np.array([p[1] for p in off_vals]))
-    checks["off_slope"] = fit_off.slope
-    checks["off_r2"] = fit_off.r_squared
+    # superpolynomial decay of log|K| in k, fitted per regime: H < E (the
+    # diagonal value) and an off-orbit pair (z, w) with different heights
+    for regime, key, energy, w in (
+            ("below", "below", min(h + 0.2, 0.95), z),
+            ("off-orbit", "off", h, ProjectivePoint(2.0, 1.0))):
+        logs = []
+        for k in ks:
+            val = partial_coeff(SpectralConfig(k, energy), z, w)
+            rows.append((regime, k, energy, val.abs(), val.logmag))
+            logs.append((k, val.logmag))
+        fit = linear_fit(logs)
+        checks[f"{key}_slope"] = fit.slope
+        checks[f"{key}_r2"] = fit.r_squared
 
     ok = (checks["above_dev"] <= 1e-6
           and -0.65 <= checks["at_slope"] <= -0.35
@@ -655,8 +652,7 @@ def _two_proj(config: ExperimentConfig) -> RunReport:
             return RunReport(EXIT_THRESHOLD, message,
                              {"disjoint": True, "max_norm": max(norms),
                               **counts})
-        fit = linear_fit(np.array([p[0] for p in finite], dtype=float),
-                         np.array([p[1] for p in finite]))
+        fit = linear_fit(finite)
         ok = fit.slope < 0 and fit.r_squared >= 0.9
         message = (f"disjoint caps: log-norm slope {fit.slope:.4f} per unit "
                    f"k, r^2 {fit.r_squared:.4f}")

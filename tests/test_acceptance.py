@@ -142,7 +142,7 @@ def test_criterion_06_diagonal_trichotomy():
     # H < E: superpolynomial decay of the diagonal value
     ks = ExperimentConfig(k_min=50, k_max=800, k_ratio=1.5).k_grid()
     logs = [partial_coeff(SpectralConfig(k, 0.7), z, z).logmag for k in ks]
-    fit_lo = linear_fit(np.array(ks, dtype=float), np.array(logs))
+    fit_lo = linear_fit(list(zip(ks, logs)))
 
     ok = (dev_hi <= 1e-6
           and -0.65 <= fit_at.slope <= -0.35
@@ -158,7 +158,7 @@ def test_criterion_07_off_orbit_negligibility():
     w = ProjectivePoint(2, 1)
     ks = ExperimentConfig(k_min=50, k_max=800, k_ratio=1.5).k_grid()
     logs = [partial_coeff(SpectralConfig(k, 0.5), z, w).logmag for k in ks]
-    fit = linear_fit(np.array(ks, dtype=float), np.array(logs))
+    fit = linear_fit(list(zip(ks, logs)))
     ok = fit.slope < 0 and fit.r_squared >= 0.9
     report(7, "off-orbit kernel decay", ok,
            f"log|K| slope {fit.slope:.4f} per unit k (< 0), "
@@ -195,7 +195,7 @@ def test_criterion_09_two_projection_orthogonality():
     ks = [20, 28, 40, 57, 80, 113, 160, 226, 320]
     norms = [projection_product_norm(k, north, 0.75, tilted, 0.75)
              for k in ks]
-    fit = linear_fit(np.array(ks, dtype=float), np.log(np.array(norms)))
+    fit = linear_fit(list(zip(ks, np.log(np.array(norms)))))
 
     overlap = RotationAxis.polar(0.8)
     assert not caps_disjoint(north, 0.75, overlap, 0.75)

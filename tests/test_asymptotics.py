@@ -255,15 +255,37 @@ def test_loglog_fit_exact_powers():
 
 
 def test_loglog_fit_rejects_bad_input():
-    with pytest.raises(ValueError, match="3 points"):
+    with pytest.raises(ValueError, match="at least 3"):
         loglog_fit([(1.0, 1.0), (2.0, 2.0)])
     with pytest.raises(ValueError, match="positive"):
         loglog_fit([(1.0, 1.0), (2.0, -2.0), (3.0, 3.0)])
 
 
+@pytest.mark.parametrize("fit", [linear_fit, loglog_fit])
+def test_fits_refuse_equal_abscissae(fit):
+    # one x admits a line of any slope: x = 20, 20, 20 once gave slope
+    # -0.1496 with r^2 1.0
+    with pytest.raises(ValueError, match="2 distinct x"):
+        fit([(20.0, 3.0), (20.0, 2.0), (20.0, 1.5)])
+    with pytest.raises(ValueError, match="at least 3"):
+        fit([(20.0, 3.0), (40.0, 2.0)])
+    assert fit([(20.0, 3.0), (20.0, 2.0), (40.0, 1.5)]).slope < 0
+
+
+@pytest.mark.parametrize("fit", [linear_fit, loglog_fit])
+@pytest.mark.parametrize("bad", [-math.inf, math.inf, math.nan])
+def test_fits_refuse_non_finite_data(fit, bad):
+    # a -inf log magnitude, the log of an exact zero, once gave nan
+    # with a RuntimeWarning
+    for points in ([(1.0, 2.0), (2.0, bad), (3.0, 1.0)],
+                   [(1.0, 2.0), (bad, 1.5), (3.0, 1.0)]):
+        with pytest.raises(ValueError, match="finite"):
+            fit(points)
+
+
 def test_linear_fit_recovers_line():
     xs = np.array([0.0, 1.0, 2.0, 3.0])
-    fit = linear_fit(xs, -2.0 * xs + 0.5)
+    fit = linear_fit(list(zip(xs, -2.0 * xs + 0.5)))
     assert isinstance(fit, FitResult)
     assert abs(fit.slope + 2.0) <= 1e-12
     assert abs(fit.intercept - 0.5) <= 1e-12

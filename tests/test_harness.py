@@ -384,6 +384,32 @@ def test_cli_refuses_a_base_point_whose_modulus_overflows(argv, capsys):
             "modulus that overflows" in capsys.readouterr().err)
 
 
+@pytest.mark.parametrize("argv, weights", [
+    (["two-proj", "--u2=0.8084964038195901,0,-0.5885011172553458",
+      "--k-list", "20,20,20"], "[20, 20, 20]"),
+    (["error-scaling", "--k-list", "1000,10,100"], "[1000, 10, 100]"),
+], ids=["two-proj-repeated", "error-scaling-decreasing"])
+def test_cli_refuses_a_k_list_that_is_not_increasing(argv, weights, capsys):
+    # two-proj fitted a line through the one weight 20 with r^2 1.0, and
+    # error-scaling reported its fit "over k in [1000, 100]"; both exited 0
+    assert main(argv) == EXIT_CONFIG
+    assert (f"k_list must be strictly increasing, got {weights}"
+            in capsys.readouterr().err)
+
+
+def test_cli_diagonal_microsupport_refuses_a_pole(capsys):
+    # at zeta = 0 every "below" value is the exact zero, and the fit of its
+    # log magnitudes exited 1 after a RuntimeWarning
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["diagonal-microsupport", "--z0=0,0,1,0", "--k", "50",
+                     "--k-max", "200"])
+    assert code == EXIT_CONFIG
+    assert caught == []
+    assert ("base point z0 lies at a pole (height 0), where ||X_H|| = 0"
+            in capsys.readouterr().err)
+
+
 def test_cli_heatmap_rejects_a_grid_whose_modulus_overflows(capsys):
     # the grid's corner 1.3e308 (1 + i) has a modulus of 1.8e308, past the
     # largest double; abs() of it raised OverflowError, and the run exited
