@@ -21,9 +21,14 @@ arrays, one entry per point, (-inf, 0.0) for the exact zero; one point
 returns a LogComplex of Python floats, the entry of a batch of one.  A
 batch runs through one routine for kappa_{k,l} over a block of points x
 levels and one that sums each row, a chunk of points of about CHUNK_TERMS
-level terms at a time.  It stays in arrays from the row sums to the
-caller, with no LogComplex per point: _lift turns a whole block of row
-sums into log-polar form.  Per-value libm calls are mapped over the
+level terms at a time: one _sections call makes the terms of the base
+point and of the chunk's points together, and one _row_sums call sums the
+real and the imaginary parts of every row, stacked in one block.  So the
+fixed cost of a call, a few dozen numpy calls on short arrays, is paid
+once per chunk, not per point or per part: a caller with many points
+does best to pass them together.  It stays in arrays from the row sums
+to the caller, with no LogComplex per point: _lift turns a whole block
+of row sums into log-polar form.  Per-value libm calls are mapped over the
 values (math.log, math.atan2, and math.exp and math.log1p for the
 section lead), since numpy's log, arctan2, exp and log1p, and np.abs of
 a complex array, miss those by an ulp on a share of inputs.  The modulus
@@ -90,13 +95,14 @@ by math.lgamma the first time one of its entries is read.  The three
 argument ranges are read apart, so a window fills O(sqrt(k)) entries, and
 a cold level sum costs O(sqrt(k)) in time and memory, as a warm one does.
 
-A block of level sums is summed row by row correctly rounded in numpy
-(_row_sums), in two stages of error-free extraction (Rump, Ogita &
-Oishi).  The first splits the whole block at one sigma = 2^(e+m), with
-2^e above the block's largest |x| and 2^m >= n for rows of n terms.  By
-Sterbenz's lemma each high part q = (sigma + x) - sigma is exact and a
-multiple of 2^(e+m-53), and a row's partial sums of q stay such
-multiples below sigma, so numpy sums them exactly; the residual
+A block of level sums, its real rows stacked over its imaginary ones, is
+summed row by row correctly rounded in numpy (_row_sums), in two stages
+of error-free extraction (Rump, Ogita & Oishi).  The first splits the
+whole block at one sigma = 2^(e+m), with 2^e above the block's largest
+|x| and 2^m >= n for rows of n terms.  By Sterbenz's lemma each high part
+q = (sigma + x) - sigma is exact and a multiple of 2^(e+m-53), and a
+row's partial sums of q stay such multiples below sigma, so numpy sums
+them exactly; the residual
 p = x - q is exact too, with |p| <= 2^(e+m-53).  So sum|p| <=
 n 2^(e+m-53) a priori, numpy's sum of p is within gamma_{n-1} of that,
 in any order, and a rounding certificate on the TwoSum of the two row
@@ -196,8 +202,12 @@ def _lgamma(i, first: int, last: int):
     """ln(Gamma(i)) for an index or index array i within first..last.
 
     Only the blocks covering first..last are read, so a call costs the
-    span of its indices, not their largest value.
+    span of its indices, not their largest value.  A single index is read
+    from math.lgamma itself, the value its block would hold, and fills no
+    block.
     """
+    if first == last:
+        return np.full(np.shape(i), math.lgamma(first))
     lo, hi = first // LGAMMA_BLOCK, last // LGAMMA_BLOCK
     cover = (_lgamma_block(lo) if lo == hi else
              np.concatenate([_lgamma_block(b) for b in range(lo, hi + 1)]))
@@ -309,10 +319,41 @@ def _extract(x: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
     block at one sigma first, and this one per row only on the residuals
     of the rows that the first split leaves open.
     """
-    sigma = np.ldexp(1.0, np.frexp(np.abs(x).max(axis=1))[1] + m)[:, None]
-    q = sigma + x
+    sigma = np.ldexp(1.0, np.frexp(_abs_max(x, axis=1))[1] + m)
+    q = _high(x, sigma[:, None])
+    return q.sum(axis=1), np.subtract(x, q, out=q)
+
+
+def _abs_max(x: np.ndarray, axis: int | None = None):
+    """max|x| over the axis, NaN where x holds a NaN, made with no
+    temporary the size of x."""
+    return np.maximum(x.max(axis=axis, initial=0.0),
+                      -x.min(axis=axis, initial=0.0))
+
+
+def _high(x: np.ndarray, sigma, out: np.ndarray | None = None) -> np.ndarray:
+    """The high parts q = (sigma + x) - sigma of x, into out if given."""
+    q = np.add(x, sigma, out=out)
     q -= sigma
-    return q.sum(axis=1), x - q
+    return q
+
+
+def _split_sums(x: np.ndarray, sigma: float) -> tuple[np.ndarray, np.ndarray]:
+    """The row sums of the high parts q = (sigma + x) - sigma of x and of
+    the residuals x - q, made in two slabs of rows through one buffer, so
+    that q and the residuals take half the memory of x, not all of it.
+    The residuals are not kept: _row_sums makes those of the rows it
+    leaves open again, bit for bit."""
+    rows, n = x.shape
+    t1, t2 = np.empty(rows), np.empty(rows)
+    step = max(1, -(-rows // 2))
+    buf = np.empty((step, n))
+    for i in range(0, rows, step):
+        slab = x[i:i + step]
+        q = _high(slab, sigma, buf[:len(slab)])
+        t1[i:i + step] = q.sum(axis=1)
+        t2[i:i + step] = np.subtract(slab, q, out=q).sum(axis=1)
+    return t1, t2
 
 
 def _rounds_to(r: np.ndarray, err: np.ndarray) -> np.ndarray:
@@ -332,10 +373,11 @@ def _row_sums(x: np.ndarray, tail=None) -> np.ndarray:
 
     The first stage splits the whole block at one sigma = 2^(e+m), with
     2^e > max|x| over the block and 2^m >= n, m >= 1, for rows of n terms
-    (_extract's split at a single sigma): by Sterbenz's lemma every
-    q = (sigma + x) - sigma is exact, a multiple of 2^(e+m-53), so every
-    partial sum of a row's q stays such a multiple below sigma and numpy
-    sums them exactly to t1; the residual p = x - q is exact, with
+    (_extract's split at a single sigma, taken by _split_sums in two slabs
+    of rows): by Sterbenz's lemma every q = (sigma + x) - sigma is exact,
+    a multiple of 2^(e+m-53), so every partial sum of a row's q stays such
+    a multiple below sigma and numpy sums them exactly to t1; the residual
+    p = x - q is exact, with
     |p| <= 2^(e+m-53).  That bounds sum|p| <= n 2^(e+m-53) a priori, so no
     pass sums |p|: numpy sums p to t2 within
     gamma_{n-1} sum|p| <= 2n eps n 2^(e+m-53) = B, in any order
@@ -348,7 +390,8 @@ def _row_sums(x: np.ndarray, tail=None) -> np.ndarray:
     passes.
 
     A row that fails (a near-tie, a row far below the block's largest
-    term, cancellation, an exact 0) goes on from t1 and its residual: one
+    term, cancellation, an exact 0) goes on from t1 and its residual, made
+    again from the row by the same split: one
     extraction per row (_extract, at the residual's own scale) writes the
     residual as t2 + sum(p'), with |p'| below 2^(m-53) times the
     residual's largest term, and numpy sums p' to t3 within
@@ -377,25 +420,25 @@ def _row_sums(x: np.ndarray, tail=None) -> np.ndarray:
         return np.where(tail > 0, math.nan, 0.0)
     m = max(1, (n - 1).bit_length())
     with np.errstate(invalid="ignore", over="ignore"):
-        big = float(np.abs(x).max(initial=0.0))
+        big = float(_abs_max(x))
         e = math.frexp(big)[1]
         if math.isfinite(big) and e + m < 1024:
             sigma = math.ldexp(1.0, e + m)
-            q = x + sigma
-            q -= sigma
-            t1 = q.sum(axis=1)
-            p = np.subtract(x, q, out=q)
-            r, e1 = _two_sum(t1, p.sum(axis=1))
+            t1, t2 = _split_sums(x, sigma)
+            r, e1 = _two_sum(t1, t2)
             bound = _up(math.ldexp(2.0 * n * n, e + m - 106))
             open_rows = np.flatnonzero(
                 ~_rounds_to(r, _up(np.abs(e1) + _up(bound + tail))))
+            if not open_rows.size:
+                return r
+            # the residuals of the open rows, split again as above
+            p = x[open_rows]
+            p -= _high(p, sigma)
         else:
             t1, p, r = np.zeros(rows), x, np.zeros(rows)
             open_rows = np.arange(rows)
-        if not open_rows.size:
-            return r
         tail = tail[open_rows]
-        t2, p = _extract(p[open_rows], m)
+        t2, p = _extract(p, m)
         mass = np.abs(p).sum(axis=1)
         a, e0 = _two_sum(t1[open_rows], t2)
         c, e1 = _two_sum(e0, p.sum(axis=1))
@@ -416,27 +459,42 @@ def _rescaled_sums(logmag: np.ndarray, phase: np.ndarray, tail_re=None,
     """Each row of terms exp(logmag + i*phase) summed, as the row's top
     logmag and the real and imaginary parts of its sum rescaled by e^-top.
 
-    The real and imaginary parts of the rescaled terms are each summed
-    correctly rounded by _row_sums, so the only error left is the rounding
-    of each term.  Dead terms (logmag -inf) add exact zeros.  tail_re and
-    tail_im, if given, bound in units of each row's top term the real and
-    the imaginary parts of the terms of levels left out of the rows, as
-    _row_sums takes them; a part they leave uncertain comes back NaN.
+    The real and imaginary parts of the rescaled terms are made in one
+    block, the real rows over the imaginary ones, and summed correctly
+    rounded by one _row_sums call, so the only error left is the rounding
+    of each term.  The block is the only array this makes the size of the
+    terms, besides one temporary of sines or cosines: the rescaled
+    magnitudes are made in its last half and multiplied there in place,
+    so that the level sum holds about five doubles a term at its peak,
+    the inputs and _row_sums' buffer included.  Dead terms
+    (logmag -inf) add exact zeros.  tail_re and tail_im, if given, bound
+    in units of each row's top term the real and the imaginary parts of
+    the terms of levels left out of the rows, as _row_sums takes them, a
+    tail per row of the block; a part they leave uncertain comes back NaN.
     """
     top = logmag.max(axis=1, initial=-math.inf)
-    mags = logmag - np.where(top > -math.inf, top, 0.0)[:, None]
-    np.exp(mags, out=mags)
+    rows, n = logmag.shape
     # every imaginary part is +0.0 where every phase is 0.0, as where arg
-    # omega equals arg zeta, and then so is its correctly rounded sum
-    if phase.any() or tail_im is not None and np.any(tail_im):
-        im = np.sin(phase)
-        im *= mags
-        im = _row_sums(im, tail_im)
+    # omega equals arg zeta, and then so is its correctly rounded sum: the
+    # block holds the real parts alone
+    both = bool(phase.any() or tail_im is not None and np.any(tail_im))
+    parts = np.empty((1 + both, rows, n))
+    # the rescaled magnitudes, made in the last part and multiplied there
+    # by the sines, or by the cosines if the block holds no sines
+    mags = parts[-1]
+    np.subtract(logmag, np.where(top > -math.inf, top, 0.0)[:, None],
+                out=mags)
+    np.exp(mags, out=mags)
+    if both:
+        re = np.cos(phase, out=parts[0])
+        re *= mags
+        mags *= np.sin(phase)
     else:
-        im = np.zeros(top.size)
-    re = np.cos(phase)
-    re *= mags
-    return top, _row_sums(re, tail_re), im
+        mags *= np.cos(phase)
+    tail = np.concatenate([np.broadcast_to(0.0 if t is None else t, rows)
+                           for t in (tail_re, tail_im)[:1 + both]])
+    sums = _row_sums(parts.reshape((1 + both) * rows, n), tail)
+    return top, sums[:rows], sums[rows:] if both else np.zeros(rows)
 
 
 def logc_rel_difference(a: LogComplex, b: LogComplex) -> float:
@@ -505,12 +563,15 @@ def _sections(k: int, levels: np.ndarray, binom: np.ndarray,
 def _pairs(k: int, levels: np.ndarray, z: np.ndarray,
            ws: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(logmag, phase) of kappa_{k,l}(z) conj(kappa_{k,l}(w)), a row per w;
-    z and ws are the _log_affine arrays of the first point and the others."""
-    binom = log_binomial(k, levels)
-    lm_z, ph_z = _sections(k, levels, binom, *z)
-    lm_w, ph_w = _sections(k, levels, binom, *ws)
-    lm_w += lm_z
-    return lm_w, np.subtract(ph_z, ph_w, out=ph_w)
+    z and ws are the _log_affine arrays of the first point and the others.
+
+    One _sections call makes the rows of z and of every w together; each
+    row is the same whatever rows it is made with."""
+    logmag, phase = _sections(k, levels, log_binomial(k, levels),
+                              *np.concatenate([z, ws], axis=1))
+    lm_w, ph_w = logmag[1:], phase[1:]
+    lm_w += logmag[0]
+    return lm_w, np.subtract(phase[0], ph_w, out=ph_w)
 
 
 def _window(k: int, lo: int, s: np.ndarray,

@@ -21,7 +21,7 @@ import os
 import sys
 from collections.abc import Iterable
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, islice
 
 import numpy as np
 
@@ -40,6 +40,15 @@ from .rotated_observables import (RotationAxis, caps_disjoint, caps_tangent,
 EXIT_OK = 0
 EXIT_THRESHOLD = 1
 EXIT_CONFIG = 2
+
+# the equivariant heatmap calls its kernel on blocks of whole grid rows of
+# at most this many cells (one row at least): a cell costs it one level, so
+# a block this size shares the fixed cost of a call among its cells while
+# its per-cell lists stay far below the grid's two float arrays
+EQUIVARIANT_BLOCK_CELLS = 2048
+
+# write_csv reads its rows this many at a time, about one heatmap grid row
+CSV_BLOCK = 128
 
 
 class ConfigError(ValueError):
@@ -207,16 +216,43 @@ def format_number(value) -> str:
     return _conversion(type(value)) % (value,)
 
 
+def _template(kinds: tuple, templates: dict[tuple, str]) -> str:
+    """The % template of one line whose values have these types, made once
+    per sequence of types."""
+    template = templates.get(kinds)
+    if template is None:
+        template = templates[kinds] = ",".join(map(_conversion, kinds)) + "\n"
+    return template
+
+
+def _lines(block: list, templates: dict[tuple, str]) -> str:
+    """The CSV lines of a block of rows.
+
+    Where every row has the same length and each column one type, the
+    block is one % on its line template repeated per row; otherwise each
+    row goes through its own template.  Both give every value the
+    conversion of its type, so the same text.
+    """
+    width = len(block[0])
+    if set(map(len, block)) == {width}:
+        values = tuple(chain.from_iterable(block))
+        kinds = tuple(map(type, values[:width]))
+        if kinds * len(block) == tuple(map(type, values)):
+            return (_template(kinds, templates) * len(block)) % values
+    return "".join(_template(tuple(map(type, row)), templates) % tuple(row)
+                   for row in block)
+
+
 def write_csv(path: str, columns: list[str], rows: Iterable[tuple],
               meta: list[str], no_timestamp: bool) -> None:
     """The meta lines as comments, the header, then one line per row.
 
-    rows may be any iterable; it is read once, and each row's line is
-    written to the open file as it comes, so no line outlives its row.
+    rows may be any iterable of sequences; it is read once, CSV_BLOCK rows
+    at a time, and each block's lines are written to the open file as it
+    comes, so no line outlives its block.
     """
-    # each row goes through one % template, built once per sequence of
-    # value types
     templates: dict[tuple, str] = {}
+    rows = iter(rows)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for entry in meta:
             fh.write(f"# {entry}\n")
@@ -224,13 +260,8 @@ def write_csv(path: str, columns: list[str], rows: Iterable[tuple],
             stamp = datetime.datetime.now(datetime.timezone.utc).isoformat()
             fh.write(f"# timestamp: {stamp}\n")
         fh.write(",".join(columns) + "\n")
-        for row in rows:
-            kinds = tuple(map(type, row))
-            template = templates.get(kinds)
-            if template is None:
-                template = templates[kinds] = (
-                    ",".join(map(_conversion, kinds)) + "\n")
-            fh.write(template % tuple(row))
+        for block in iter(lambda: list(islice(rows, CSV_BLOCK)), []):
+            fh.write(_lines(block, templates))
 
 
 def _emit_csv(config: ExperimentConfig, columns: list[str],
@@ -407,17 +438,26 @@ def _heatmap(config: ExperimentConfig) -> RunReport:
     # Python object per cell
     values = np.empty((n, n))
     logmags = np.empty((n, n))
-    # one kernel call per grid row, given as the chart coordinates of its
-    # cells [zeta:1]
-    for i in range(n):
-        zetas = axis.astype(complex)
-        zetas.imag = axis[i]
+    # one kernel call per block of grid rows, given as the chart
+    # coordinates of its cells [zeta:1]: a partial call per grid row, whose
+    # cells each sum a window of levels, and an equivariant call per
+    # EQUIVARIANT_BLOCK_CELLS cells or so, one level each
+    step = (max(1, EQUIVARIANT_BLOCK_CELLS // n)
+            if config.kind == "equivariant" else 1)
+    for i in range(0, n, step):
+        ims = axis[i:i + step]
+        zetas = np.empty((ims.size, n), dtype=complex)
+        zetas.real = axis
+        zetas.imag = ims[:, None]
         if config.kind == "equivariant":
-            logmags[i], _ = equivariant_coeff(k, cfg.cut_index, z, zetas)
+            logmag, _ = equivariant_coeff(k, cfg.cut_index, z, zetas.ravel())
         else:
-            logmags[i], _ = partial_coeff(cfg, z, zetas)
+            logmag, _ = partial_coeff(cfg, z, zetas.ravel())
+        logmags[i:i + step] = logmag.reshape(zetas.shape)
         # |K| as LogComplex.abs gives it: math.exp(-inf) is the 0.0 of zero
-        values[i] = list(map(math.exp, logmags[i].tolist()))
+        values[i:i + step] = np.fromiter(map(math.exp, logmag.tolist()),
+                                         float, logmag.size
+                                         ).reshape(zetas.shape)
     peak = np.unravel_index(np.argmax(values), values.shape)
     peak_zeta = complex(axis[peak[1]], axis[peak[0]])
     cell = float(axis[1] - axis[0])
@@ -544,6 +584,18 @@ def _diagonal_microsupport(config: ExperimentConfig) -> RunReport:
         raise ConfigError(f"base point z0 lies at a pole (height "
                           f"{format_number(h)}), where ||X_H|| = 0: its "
                           f"orbit is a point, not a circle")
+    # the regime energies lie 0.2 below and above the base height, clamped
+    # to 0.05..0.95, so within 0.05 of a pole one of them lands on the wrong
+    # side of the height, and its run is not the regime it is named for
+    e_below = max(h - 0.2, 0.05)
+    e_above = min(h + 0.2, 0.95)
+    if not e_below < h < e_above:
+        regime, energy = (("above (H > E)", e_below) if h <= e_below
+                          else ("below (H < E)", e_above))
+        raise ConfigError(
+            f"base point z0 lies at height {format_number(h)}, within 0.05 "
+            f"of a pole: the {regime} regime's energy, clamped to "
+            f"{energy:g}, is not on its side of the height")
     k_star = int(config.k if config.k is not None else 800)
     grid = config.k_grid()
     ks = [k for k in grid if k >= 10]
@@ -554,7 +606,6 @@ def _diagonal_microsupport(config: ExperimentConfig) -> RunReport:
     checks = {}
 
     # regime H > E: ratio at the single witness weight
-    e_below = max(h - 0.2, 0.05)
     ratio_hi = (partial_coeff(SpectralConfig(k_star, e_below), z, z).abs()
                 / bergman_coeff(k_star, z, z).abs())
     rows.append(("above", k_star, e_below, ratio_hi, abs(ratio_hi - 1.0)))
@@ -577,7 +628,7 @@ def _diagonal_microsupport(config: ExperimentConfig) -> RunReport:
     # superpolynomial decay of log|K| in k, fitted per regime: H < E (the
     # diagonal value) and an off-orbit pair (z, w) with different heights
     for regime, key, energy, w in (
-            ("below", "below", min(h + 0.2, 0.95), z),
+            ("below", "below", e_above, z),
             ("off-orbit", "off", h, ProjectivePoint(2.0, 1.0))):
         logs = []
         for k in ks:

@@ -1,6 +1,7 @@
 import cmath
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -72,6 +73,27 @@ def row_sum_hex(rows):
 
 # finite terms small enough that no partial sum of a row overflows
 summand = st.floats(min_value=-1e300, max_value=1e300, allow_nan=False)
+
+
+def test_level_sum_memory_per_term():
+    # one k = 80 grid row, 121 points x 41 levels: at its peak the level
+    # sum holds about five doubles a term, 43.7 bytes a term traced (the
+    # pair logmags and phases, the stacked real and imaginary parts, and
+    # the first stage's high parts for half the block at a time); with the
+    # high parts of the whole block at once it took 52
+    cfg = SpectralConfig(80, 0.5)
+    axis = np.linspace(-1.6, 1.6, 121)
+    zetas = axis.astype(complex)
+    zetas.imag = axis[30]
+    z = ProjectivePoint(1.0, 1.0)
+    partial_coeff(cfg, z, zetas)
+    tracemalloc.start()
+    try:
+        partial_coeff(cfg, z, zetas)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 47 * 121 * 41
 
 
 @st.composite
@@ -442,6 +464,27 @@ def test_cold_level_sum_fills_sqrt_k_of_lgamma(monkeypatch):
     assert not partial_coeff(SpectralConfig(k, 0.5), z, w).is_zero
     # a dense table would hold k + 3 entries
     assert sum(b.size for b in exact_kernels._LGAMMA_BLOCKS.values()) < 300000
+
+
+def test_one_index_lgamma_reads_fill_no_block(monkeypatch):
+    # ln Gamma(k + 1) and a one-level section coefficient's reads are single
+    # indices: math.lgamma gives them, the value a block would hold, and
+    # no block is filled for them
+    monkeypatch.setattr(exact_kernels, "_LGAMMA_BLOCKS", {})
+    k, size = 10 ** 6, exact_kernels.LGAMMA_BLOCK
+    z = level_point(0.5, 0.3)
+    assert not partial_coeff(SpectralConfig(k, 0.5), z, z).is_zero
+    filled = set(exact_kernels._LGAMMA_BLOCKS)
+    assert filled and (k + 1) // size not in filled
+    levels = np.arange(k // 2 - 2000, k // 2 + 2000, 37)
+    assert log_binomial(k, levels).tolist() == [
+        math.lgamma(k + 1) - math.lgamma(l + 1) - math.lgamma(k - l + 1)
+        for l in levels.tolist()]
+    l = k // 3
+    assert not section_coeff(k, l, z).is_zero
+    assert log_binomial(k, l) == (math.lgamma(k + 1) - math.lgamma(l + 1)
+                                  - math.lgamma(k - l + 1))
+    assert set(exact_kernels._LGAMMA_BLOCKS) == filled
 
 
 def test_kernel_results_hold_python_floats():

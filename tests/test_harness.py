@@ -124,6 +124,56 @@ def test_write_csv_rows_match_format_number(tmp_path):
                         "18446744073709551615,True")
 
 
+def _per_row_text(rows):
+    """The CSV body the per-row rule gives: format_number per value."""
+    return "".join(",".join(map(format_number, row)) + "\n" for row in rows)
+
+
+def _mixed_row(i):
+    return (i, np.int64(-7 * i), i % 2 == 0, 0.1 * i, np.float64(i / 3.0),
+            f"r{i}", np.float32(i / 7.0))
+
+
+def _type_change(count):
+    # one row mid-block whose columns change type: bool for int and
+    # np.float32 for float print alike or not, but either leaves the block
+    # to the per-row path
+    rows = [_mixed_row(i) for i in range(count)]
+    row = list(rows[count // 2])
+    row[0], row[3], row[6] = True, np.float32(0.1), 0.25
+    rows[count // 2] = tuple(row)
+    return rows
+
+
+BLOCK = harness.CSV_BLOCK
+
+
+@pytest.mark.parametrize("rows", [
+    [],
+    [_mixed_row(i) for i in range(1)],
+    [_mixed_row(i) for i in range(BLOCK - 1)],
+    [_mixed_row(i) for i in range(BLOCK)],
+    [_mixed_row(i) for i in range(BLOCK + 1)],
+    [_mixed_row(i) for i in range(2 * BLOCK + 1)],
+    [_mixed_row(i)[:1 + i % 7] for i in range(BLOCK + 3)],
+    # lengths 2, 1, 3: as many values as three rows of two
+    [(1.0, 2.0), (3.0,), (4.0, 5.0, 6.0)],
+    _type_change(BLOCK + 1),
+    _type_change(3),
+], ids=["empty", "one", "block-1", "block", "block+1", "two-blocks+1",
+        "unequal-lengths", "unequal-lengths-same-count", "type-change",
+        "type-change-short"])
+def test_write_csv_blocks_match_the_per_row_rule(tmp_path, rows):
+    # write_csv reads CSV_BLOCK rows at a time and prints a block of equal
+    # rows with one % on its repeated line template, any other block a row
+    # at a time; both give the per-row rule's bytes
+    path = tmp_path / "b.csv"
+    for given in (rows, iter(rows)):
+        write_csv(str(path), ["c"], given, ["experiment: demo"], True)
+        text = path.read_text()
+        assert text == "# experiment: demo\nc\n" + _per_row_text(rows)
+
+
 # --- CSV determinism ---------------------------------------------------------
 
 def test_csv_identical_for_identical_config(tmp_path):
@@ -210,6 +260,54 @@ def test_heatmap_memory_does_not_grow_with_cells(tmp_path):
         tracemalloc.stop()
     assert peak < 1_000_000
     assert len((tmp_path / "g.csv").read_text().splitlines()) == 6 + 121 ** 2
+
+
+def test_heatmap_level_sum_memory_per_term(tmp_path):
+    # a k = 400 partial heatmap sums up to 81 x 201 terms per grid row; the
+    # level sum holds about five doubles a term (the pair logmags and
+    # phases, the stacked real and imaginary parts, and half of those for
+    # the high parts), 0.99 MB traced at its largest row.  Stacking the
+    # parts without reusing the temporaries took 1.3 MB
+    cfg = ExperimentConfig(experiment="heatmap", kind="partial", k=400, e=0.5,
+                           grid_n=81, out=str(tmp_path / "g.csv"),
+                           no_timestamp=True)
+    assert run_experiment(cfg).exit_code == EXIT_OK    # warm caches
+    tracemalloc.start()
+    try:
+        assert run_experiment(cfg).exit_code == EXIT_OK
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_150_000
+
+
+@pytest.mark.parametrize("n, cells", [(19, 4 * 19), (93, None)],
+                         ids=["four-row-blocks", "default-blocks"])
+def test_equivariant_heatmap_blocks_match_per_row_calls(tmp_path, monkeypatch,
+                                                        n, cells):
+    # the equivariant heatmap calls its kernel on blocks of grid rows, here
+    # several blocks and a last one of an odd number of rows; its CSV body
+    # is the one a kernel call per grid row gives
+    if cells is not None:
+        monkeypatch.setattr(harness, "EQUIVARIANT_BLOCK_CELLS", cells)
+    step = harness.EQUIVARIANT_BLOCK_CELLS // n
+    assert 1 < step < n and n % step % 2 == 1
+    cfg = ExperimentConfig(experiment="heatmap", kind="equivariant", k=80,
+                           e=0.5, grid_n=n, out=str(tmp_path / "g.csv"),
+                           no_timestamp=True)
+    assert run_experiment(cfg).exit_code == EXIT_OK
+    z, level = cfg.base_point(), SpectralConfig(80, 0.5).cut_index
+    axis = np.linspace(cfg.grid_min, cfg.grid_max, n)
+    rows = []
+    for im in axis.tolist():
+        zetas = axis.astype(complex)
+        zetas.imag = im
+        logmag, _ = equivariant_coeff(80, level, z, zetas)
+        rows += [(re, im, math.exp(v), v)
+                 for re, v in zip(axis.tolist(), logmag.tolist())]
+    text = (tmp_path / "g.csv").read_text()
+    assert text.endswith("\nre_zeta,im_zeta,abs_value,logmag\n"
+                         + _per_row_text(rows))
 
 
 @pytest.mark.parametrize("fields, fragment", [
@@ -408,6 +506,23 @@ def test_cli_diagonal_microsupport_refuses_a_pole(capsys):
     assert caught == []
     assert ("base point z0 lies at a pole (height 0), where ||X_H|| = 0"
             in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("z0, height, regime", [
+    ("0.05,0", "0.0024937655860349135", "above (H > E)"),
+    ("20,0", "0.99750623441396513", "below (H < E)"),
+], ids=["near-south-pole", "near-north-pole"])
+def test_cli_diagonal_microsupport_refuses_a_base_point_near_a_pole(
+        z0, height, regime, capsys):
+    # the regime energies, clamped to 0.05..0.95, reach the wrong side of a
+    # height within 0.05 of a pole: the above run took E > H and exited 1
+    # with above-dev 1.00e+00, the below run E < H with below-slope 0.0086
+    code = main(["diagonal-microsupport", f"--z0={z0}", "--k", "50",
+                 "--k-max", "400"])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert (f"base point z0 lies at height {height}, within 0.05 of a pole: "
+            f"the {regime} regime's energy" in err)
 
 
 def test_cli_heatmap_rejects_a_grid_whose_modulus_overflows(capsys):
