@@ -83,13 +83,12 @@ class AsymptoticPrediction:
     """A leading term plus its bookkeeping.
 
     leading carries the (2pi/k)^n-scaled value; unscaled multiplies the
-    prefactor back.  remainder_order records the power of k governing the
-    first dropped term (k^-3/2 on the orbit itself where a = b = 0, k^-1
-    otherwise).
+    prefactor back.  The first dropped term is of order k^-remainder_order:
+    1.5 on the orbit itself where a = b = 0, 1.0 otherwise.
     """
 
     leading: complex
-    remainder_order: str
+    remainder_order: float
     k: int
     dimension: int
 
@@ -107,7 +106,7 @@ def _leading(cfg: SpectralConfig, dimension: int, probe: ScalingProbe,
     lead = (math.exp(-0.5 * (a * a + b * b) * xh * xh)
             * cmath.exp(-1j * cfg.cut_index * probe.t0) * shape
             / (xh * math.sqrt(math.pi * cfg.k)))
-    order = "k^-3/2" if a == 0.0 and b == 0.0 else "k^-1"
+    order = 1.5 if a == 0.0 and b == 0.0 else 1.0
     return AsymptoticPrediction(lead, order, cfg.k, dimension)
 
 

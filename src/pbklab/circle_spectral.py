@@ -55,6 +55,9 @@ EXPM_TERM_TOL = 1e-16
 # below pi/2
 EXPM_SERIES_NORM = 2.0
 RANDOM_SPECTRUM_BOUND = 8
+# the largest weight a SpectralConfig takes: exact_kernels proves its
+# narrow-window certificate for k <= 10^11
+MAX_WEIGHT = 10 ** 11
 
 
 def snapped_ceil(x: float) -> int:
@@ -353,7 +356,8 @@ class SpectralConfig:
     The rotation of the projective line acts freely off the poles, so the
     paper's stabilizer order N is 1 and every integer frequency is
     admissible.  The kernels and the leading-term predictors all read the
-    cut from cut_index.
+    cut from cut_index.  A weight above MAX_WEIGHT = 10^11, past which
+    the level sums' certificate is not proven, raises ValueError.
     """
 
     k: int
@@ -362,6 +366,10 @@ class SpectralConfig:
     def __post_init__(self):
         if self.k < 1 or int(self.k) != self.k:
             raise ValueError("k must be a positive integer")
+        if self.k > MAX_WEIGHT:
+            raise ValueError(f"weight k = {self.k} exceeds {MAX_WEIGHT}, the "
+                             f"largest weight for which the level sums are "
+                             f"certified")
         if not math.isfinite(self.energy):
             raise ValueError(f"energy level {self.energy} must be finite")
         object.__setattr__(self, "k", int(self.k))

@@ -34,7 +34,6 @@ from .circle_spectral import (SpectralConfig, default_node_count,
 from .cp1_geometry import ChartError, ProjectivePoint, height, xh_norm
 from .exact_kernels import (bergman_coeff, equivariant_coeff, partial_coeff)
 from .rotated_observables import (RotationAxis, caps_disjoint, caps_tangent,
-                                  corner_width, projection_product_log_norm,
                                   projection_product_norm)
 
 EXIT_OK = 0
@@ -511,16 +510,16 @@ def _error_scaling(config: ExperimentConfig) -> RunReport:
         raise ConfigError(f"base point z0 lies at height {format_number(h)}, "
                           f"off the level set E = {format_number(energy)}")
     if config.kind == "equivariant":
-        # remainder is k^-3/2 on the orbit (a = b = 0) and k^-1 once the
-        # Gaussian offsets are on, so the witness power adapts
-        power = 1.5 if config.a == 0.0 and config.b == 0.0 else 1.0
+        # the witness scales the error by the remainder's order in k
         rows = []
         for cfg in configs:
             k = cfg.k
             exact = equivariant_coeff(k, cfg.cut_index,
                                       *probe.points(k)).to_complex()
-            lead = predict_equivariant(cfg, 1, probe).leading
-            rows.append((k, abs(2.0 * math.pi / k * exact - lead) * k ** power))
+            prediction = predict_equivariant(cfg, 1, probe)
+            power = prediction.remainder_order
+            rows.append((k, abs(2.0 * math.pi / k * exact - prediction.leading)
+                         * k ** power))
         witnesses = [w for _, w in rows]
         # the median as np.median takes it, whose first call imports numpy.ma
         ordered, mid = sorted(witnesses), len(witnesses) // 2
@@ -665,18 +664,10 @@ def _two_proj(config: ExperimentConfig) -> RunReport:
         raise ConfigError("tangent cap configuration is excluded")
     disjoint = caps_disjoint(u1, config.e1, u2, config.e2)
     ks = config.k_grid()
-    rows = []
-    norms = []
-    widths = []
-    for k in ks:
-        norm = projection_product_norm(k, u1, config.e1, u2, config.e2)
-        # below the normal floats the norm has lost bits or underflowed,
-        # and its log is taken again from the unrounded singular value
-        rows.append((k, norm, math.log(norm) if norm >= sys.float_info.min
-                     else projection_product_log_norm(k, u1, config.e1, u2,
-                                                      config.e2)))
-        norms.append(norm)
-        widths.append(corner_width(k, u1, config.e1, u2, config.e2))
+    products = [projection_product_norm(k, u1, config.e1, u2, config.e2)
+                for k in ks]
+    rows = [(k, p.norm, p.log_norm) for k, p in zip(ks, products)]
+    norms = [p.norm for p in products]
     _emit_csv(config, ["k", "norm", "log_norm"], rows,
               ["experiment: two-proj",
                f"axes: {list(u1.u)} / {list(u2.u)}",
@@ -694,8 +685,8 @@ def _two_proj(config: ExperimentConfig) -> RunReport:
                       "projection product norm decay", "k", "log norm")
     # the most block columns one norm built and how many norms needed the
     # full block
-    counts = {"max_width": max(w for w, _ in widths),
-              "full_blocks": sum(w == n for w, n in widths)}
+    counts = {"max_width": max(p.width for p in products),
+              "full_blocks": sum(p.width == p.columns for p in products)}
     if disjoint:
         if len(finite) < 3:
             message = (f"disjoint caps: the decay fit needs 3 weights with a "

@@ -17,6 +17,8 @@ shows that the rest move the norm by at most 2^-107 relative.  For
 disjoint caps w stays bounded in k, so a norm costs O(k w) for the rows
 plus the SVD of a (k - ceil(k e_1) + 1) x w block; overlapping and
 near-tangent caps fail the certificate and take the full block.
+projection_product_norm is the one entry point: one block per call gives
+the norm, its log past the norm's underflow and the corner width.
 """
 from __future__ import annotations
 
@@ -390,32 +392,28 @@ def _corner_width(k: int, cos_b: float, off: np.ndarray, r0: int,
     return int(fits[0]) + 1 if fits.size else k - c0 + 1
 
 
-def _block_shape(k: int, u1: RotationAxis, e1: float, u2: RotationAxis,
-                 e2: float
-                 ) -> tuple[float, int, int, np.ndarray, np.ndarray, int]:
-    """beta, the block's first row r0 and column c0, T's diagonal and
-    off-diagonal, and the certified width (_corner_width); width 0 where
-    beta = 0 and there is no block to build."""
-    beta, _ = _cap_angles(u1, e1, u2, e2)
-    sin_b, cos_b = math.sin(beta), math.cos(beta)
-    r0, c0 = snapped_ceil(k * e1), snapped_ceil(k * e2)
-    l = np.arange(k + 1)
-    diag = cos_b * (l - 0.5 * k)
-    off = 0.5 * sin_b * np.sqrt((l[:-1] + 1.0) * (k - l[:-1]))
-    width = _corner_width(k, cos_b, off, r0, c0) if sin_b != 0.0 else 0
-    return beta, r0, c0, diag, off, width
+@dataclass(frozen=True)
+class ProductNorm:
+    """|P_1 P_2| of two cap projections, as projection_product_norm gives it.
 
+    norm is sigma 2^scale from the block's largest singular value sigma
+    after division by its power-of-two scale; it underflows past 2^-1074
+    (k = 46,834 at beta = 2.2 and levels 0.75).  log_norm is math.log(norm)
+    wherever norm is a normal float, so the two agree bit for bit there;
+    below, log(sigma) + scale ln 2, finite past the underflow, and -inf
+    only for a block that is exactly zero.  width is how many of the
+    block's columns = k - ceil(k e_2) + 1 were built: 0 where beta is 0
+    or pi and no block is, all of them where the certificate fails.
+    """
 
-def corner_width(k: int, u1: RotationAxis, e1: float, u2: RotationAxis,
-                 e2: float) -> tuple[int, int]:
-    """(w, n): how many of the block's n = k - ceil(k e2) + 1 columns
-    projection_product_norm builds for these caps; w = 0 for beta = 0."""
-    _, _, c0, _, _, width = _block_shape(k, u1, e1, u2, e2)
-    return width, k - c0 + 1
+    norm: float
+    log_norm: float
+    width: int
+    columns: int
 
 
 def projection_product_norm(k: int, u1: RotationAxis, e1: float,
-                            u2: RotationAxis, e2: float) -> float:
+                            u2: RotationAxis, e2: float) -> ProductNorm:
     """Operator norm of the product of the two cap spectral projections.
 
     P_i = R_i Q_i R_i*, with Q_i keeping the levels l >= k e_i and R_i
@@ -448,38 +446,27 @@ def projection_product_norm(k: int, u1: RotationAxis, e1: float,
     for disjoint caps).  Columns are scaled by exact powers of two, and the
     block's SVD is taken after dividing by its largest power-of-two scale,
     so norms far below the double range's floor resolve.  Cost O(k w) for
-    the rows plus the SVD of the (k - r0 + 1) x w block.  beta = 0 gives
-    identical caps and exactly 1.0.  The float underflows past 2^-1074
-    (k = 46,834 at beta = 2.2 and levels 0.75); projection_product_log_norm
-    carries on.
+    the rows plus the SVD of the (k - r0 + 1) x w block, made once for the
+    norm, its log and its width.
+
+    At beta exactly 0 or pi (the angle as _cap_angles rounds it) both
+    height operators are diagonal, the second reversed at pi, and no block
+    is built: the norm is 1.0 where the kept levels overlap, l >= r0 and
+    l >= c0 at beta = 0 (always), r0 <= l <= k - c0 at pi, else exactly
+    0.0.  sin(fl(pi)) = 1.2e-16 would otherwise make rounding noise.
     """
-    return math.ldexp(*_scaled_norm(k, u1, e1, u2, e2))
-
-
-def projection_product_log_norm(k: int, u1: RotationAxis, e1: float,
-                                u2: RotationAxis, e2: float) -> float:
-    """Natural log of projection_product_norm, finite past its underflow.
-
-    math.log of the norm wherever the norm is a normal float, so the two
-    agree bit for bit there; below, log(sigma) + scale ln 2 from the
-    singular value sigma and the power-of-two scale the norm is built
-    from.  -inf only for a block that is exactly zero.
-    """
-    sigma, scale = _scaled_norm(k, u1, e1, u2, e2)
-    norm = math.ldexp(sigma, scale)
-    if norm >= sys.float_info.min:
-        return math.log(norm)
-    return math.log(sigma) + scale * math.log(2.0) if sigma > 0 else -math.inf
-
-
-def _scaled_norm(k: int, u1: RotationAxis, e1: float, u2: RotationAxis,
-                 e2: float) -> tuple[float, int]:
-    """(sigma, scale) with projection_product_norm = sigma 2^scale, sigma
-    the block's largest singular value after division by 2^scale."""
-    beta, r0, c0, diag, off, width = _block_shape(k, u1, e1, u2, e2)
-    if width == 0:
-        return 1.0, 0
-    cos_b = math.cos(beta)
+    beta, _ = _cap_angles(u1, e1, u2, e2)
+    r0, c0 = snapped_ceil(k * e1), snapped_ceil(k * e2)
+    columns = k - c0 + 1
+    if beta in (0.0, math.pi):
+        overlap = beta == 0.0 or r0 <= k - c0
+        return ProductNorm(float(overlap), 0.0 if overlap else -math.inf,
+                           0, columns)
+    sin_b, cos_b = math.sin(beta), math.cos(beta)
+    l = np.arange(k + 1)
+    diag = cos_b * (l - 0.5 * k)
+    off = 0.5 * sin_b * np.sqrt((l[:-1] + 1.0) * (k - l[:-1]))
+    width = _corner_width(k, cos_b, off, r0, c0)
     m = np.arange(c0, c0 + width)
     lam = m - 0.5 * k
     half_c, half_s = math.cos(0.5 * beta), math.sin(0.5 * beta)
@@ -506,4 +493,12 @@ def _scaled_norm(k: int, u1: RotationAxis, e1: float, u2: RotationAxis,
     # relative; left in, they reach the SVD as slow subnormal arithmetic,
     # which tripled its time at k = 2000
     block[np.abs(block) < 2.0 ** -500] = 0.0
-    return float(np.linalg.svd(block, compute_uv=False)[0]), scale
+    sigma = float(np.linalg.svd(block, compute_uv=False)[0])
+    norm = math.ldexp(sigma, scale)
+    if norm >= sys.float_info.min:
+        log_norm = math.log(norm)
+    elif sigma > 0.0:
+        log_norm = math.log(sigma) + scale * math.log(2.0)
+    else:
+        log_norm = -math.inf
+    return ProductNorm(norm, log_norm, width, columns)

@@ -193,13 +193,13 @@ def test_criterion_09_two_projection_orthogonality():
     tilted = RotationAxis.polar(2.2)
     assert caps_disjoint(north, 0.75, tilted, 0.75)
     ks = [20, 28, 40, 57, 80, 113, 160, 226, 320]
-    norms = [projection_product_norm(k, north, 0.75, tilted, 0.75)
+    norms = [projection_product_norm(k, north, 0.75, tilted, 0.75).norm
              for k in ks]
     fit = linear_fit(list(zip(ks, np.log(np.array(norms)))))
 
     overlap = RotationAxis.polar(0.8)
     assert not caps_disjoint(north, 0.75, overlap, 0.75)
-    floor = min(projection_product_norm(k, north, 0.75, overlap, 0.75)
+    floor = min(projection_product_norm(k, north, 0.75, overlap, 0.75).norm
                 for k in (20, 80, 320))
     elapsed = time.perf_counter() - start
     ok = (fit.slope < 0 and fit.r_squared >= 0.9 and floor >= 0.5

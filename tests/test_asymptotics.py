@@ -97,8 +97,8 @@ def test_predict_partial_gaussian_factor_trivial_at_origin():
     p0 = predict_partial(cfg, 1, ScalingProbe(ONE_ONE, 0.0, 0.0, 1.0))
     p1 = predict_partial(cfg, 1, ScalingProbe(ONE_ONE, 1.0, 2.0, 1.0))
     assert abs(abs(p1.leading / p0.leading) - math.exp(-1.25)) <= 1e-12
-    assert p0.remainder_order == "k^-3/2"
-    assert p1.remainder_order == "k^-1"
+    assert p0.remainder_order == 1.5
+    assert p1.remainder_order == 1.0
 
 
 def test_predict_partial_cot_vanishes_at_half_turn():

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pbklab.circle_spectral as circle_spectral
-from pbklab.circle_spectral import (IntegerSpectrumOperator, SpectralConfig,
+from pbklab.circle_spectral import (MAX_WEIGHT, IntegerSpectrumOperator,
+                                    SpectralConfig,
                                     default_node_count, expm_series,
                                     random_integer_spectrum_operator,
                                     snapped_ceil, spectral_projector_eig,
@@ -383,6 +384,13 @@ def test_spectral_config_cut():
     assert SpectralConfig(10, 0.51).cut_index == 6
     # a level at kE up to rounding stays inside the cut
     assert SpectralConfig(10, 0.5 + 1e-12).cut_index == 5
+
+
+def test_spectral_config_bounds_the_weight():
+    assert SpectralConfig(MAX_WEIGHT, 0.5).k == 10 ** 11
+    with pytest.raises(ValueError, match=f"weight k = {10 ** 11 + 1} "
+                                         f"exceeds {10 ** 11}"):
+        SpectralConfig(MAX_WEIGHT + 1, 0.5)
 
 
 @pytest.mark.parametrize("energy", [math.inf, -math.inf, math.nan])

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import pbklab
-from pbklab import harness
+from pbklab import harness, rotated_observables
 from pbklab.cli import build_config, build_parser, main
 from pbklab.circle_spectral import SpectralConfig
 from pbklab.cp1_geometry import ProjectivePoint
@@ -525,6 +525,27 @@ def test_cli_diagonal_microsupport_refuses_a_base_point_near_a_pole(
             f"the {regime} regime's energy" in err)
 
 
+@pytest.mark.parametrize("argv, k", [
+    (["heatmap", "--k", str(10 ** 20)], 10 ** 20),
+    (["heatmap", "--k", str(10 ** 300)], 10 ** 300),
+    (["error-scaling", "--k-list", f"10,100,{10 ** 400}"], 10 ** 400),
+    (["error-scaling", "--kind", "equivariant", "--k-list",
+      f"10,100,{10 ** 20}"], 10 ** 20),
+    (["diagonal-microsupport", "--k-list", f"10,100,1000,{10 ** 20}"],
+     10 ** 20),
+    (["diagonal-microsupport", "--k", str(10 ** 20)], 10 ** 20),
+], ids=["heatmap-1e20", "heatmap-1e300", "error-scaling-1e400",
+        "error-scaling-equivariant-1e20", "diagonal-k-list-1e20",
+        "diagonal-k-1e20"])
+def test_cli_refuses_a_weight_past_the_certified_bound(argv, k, capsys):
+    # unbounded, these runs exited 1 with a traceback: an array of
+    # 2.84 TiB at k = 1e20, a numpy casting error at 1e300, an
+    # OverflowError at 1e400
+    assert main(argv) == EXIT_CONFIG
+    assert (f"weight k = {k} exceeds 100000000000" in
+            capsys.readouterr().err)
+
+
 def test_cli_heatmap_rejects_a_grid_whose_modulus_overflows(capsys):
     # the grid's corner 1.3e308 (1 + i) has a modulus of 1.8e308, past the
     # largest double; abs() of it raised OverflowError, and the run exited
@@ -798,18 +819,43 @@ def test_two_proj_fits_the_log_norms_of_tiny_norms(k_list, slope):
     assert report.summary["r_squared"] >= 0.9999
 
 
-def test_two_proj_antipodal_caps_fit_the_log_norms():
-    # the axis (0, 0, -1) is read as the angle fl(pi), a hair short of the
-    # antipode, where the product would vanish: the norms are tiny but not
-    # zero, and their logs -365.3, -729.4 and -1457.3 (the last past the
-    # norm's underflow) decay in a straight line
-    cfg = ExperimentConfig(experiment="two-proj", u2=[0.0, 0.0, -1.0],
-                           k_list=[20, 40, 80])
-    report = run_experiment(cfg)
+def test_two_proj_antipodal_caps_have_no_nonzero_norm(tmp_path, capsys):
+    # the axis (0, 0, -1) is at the angle pi exactly, where the product is
+    # exactly 0; through the recurrence, the rounding of sin(fl(pi)) gave
+    # norms (1.5e-96 at k = 10), a fit "slope -17.8427, r^2 0.9993" and
+    # exit 0
+    out = tmp_path / "tp.csv"
+    code = main(["two-proj", "--u2=0,0,-1", "--k-list", "10,20,40,80",
+                 "--out", str(out)])
+    assert code == EXIT_THRESHOLD
+    assert ("disjoint caps: the decay fit needs 3 weights with a nonzero "
+            "norm, got 0" in capsys.readouterr().err)
+    assert read_rows(str(out))[2] == [[k, "0", "-inf"]
+                                      for k in ("10", "20", "40", "80")]
+
+
+def test_two_proj_builds_one_block_per_weight(monkeypatch):
+    # each weight certifies its corner once and takes one SVD, also where
+    # the norm underflows (k = 60,000) and its log comes from the same
+    # singular value, where separate norm, log-norm and width calls took
+    # 7 certificates and 4 SVDs
+    calls = {"corner": 0, "svd": 0}
+    corner, svd = rotated_observables._corner_width, np.linalg.svd
+
+    def count(name, fn):
+        def spy(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return spy
+
+    monkeypatch.setattr(rotated_observables, "_corner_width",
+                        count("corner", corner))
+    monkeypatch.setattr(np.linalg, "svd", count("svd", svd))
+    report = run_experiment(ExperimentConfig(
+        experiment="two-proj", u2=[math.sin(2.2), 0.0, math.cos(2.2)],
+        k_list=[40, 640, 60_000]))
     assert report.exit_code == EXIT_OK
-    assert report.summary["disjoint"] is True
-    assert report.summary["slope"] == pytest.approx(-18.2, abs=0.05)
-    assert "log-norm slope -18.1995 per unit k" in report.message
+    assert calls == {"corner": 3, "svd": 3}
 
 
 def test_two_proj_identical_axes_norm_one():

@@ -7,9 +7,8 @@ from pbklab.circle_spectral import snapped_ceil, spectral_projector_eig
 from pbklab.cli import main
 from pbklab.rotated_observables import (CORNER_EXCESS, RotationAxis,
                                         axis_to_su2, caps_disjoint,
-                                        caps_tangent, corner_width,
+                                        caps_tangent,
                                         operator_norm_power_iteration,
-                                        projection_product_log_norm,
                                         projection_product_norm,
                                         rotated_height_operator,
                                         su2_rep_matrix, _cap_angles,
@@ -296,14 +295,14 @@ def test_power_iteration_zero_matrix():
 
 def test_identical_projections_have_unit_norm():
     for k in (10, 25):
-        norm = projection_product_norm(k, Z_AXIS, 0.75, Z_AXIS, 0.75)
+        norm = projection_product_norm(k, Z_AXIS, 0.75, Z_AXIS, 0.75).norm
         assert abs(norm - 1.0) <= 1e-10
 
 
 def test_disjoint_caps_norm_strictly_decreases():
     tilted = RotationAxis.polar(2.2)
-    n100 = projection_product_norm(100, Z_AXIS, 0.75, tilted, 0.75)
-    n200 = projection_product_norm(200, Z_AXIS, 0.75, tilted, 0.75)
+    n100 = projection_product_norm(100, Z_AXIS, 0.75, tilted, 0.75).norm
+    n200 = projection_product_norm(200, Z_AXIS, 0.75, tilted, 0.75).norm
     assert n200 < n100 < 0.05
 
 
@@ -312,13 +311,37 @@ def test_exactly_antipodal_caps_are_exactly_orthogonal():
     # the product is zero to rounding; there is no decay law to fit there
     south = RotationAxis((0.0, 0.0, -1.0))
     for k in (40, 100):
-        assert projection_product_norm(k, Z_AXIS, 0.75, south, 0.75) <= 1e-10
+        assert (projection_product_norm(k, Z_AXIS, 0.75, south, 0.75).norm
+                <= 1e-10)
+
+
+@pytest.mark.parametrize("k", [10, 11, 40, 80])
+@pytest.mark.parametrize("beta, e, expected", [
+    (0.0, 0.75, 1.0), (0.0, 0.3, 1.0),  # levels >= r0 and >= c0: always
+    (math.pi, 0.75, 0.0), (math.pi, 0.3, 1.0),  # r0 <= l <= k - c0
+])
+def test_product_norm_at_angle_zero_or_pi(k, beta, e, expected):
+    # both height operators are diagonal, the second reversed at pi: the
+    # norm is 1.0 where the kept levels overlap and exactly 0.0 elsewhere,
+    # with no block built; through the recurrence, sin(fl(pi)) = 1.2e-16
+    # gave 1.5e-96 at k = 10
+    axis = RotationAxis((0.0, 0.0, math.cos(beta)))
+    assert _cap_angles(Z_AXIS, e, axis, e)[0] == beta
+    product = projection_product_norm(k, Z_AXIS, e, axis, e)
+    assert product.norm == expected
+    assert product.log_norm == (0.0 if expected else -math.inf)
+    assert (product.width, product.columns) == (0, k - snapped_ceil(k * e)
+                                                + 1)
+    p1 = spectral_projector_eig(rotated_height_operator(k, Z_AXIS), k * e)
+    p2 = spectral_projector_eig(rotated_height_operator(k, axis), k * e)
+    assert np.linalg.svd(p1 @ p2, compute_uv=False)[0] == \
+        pytest.approx(expected, abs=1e-12)
 
 
 def test_overlapping_caps_norm_floor():
     tilted = RotationAxis.polar(0.8)
     for k in (20, 80):
-        norm = projection_product_norm(k, Z_AXIS, 0.75, tilted, 0.75)
+        norm = projection_product_norm(k, Z_AXIS, 0.75, tilted, 0.75).norm
         assert norm >= 0.5
 
 
@@ -338,7 +361,7 @@ def test_product_norm_matches_eigen_projector_svd(beta, k):
     # below it come from the upward pass (at beta = 0.3, k = 160: 38 columns)
     tilted = RotationAxis.polar(beta)
     reference = _eigen_projector_norm(k, tilted)
-    norm = projection_product_norm(k, Z_AXIS, 0.75, tilted, 0.75)
+    norm = projection_product_norm(k, Z_AXIS, 0.75, tilted, 0.75).norm
     assert abs(norm - reference) <= 1e-9 * reference
 
 
@@ -346,11 +369,11 @@ def test_product_norm_matches_eigen_projector_svd(beta, k):
 def test_product_norm_at_degenerate_angles(k):
     # beta = 0 is the identity: exactly 1; beta = 1e-9 runs the recurrence
     # with off-diagonals ~1e-9 and must still give two equal projections
-    assert projection_product_norm(k, Z_AXIS, 0.75, Z_AXIS, 0.75) == 1.0
+    assert projection_product_norm(k, Z_AXIS, 0.75, Z_AXIS, 0.75).norm == 1.0
     assert projection_product_norm(k, Z_AXIS, 0.75, RotationAxis.polar(0.0),
-                                   0.75) == 1.0
+                                   0.75).norm == 1.0
     tiny = RotationAxis.polar(1e-9)
-    assert abs(projection_product_norm(k, Z_AXIS, 0.75, tiny, 0.75)
+    assert abs(projection_product_norm(k, Z_AXIS, 0.75, tiny, 0.75).norm
                - _eigen_projector_norm(k, tiny)) <= 1e-10
 
 
@@ -385,7 +408,7 @@ def test_product_norm_matches_binomial_block(k, u1, e1, u2, e2):
     u = axis_to_su2(u1).conj().T @ axis_to_su2(u2)
     block = _rep_binomial(k, u)[snapped_ceil(k * e1):, snapped_ceil(k * e2):]
     reference = np.linalg.svd(block, compute_uv=False)[0]
-    norm = projection_product_norm(k, u1, e1, u2, e2)
+    norm = projection_product_norm(k, u1, e1, u2, e2).norm
     assert abs(norm - reference) <= 1e-9 * reference
 
 
@@ -400,16 +423,15 @@ def test_small_disjoint_norms_match_high_precision_reference(k, reference,
     # is sigma_max of the Wigner-d block, its entries summed explicitly in
     # 0.7k + 60 digits (equal to 17 digits at 40 digits more)
     tilted = RotationAxis.polar(2.2)
-    norm = projection_product_norm(k, Z_AXIS, 0.75, tilted, 0.75)
+    norm = projection_product_norm(k, Z_AXIS, 0.75, tilted, 0.75).norm
     assert abs(norm - reference) <= bound * reference
 
 
 def test_log_norm_is_math_log_of_a_normal_norm():
     tilted = RotationAxis.polar(2.2)
     for k in (40, 640, 4000):
-        norm = projection_product_norm(k, Z_AXIS, 0.75, tilted, 0.75)
-        assert projection_product_log_norm(k, Z_AXIS, 0.75, tilted, 0.75) \
-            == math.log(norm)
+        product = projection_product_norm(k, Z_AXIS, 0.75, tilted, 0.75)
+        assert product.log_norm == math.log(product.norm)
 
 
 def test_log_norm_stays_finite_past_the_norm_underflow():
@@ -417,9 +439,10 @@ def test_log_norm_stays_finite_past_the_norm_underflow():
     # underflows to 0.0 by k = 60,000, while its log keeps decaying at
     # the same rate
     tilted = RotationAxis.polar(2.2)
-    assert projection_product_norm(60_000, Z_AXIS, 0.75, tilted, 0.75) == 0.0
-    logs = {k: projection_product_log_norm(k, Z_AXIS, 0.75, tilted, 0.75)
-            for k in (40_000, 60_000)}
+    products = {k: projection_product_norm(k, Z_AXIS, 0.75, tilted, 0.75)
+                for k in (40_000, 60_000)}
+    assert products[60_000].norm == 0.0
+    logs = {k: p.log_norm for k, p in products.items()}
     assert math.isfinite(logs[60_000])
     assert logs[60_000] < math.log(5e-324) < logs[40_000]
     rate = (logs[60_000] - logs[40_000]) / 20_000
@@ -432,7 +455,7 @@ def test_disjoint_norms_decay_past_the_double_rounding_floor():
     # k = 640 and 1000 to 1%
     tilted = RotationAxis.polar(2.2)
     logs = {k: math.log(projection_product_norm(k, Z_AXIS, 0.75, tilted,
-                                                0.75))
+                                                0.75).norm)
             for k in (640, 1000, 1500, 2000)}
     slope = (logs[1000] - logs[640]) / 360
     assert logs[2000] < logs[1500] < logs[1000]
@@ -491,7 +514,7 @@ def test_corner_norm_matches_full_block(beta, e1, e2, k):
     # the columns the certificate leaves out move the norm by at most
     # 2^-107 relative, so only the SVD's own rounding separates the two
     tilted = RotationAxis.polar(beta)
-    norm = projection_product_norm(k, Z_AXIS, e1, tilted, e2)
+    norm = projection_product_norm(k, Z_AXIS, e1, tilted, e2).norm
     reference = _block_norm(*_full_block(k, beta, e1, e2))
     assert _ulps(norm, reference) <= 4
 
@@ -503,10 +526,9 @@ def test_corner_norm_matches_full_block(beta, e1, e2, k):
 ])
 def test_corner_falls_back_to_the_full_block(beta, k):
     tilted = RotationAxis.polar(beta)
-    width, full = corner_width(k, Z_AXIS, 0.75, tilted, 0.75)
-    assert width == full == k - snapped_ceil(0.75 * k) + 1
-    assert (projection_product_norm(k, Z_AXIS, 0.75, tilted, 0.75)
-            == _block_norm(*_full_block(k, beta, 0.75, 0.75)))
+    product = projection_product_norm(k, Z_AXIS, 0.75, tilted, 0.75)
+    assert product.width == product.columns == k - snapped_ceil(0.75 * k) + 1
+    assert product.norm == _block_norm(*_full_block(k, beta, 0.75, 0.75))
 
 
 @pytest.mark.parametrize("beta, e1, e2", [(2.2, 0.75, 0.75),
@@ -517,8 +539,10 @@ def test_corner_certificate_premise_on_the_full_block(beta, e1, e2, k):
     # past column c0 no row's |V[l, m]| grows with m, and the columns left
     # out carry at most CORNER_EXCESS of the corner's squared norm
     mant, expo = _full_block(k, beta, e1, e2)
-    width, full = corner_width(k, Z_AXIS, e1, RotationAxis.polar(beta), e2)
-    assert 0 < width < full == mant.shape[1]
+    product = projection_product_norm(k, Z_AXIS, e1, RotationAxis.polar(beta),
+                                      e2)
+    width = product.width
+    assert 0 < width < product.columns == mant.shape[1]
     log2_abs = np.log2(np.abs(mant)) + expo
     assert np.all(np.diff(log2_abs, axis=1) <= 1e-9)
     scale = int(expo.max())
@@ -531,10 +555,12 @@ def test_corner_width_stays_bounded_in_k():
     # away from tangency the corner does not grow with k: 51, 66 and 71
     # columns of 161, 1001 and 4001 at beta = 2.2
     tilted = RotationAxis.polar(2.2)
-    widths = [corner_width(k, Z_AXIS, 0.75, tilted, 0.75)
-              for k in (640, 4000, 16000)]
-    assert widths == [(51, 161), (66, 1001), (71, 4001)]
-    assert corner_width(40, Z_AXIS, 0.75, Z_AXIS, 0.75) == (0, 11)
+    products = [projection_product_norm(k, Z_AXIS, 0.75, tilted, 0.75)
+                for k in (640, 4000, 16000)]
+    assert ([(p.width, p.columns) for p in products]
+            == [(51, 161), (66, 1001), (71, 4001)])
+    identical = projection_product_norm(40, Z_AXIS, 0.75, Z_AXIS, 0.75)
+    assert (identical.width, identical.columns) == (0, 11)
 
 
 def _descend_every_step(diag, off, lam, mant, expo, stop):
